@@ -30,7 +30,6 @@ from .decomposition import (
 from .em import (
     EmConfig,
     EmFit,
-    EmState,
     UnimodalityDiagnostic,
     em_fit,
     expected_squared_norm,
@@ -60,6 +59,7 @@ from .oracles import (
     dense_ridge_solve,
     numeric_m_step,
 )
+from .pipeline import FitConfig, fit
 from .rng import RandomStream, derive_seed
 from .simulate import (
     BenchRow,
@@ -86,8 +86,8 @@ __all__ = [
     "DensePosterior",
     "EmConfig",
     "EmFit",
-    "EmState",
     "FastridgeError",
+    "FitConfig",
     "FitResult",
     "GridKind",
     "LambdaGrid",
@@ -110,6 +110,7 @@ __all__ = [
     "em_fit",
     "expected_squared_norm",
     "expected_sse",
+    "fit",
     "fixed_grid",
     "gen_bernoulli_sparse",
     "gen_gaussian_wishart",

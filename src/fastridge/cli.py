@@ -3,10 +3,8 @@
 Exit codes: 0 success, 2 bad flags or an invalid sweep, 3 data errors
 (unreadable/malformed input), 4 solver degeneracy. Error messages name the
 stage that failed. The FASTRIDGE_SEED environment variable overrides
---seed for every command that accepts one.
-
-Model files are JSON with sorted keys and no timestamps, so identical
-invocations produce byte-identical output.
+--seed for every command that accepts one. Model files are written and read
+by FitResult.to_json and FitResult.from_json.
 """
 
 from __future__ import annotations
@@ -15,25 +13,16 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import json
+import math
 import os
+import pathlib
 import sys
 
-import numpy as np
-
 from . import __version__
-from .data import (
-    FitResult,
-    Method,
-    destandardize,
-    load_csv,
-    predict,
-    standardize,
-)
-from .decomposition import compact_svd, rotate
-from .em import EmConfig, em_fit
+from .data import FitResult, Method, load_csv, predict, read_csv
+from .em import EmConfig
 from .exceptions import DataError, DegenerateProblemError, FastridgeError
-from .loocv import GridKind, fixed_grid, glmnet_grid, loocv_fit
+from .pipeline import FitConfig, fit
 from .simulate import (
     bench_comparison,
     run_comparison,
@@ -54,6 +43,16 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from None
 
 
+def _write_output(path, write) -> None:
+    """Create the file at ``path`` and fill it with ``write(fh)``."""
+    with _stage("write"):
+        try:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                write(fh)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from None
+
+
 def _effective_seed(args) -> int:
     """--seed, unless FASTRIDGE_SEED is set in the environment."""
     env = os.environ.get("FASTRIDGE_SEED")
@@ -68,210 +67,82 @@ def _effective_seed(args) -> int:
     return seed
 
 
-def _json_floats(array) -> list:
-    """Nested lists of Python floats, so json emits repr-exact values."""
-    return np.asarray(array, dtype=float).tolist()
+def cmd_fit(args, parser) -> int:
+    if args.grid_size < 2:
+        parser.error("--grid-size must be at least 2")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error("--tol must be a positive finite number")
+    if args.max_iter < 1:
+        parser.error("--max-iter must be at least 1")
 
-
-def cmd_fit(args) -> int:
     with _stage("load"):
         ds = load_csv(args.input, args.target)
+    config = FitConfig(
+        grid_size=args.grid_size,
+        em=EmConfig(tol=args.tol, max_iterations=args.max_iter),
+        lambda_rescale=not args.no_lambda_rescale,
+    )
+    result = fit(ds, Method(args.method), config, stage=_stage)
 
-    with _stage("standardize"):
-        std = standardize(ds)
-    with _stage("decompose"):
-        rp = rotate(compact_svd(std.X_std), std.Y_centered)
+    _write_output(args.output, lambda fh: fh.write(result.to_json()))
 
-    q = std.q
-    beta_cols, lambdas = [], []
-    tau2s, sigma2s, iters = [], [], []
-    grids, cves = [], []
-    with _stage("solve"):
-        for t in range(q):
-            if args.method == Method.EM.value:
-                fit = em_fit(
-                    rp,
-                    EmConfig(tol=args.tol, max_iterations=args.max_iter),
-                    target=t,
-                )
-                if fit.degenerate:
-                    raise DegenerateProblemError(
-                        f"target {t}: expected SSE underflowed; no finite "
-                        "penalty exists for this data"
-                    )
-                beta_cols.append(fit.beta)
-                lambdas.append(fit.lambda_)
-                tau2s.append(fit.tau2)
-                sigma2s.append(fit.sigma2)
-                iters.append(fit.k)
-            else:
-                y_t = std.Y_centered[:, t]
-                if args.method == Method.LOOCV_FIXED.value:
-                    grid = fixed_grid(args.grid_size)
-                else:
-                    grid = glmnet_grid(
-                        std.X_std,
-                        y_t,
-                        args.grid_size,
-                        rescale=not args.no_lambda_rescale,
-                    )
-                fit = loocv_fit(rp, y_t, grid, target=t)
-                beta_cols.append(fit.beta)
-                lambdas.append(fit.lambda_star)
-                grids.append(fit.grid.values)
-                cves.append(fit.cve)
-
-    with _stage("destandardize"):
-        beta_raw, intercepts = destandardize(np.column_stack(beta_cols), std)
-
-    model = {
-        "method": args.method,
-        "library_version": __version__,
-        "coefficients": _json_floats(beta_raw[:, 0] if q == 1 else beta_raw),
-        "intercepts": _json_floats(intercepts),
-        "lambda": [float(v) for v in lambdas],
-        "standardization": {
-            "col_means": _json_floats(std.col_means),
-            "col_sds": _json_floats(std.col_sds),
-            "kept_columns": [int(j) for j in std.kept_columns],
-            "y_means": _json_floats(std.y_means),
-        },
-        "feature_names": ds.column_names,
-        "target_names": ds.target_names,
-    }
-    if args.method == Method.EM.value:
-        model["tau2"] = [float(v) for v in tau2s]
-        model["sigma2"] = [float(v) for v in sigma2s]
-        model["iterations"] = [int(v) for v in iters]
+    lam_txt = ",".join(format(v, ".6g") for v in result.lambda_.tolist())
+    if result.method is Method.EM:
+        detail = "k=" + ",".join(str(k) for k in result.iterations.tolist())
     else:
-        model["grid"] = [_json_floats(g) for g in grids]
-        model["grid_kind"] = (
-            GridKind.FIXED.value
-            if args.method == Method.LOOCV_FIXED.value
-            else GridKind.GLMNET.value
-        )
-        model["cve_curve"] = [_json_floats(c) for c in cves]
-
-    with _stage("write"):
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(model, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise DataError(f"cannot write {args.output}: {exc}") from None
-
-    lam_txt = ",".join(format(float(v), ".6g") for v in lambdas)
-    if args.method == Method.EM.value:
-        detail = "k=" + ",".join(str(int(v)) for v in iters)
-    else:
-        detail = "cve*=" + ",".join(
-            format(float(np.min(c)), ".6g") for c in cves
-        )
+        detail = "cve*=" + ",".join(format(float(c.min()), ".6g") for c in result.cve_curves)
     print(
-        f"fit method={args.method} targets={q} lambda=[{lam_txt}] {detail} "
-        f"-> {args.output}"
+        f"fit method={args.method} targets={len(result.lambda_)} lambda=[{lam_txt}] "
+        f"{detail} -> {args.output}"
     )
     return 0
-
-
-def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
-    """Header plus raw string rows of a CSV file; shape-checked only."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"no such file: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} cells, "
-                    f"expected {len(header)}"
-                )
-            rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return header, rows
-
-
-def _parse_float_cell(cell: str, lineno: int, colname: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise DataError(
-            f"non-numeric cell {cell!r} at row {lineno}, column {colname}"
-        ) from None
 
 
 def cmd_predict(args) -> int:
     with _stage("load-model"):
         try:
-            with open(args.model, encoding="utf-8") as fh:
-                model = json.load(fh)
+            text = pathlib.Path(args.model).read_text(encoding="utf-8")
         except FileNotFoundError:
             raise DataError(f"no such file: {args.model}") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.model}: invalid JSON: {exc}") from None
         try:
-            result = FitResult(
-                beta_raw=np.asarray(model["coefficients"], dtype=float),
-                intercepts=np.asarray(model["intercepts"], dtype=float),
-                lambda_=np.asarray(model["lambda"], dtype=float),
-                method=Method(model["method"]),
-                tau2=np.asarray(model["tau2"], dtype=float) if "tau2" in model else None,
-            )
-            feature_names = model.get("feature_names")
-            target_names = model.get("target_names")
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DataError(f"{args.model}: malformed model file: {exc}") from None
+            result = FitResult.from_json(text)
+        except DataError as exc:
+            raise DataError(f"{args.model}: {exc}") from None
 
-    with _stage("load-input"):
-        header, rows = _read_csv_table(args.input)
+    def columns(header):
+        """Feature columns by the model's names when all are present,
+        otherwise every column but the id column, in order."""
         id_idx = None
         if args.id_column is not None:
             if args.id_column not in header:
                 raise DataError(f"id column {args.id_column!r} not in input header")
             id_idx = header.index(args.id_column)
+        names = result.feature_names
+        if names and all(name in header for name in names):
+            return [header.index(name) for name in names], id_idx
+        cols = [j for j in range(len(header)) if j != id_idx]
         p = result.beta_raw.shape[0]
-        if feature_names and all(name in header for name in feature_names):
-            cols = [header.index(name) for name in feature_names]
-        else:
-            cols = [j for j in range(len(header)) if j != id_idx]
-            if len(cols) != p:
-                raise DataError(
-                    f"input has {len(cols)} feature columns, model expects {p}"
-                )
-        X = np.empty((len(rows), len(cols)))
-        for i, row in enumerate(rows):
-            for jj, j in enumerate(cols):
-                X[i, jj] = _parse_float_cell(row[j], i + 2, header[j])
+        if len(cols) != p:
+            raise DataError(f"input has {len(cols)} feature columns, model expects {p}")
+        return cols, id_idx
+
+    with _stage("load-input"):
+        _, X, ids = read_csv(args.input, columns)
 
     with _stage("predict"):
         Y_hat = predict(result, X)
 
-    with _stage("write"):
-        q = Y_hat.shape[1]
-        if target_names and len(target_names) == q:
-            out_names = list(target_names)
-        else:
-            out_names = [f"y{t + 1}" for t in range(q)]
-        try:
-            with open(args.output, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                prefix = [args.id_column] if id_idx is not None else []
-                writer.writerow(prefix + out_names)
-                for i in range(Y_hat.shape[0]):
-                    lead = [rows[i][id_idx]] if id_idx is not None else []
-                    writer.writerow(lead + [repr(float(v)) for v in Y_hat[i]])
-        except OSError as exc:
-            raise DataError(f"cannot write {args.output}: {exc}") from None
+    q = Y_hat.shape[1]
+    names = result.target_names
+    out_names = list(names) if names and len(names) == q else [f"y{t + 1}" for t in range(q)]
+
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(([args.id_column] if ids is not None else []) + out_names)
+        for i, row in enumerate(Y_hat):
+            writer.writerow(([ids[i]] if ids is not None else []) + [repr(float(v)) for v in row])
+
+    _write_output(args.output, write)
 
     print(f"predict rows={Y_hat.shape[0]} targets={q} -> {args.output}")
     return 0
@@ -332,8 +203,6 @@ def cmd_simulate(args, parser) -> int:
         swept = [float(p) for p in _parse_int_list(args.p_list, "--p-list", parser)]
     if args.reps < 1:
         parser.error("--reps must be at least 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
     seed = _effective_seed(args)
     rows = run_comparison(
@@ -345,7 +214,6 @@ def cmd_simulate(args, parser) -> int:
         seed=seed,
         p=args.p,
         grid_length=args.grid_size,
-        jobs=args.jobs,
     )
     if not args.timings:
         # Wall-clock fields are the only nondeterministic columns; zero them
@@ -353,12 +221,7 @@ def cmd_simulate(args, parser) -> int:
         rows = [
             dataclasses.replace(r, t_preprocess_ns=0, t_mainloop_ns=0) for r in rows
         ]
-    with _stage("write"):
-        try:
-            with open(args.output, "w", newline="", encoding="utf-8") as fh:
-                write_metrics_csv(rows, fh)
-        except OSError as exc:
-            raise DataError(f"cannot write {args.output}: {exc}") from None
+    _write_output(args.output, lambda fh: write_metrics_csv(rows, fh))
     print(f"simulate setting={args.setting} rows={len(rows)} -> {args.output}")
     return 0
 
@@ -378,12 +241,7 @@ def cmd_bench(args, parser) -> int:
         seed=seed,
         grid_length=args.grid_size,
     )
-    with _stage("write"):
-        try:
-            with open(args.output, "w", newline="", encoding="utf-8") as fh:
-                write_bench_csv(rows, fh)
-        except OSError as exc:
-            raise DataError(f"cannot write {args.output}: {exc}") from None
+    _write_output(args.output, lambda fh: write_bench_csv(rows, fh))
     print(f"bench rows={len(rows)} -> {args.output}")
     return 0
 
@@ -471,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--grid-size", type=int, default=100, help="LOOCV grid length")
     sim.add_argument(
-        "--jobs", type=int, default=1, help="parallel replications (default 1)"
-    )
-    sim.add_argument(
         "--timings",
         action="store_true",
         help=(
@@ -504,18 +359,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "fit":
-            return cmd_fit(args)
+            return cmd_fit(args, parser)
         if args.command == "predict":
             return cmd_predict(args)
         if args.command == "simulate":
             return cmd_simulate(args, parser)
         return cmd_bench(args, parser)
-    except DegenerateProblemError as exc:
-        print(f"fastridge {args.command}: {exc}", file=sys.stderr)
-        return _EXIT_DEGENERATE
     except FastridgeError as exc:
         print(f"fastridge {args.command}: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+        return _EXIT_DEGENERATE if isinstance(exc, DegenerateProblemError) else _EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Dataset handling: CSV ingestion, standardization, prediction, and R^2.
+"""Dataset handling: CSV reading, standardization, the model file, prediction, R^2.
 
 Everything downstream of this module consumes standardized predictors
 (zero mean, unit sample standard deviation) and centered targets; the
@@ -7,12 +7,17 @@ intercept is recovered when mapping coefficients back to the raw scale.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from dataclasses import dataclass, field
+import json
+import re
+import warnings
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import __version__
 from .exceptions import DataError
 
 
@@ -97,10 +102,11 @@ class StandardizedDataset:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted model on the raw data scale.
+    """A fitted model on the raw data scale: what a model file holds.
 
-    ``lambda_`` (and the EM-only diagnostics) hold one entry per target.
-    The invariant lambda_[t] == 1/tau2[t] holds whenever tau2 is present.
+    ``lambda_`` and the per-method detail hold one entry per target: EM
+    fills tau2, sigma2 and iterations, LOOCV grid, cve_curves and
+    grid_kind. lambda_[t] == 1/tau2[t] whenever tau2 is present.
     """
 
     beta_raw: np.ndarray
@@ -113,18 +119,24 @@ class FitResult:
     cve_curves: np.ndarray | None = None
     grid: np.ndarray | None = None
     grid_kind: str | None = None
+    col_means: np.ndarray | None = None
+    col_sds: np.ndarray | None = None
+    kept_columns: np.ndarray | None = None
+    y_means: np.ndarray | None = None
+    feature_names: list[str] | None = None
+    target_names: list[str] | None = None
 
     def __post_init__(self):
         beta = np.asarray(self.beta_raw, dtype=float)
         if beta.ndim == 1:
             beta = beta[:, None]
         object.__setattr__(self, "beta_raw", beta)
-        object.__setattr__(
-            self, "intercepts", np.atleast_1d(np.asarray(self.intercepts, dtype=float))
-        )
-        object.__setattr__(
-            self, "lambda_", np.atleast_1d(np.asarray(self.lambda_, dtype=float))
-        )
+        for name in ("intercepts", "lambda_"):
+            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, value)
+        for name in ("sigma2", "iterations", "cve_curves", "grid", *_STANDARDIZATION):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name)))
         if self.tau2 is not None:
             tau2 = np.atleast_1d(np.asarray(self.tau2, dtype=float))
             object.__setattr__(self, "tau2", tau2)
@@ -132,16 +144,71 @@ class FitResult:
             if np.any(rel > 1e-12):
                 raise DataError("lambda must equal 1/tau2")
 
+    def to_json(self) -> str:
+        """The model file: JSON with sorted keys, repr-exact floats and no
+        timestamps, so equal fits give byte-identical files. Coefficients
+        are a flat list for one target; fields that are None are left out."""
+        beta = self.beta_raw[:, 0] if self.beta_raw.shape[1] == 1 else self.beta_raw
+        model = {
+            "method": self.method.value,
+            "library_version": __version__,
+            "coefficients": beta,
+            "intercepts": self.intercepts,
+            "lambda": self.lambda_,
+        }
+        model.update((key, getattr(self, name)) for name, key in _OPTIONAL_KEYS.items())
+        if self.col_means is not None:
+            model["standardization"] = {name: getattr(self, name) for name in _STANDARDIZATION}
+        model = {key: value for key, value in model.items() if value is not None}
+        # Arrays become lists of Python scalars, which json writes repr-exact.
+        return json.dumps(model, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> FitResult:
+        """Parse a model file written by to_json. Only coefficients,
+        intercepts, lambda and method are required; a file that is not JSON
+        or lacks them raises DataError."""
+        try:
+            model = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON: {exc}") from None
+        try:
+            return cls(
+                beta_raw=np.asarray(model["coefficients"], dtype=float),
+                intercepts=np.asarray(model["intercepts"], dtype=float),
+                lambda_=np.asarray(model["lambda"], dtype=float),
+                method=Method(model["method"]),
+                **{name: model[key] for name, key in _OPTIONAL_KEYS.items() if key in model},
+                **model.get("standardization", {}),
+            )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise DataError(f"malformed model file: {exc}") from None
+
+
+# Optional FitResult fields and their keys in the model file.
+_OPTIONAL_KEYS = {
+    "tau2": "tau2",
+    "sigma2": "sigma2",
+    "iterations": "iterations",
+    "grid": "grid",
+    "grid_kind": "grid_kind",
+    "cve_curves": "cve_curve",
+    "feature_names": "feature_names",
+    "target_names": "target_names",
+}
+# The standardization statistics, nested under their own key in the file.
+_STANDARDIZATION = ("col_means", "col_sds", "kept_columns", "y_means")
+
 
 def _parse_target_spec(target_spec, header: list[str]) -> list[int]:
     """Resolve a target spec (names, comma-joined names, or 'last k') to
-    column indices within ``header``."""
+    column indices within ``header``. Only ``last`` and ``last <k>`` select
+    trailing columns; any other string is read as column names."""
     if isinstance(target_spec, str):
         spec = target_spec.strip()
-        low = spec.lower()
-        if low.startswith("last"):
-            rest = low[4:].strip()
-            k = 1 if rest == "" else int(rest.split()[0])
+        last = re.fullmatch(r"last(?:\s+(\d+))?", spec, re.IGNORECASE)
+        if last:
+            k = int(last.group(1) or 1)
             if not 1 <= k <= len(header):
                 raise DataError(f"'last {k}' out of range for {len(header)} columns")
             return list(range(len(header) - k, len(header)))
@@ -158,12 +225,15 @@ def _parse_target_spec(target_spec, header: list[str]) -> list[int]:
     return idx
 
 
-def load_csv(path, target_spec) -> Dataset:
-    """Load a numeric CSV (one header row) into a Dataset.
+def read_csv(path, select=None):
+    """Read a CSV file with one header row into ``(header, table, texts)``.
 
-    ``target_spec`` is either an iterable of column names, a comma-joined
-    string of names, or ``"last k"`` selecting the trailing k columns.
-    Non-target columns become X in file order.
+    ``select(header)`` returns the indices of the columns to parse, in
+    order, and the index of one column returned unparsed as ``texts``, or
+    None; by default every column is parsed. Numeric files are read by
+    numpy's C parser, which reads numbers as float() does. Other files are
+    read cell by cell with csv.reader and float(), which accepts all that
+    float() accepts (such as 1_000) and names the first malformed row.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -172,11 +242,22 @@ def load_csv(path, target_spec) -> Dataset:
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows = []
+        columns, text_column = select(header) if select else (range(len(header)), None)
+        table = None
+        if text_column is None:
+            with warnings.catch_warnings(), contextlib.suppress(ValueError):
+                warnings.simplefilter("ignore")  # a file without data rows warns
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        if table is not None and table.shape[0] and table.shape[1] == len(header):
+            # Row-major, as the cell-by-cell path builds it: a matmul's
+            # rounding depends on the operand's layout.
+            return header, np.ascontiguousarray(table[:, columns]) if select else table, None
+        fh.seek(0)
+        next(reader)
+        rows, texts = [], [] if text_column is not None else None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -185,18 +266,30 @@ def load_csv(path, target_spec) -> Dataset:
                     f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
                 )
             vals = []
-            for j, cell in enumerate(row):
+            for j in columns:
                 try:
-                    vals.append(float(cell))
+                    vals.append(float(row[j]))
                 except ValueError:
                     raise DataError(
-                        f"{path}: non-numeric cell {cell!r} at row {lineno}, "
+                        f"{path}: non-numeric cell {row[j]!r} at row {lineno}, "
                         f"column {j + 1} ({header[j]})"
                     ) from None
             rows.append(vals)
+            if texts is not None:
+                texts.append(row[text_column])
     if not rows:
         raise DataError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=float)
+    return header, np.asarray(rows, dtype=float), texts
+
+
+def load_csv(path, target_spec) -> Dataset:
+    """Load a numeric CSV (one header row) into a Dataset.
+
+    ``target_spec`` is either an iterable of column names, a comma-joined
+    string of names, or ``"last k"`` selecting the trailing k columns.
+    Non-target columns become X in file order.
+    """
+    header, table, _ = read_csv(path)
     t_idx = _parse_target_spec(target_spec, header)
     x_idx = [j for j in range(len(header)) if j not in t_idx]
     if not x_idx:

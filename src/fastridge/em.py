@@ -38,22 +38,12 @@ class EmConfig:
     tau2_init: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise DataError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DataError("tol must be positive and finite")
         if self.max_iterations < 1:
             raise DataError("max_iterations must be at least 1")
         if self.tau2_init <= 0:
             raise DataError("tau2_init must be positive")
-
-
-@dataclass(frozen=True)
-class EmState:
-    """One snapshot of the EM loop; private to a single fit."""
-
-    tau2: float
-    sigma2: float
-    rss: float
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -145,7 +135,7 @@ def expected_sse(
         if rss < -_RSS_CLAMP_REL * y2:
             raise DataError(f"negative residual sum of squares ({rss!r})")
         rss = 0.0
-    ess = rss + sigma2 * float(np.sum(rp.s2 / (rp.s2 + 1.0 / tau2)))
+    ess = rss + sigma2 * float(rp.s2 @ (1.0 / (rp.s2 + 1.0 / tau2)))
     return ess, rss
 
 
@@ -212,7 +202,6 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig | None = None, target: int = 0) -> 
     y2 = float(rp.y_sq_norms[target])
     if y2 == 0.0:
         raise DegenerateProblemError("target has zero variance after centering")
-    deficiency = rp.n_dropped_directions
 
     def min_norm_fallback(sigma2: float, k: int) -> EmFit:
         # Perfect-fit collapse: the penalty has no finite optimum, so
@@ -237,15 +226,9 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig | None = None, target: int = 0) -> 
     k = 0
     while k < cfg.max_iterations:
         rss_old = rss
-        inv = 1.0 / (s2 + 1.0 / tau2)
-        alpha = c * inv
-        esn = float(alpha @ alpha) + sigma2 * (float(np.sum(inv)) + tau2 * deficiency)
-        rss = y2 - 2.0 * float(alpha @ c) + float((alpha * alpha) @ s2)
-        if rss < 0:
-            if rss < -_RSS_CLAMP_REL * y2:
-                raise DataError(f"negative residual sum of squares ({rss!r})")
-            rss = 0.0
-        ess = rss + sigma2 * float(s2 @ inv)
+        alpha = c * (1.0 / (s2 + 1.0 / tau2))
+        esn = expected_squared_norm(rp, alpha, tau2, sigma2)
+        ess, rss = expected_sse(rp, alpha, tau2, sigma2, target)
         try:
             tau2, sigma2 = m_step(ess, esn, n, p)
         except DegenerateProblemError:

@@ -44,13 +44,8 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def derive_seed(seed: int, *path: int) -> int:
-    """Fold a seed and a path of nonnegative integers into one 64-bit value.
-
-    Used both to key Philox streams and to mint per-replication sub-seeds;
-    the fold is the documented splitmix64 sponge so other implementations
-    can reproduce it.
-    """
+def _absorb(seed: int, path) -> int:
+    """The sponge state after absorbing a nonnegative seed and path."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     state = seed & _M64
@@ -58,8 +53,17 @@ def derive_seed(seed: int, *path: int) -> int:
         if component < 0:
             raise ValueError("path components must be nonnegative")
         state, _ = _splitmix64(state ^ (component & _M64))
-    state, out = _splitmix64(state)
-    return out
+    return state
+
+
+def derive_seed(seed: int, *path: int) -> int:
+    """Fold a seed and a path of nonnegative integers into one 64-bit value.
+
+    Used both to key Philox streams and to mint per-replication sub-seeds;
+    the fold is the documented splitmix64 sponge so other implementations
+    can reproduce it.
+    """
+    return _splitmix64(_absorb(seed, path))[1]
 
 
 class RandomStream:
@@ -70,13 +74,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, *path: int):
-        state = seed & _M64
-        for component in path:
-            if component < 0:
-                raise ValueError("path components must be nonnegative")
-            state, _ = _splitmix64(state ^ (component & _M64))
-        state, k0 = _splitmix64(state)
-        state, k1 = _splitmix64(state)
+        state, k0 = _splitmix64(_absorb(seed, path))
+        _, k1 = _splitmix64(state)
         self._bitgen = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
 
     def raw(self, m: int) -> np.ndarray:

@@ -22,16 +22,14 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, Method, destandardize, standardize
 from .decomposition import compact_svd, rotate
-from .em import EmConfig, em_fit
 from .exceptions import DataError, DegenerateProblemError, FastridgeError
-from .loocv import fixed_grid, glmnet_grid, loocv_fit
+from .pipeline import FitConfig, solve
 from .rng import RandomStream, derive_seed
 
 _PURPOSE_X = 1
@@ -180,26 +178,6 @@ def shrinkage_ratio(beta_hat: np.ndarray, beta0: np.ndarray) -> float:
     return float(np.linalg.norm(beta_hat)) / norm0
 
 
-def _fit_one_method(method, rp, std, grid_length):
-    """Run one solver on a prepared rotated problem; returns
-    (beta_std, lambda, k or None, mainloop nanoseconds)."""
-    y0 = std.Y_centered[:, 0]
-    t0 = time.perf_counter_ns()
-    if method is Method.EM:
-        fit = em_fit(rp, EmConfig())
-        t_main = time.perf_counter_ns() - t0
-        return fit.beta, fit.lambda_, fit.k, t_main
-    if method is Method.LOOCV_FIXED:
-        grid = fixed_grid(grid_length)
-    elif method is Method.LOOCV_GLMNET:
-        grid = glmnet_grid(std.X_std, y0, grid_length)
-    else:
-        raise DataError(f"unknown method {method!r}")
-    fit = loocv_fit(rp, y0, grid)
-    t_main = time.perf_counter_ns() - t0
-    return fit.beta, fit.lambda_star, None, t_main
-
-
 def _failed_row(method, n, p, sigma, t_pre, rep_seed):
     return MetricsRow(
         method=method,
@@ -217,7 +195,7 @@ def _failed_row(method, n, p, sigma, t_pre, rep_seed):
     )
 
 
-def _run_cell_replication(setting, methods, n, swept, p, rep_seed, grid_length):
+def _run_cell_replication(setting, methods, n, swept, p, rep_seed, config):
     """Generate one replication's data and produce one row per method."""
     if setting == 1:
         cfg = Setting1Config(n=n, sigma=swept, seed=rep_seed, p=p)
@@ -231,8 +209,7 @@ def _run_cell_replication(setting, methods, n, swept, p, rep_seed, grid_length):
     t0 = time.perf_counter_ns()
     try:
         std = standardize(Dataset(X=X, Y=y))
-        svd = compact_svd(std.X_std)
-        rp = rotate(svd, std.Y_centered)
+        rp = rotate(compact_svd(std.X_std), std.Y_centered)
     except (FastridgeError, np.linalg.LinAlgError):
         # A replication whose draw cannot even be standardized (for example
         # an all-zero sparse design) fails every method, not the sweep.
@@ -245,8 +222,11 @@ def _run_cell_replication(setting, methods, n, swept, p, rep_seed, grid_length):
     rows = []
     for method in methods:
         try:
-            beta_std, lam, k, t_main = _fit_one_method(method, rp, std, grid_length)
-            beta_raw, _ = destandardize(beta_std, std)
+            t0 = time.perf_counter_ns()
+            fit = solve(std, rp, method, config)[0]
+            t_main = time.perf_counter_ns() - t0
+            beta_raw, _ = destandardize(fit.beta, std)
+            is_em = method is Method.EM
             rows.append(
                 MetricsRow(
                     method=method,
@@ -255,8 +235,8 @@ def _run_cell_replication(setting, methods, n, swept, p, rep_seed, grid_length):
                     sigma=sigma_col,
                     param_mse=parameter_mse(beta_raw[:, 0], beta0),
                     shrinkage_ratio=shrinkage_ratio(beta_raw[:, 0], beta0),
-                    lambda_selected=lam,
-                    k_iterations=k,
+                    lambda_selected=fit.lambda_ if is_em else fit.lambda_star,
+                    k_iterations=fit.k if is_em else None,
                     t_preprocess_ns=t_pre,
                     t_mainloop_ns=t_main,
                     seed=rep_seed,
@@ -265,6 +245,15 @@ def _run_cell_replication(setting, methods, n, swept, p, rep_seed, grid_length):
         except (FastridgeError, np.linalg.LinAlgError):
             rows.append(_failed_row(method, n, p_actual, sigma_col, t_pre, rep_seed))
     return rows
+
+
+def _check_sweep(methods, n_list, second_list, reps) -> None:
+    if not methods:
+        raise DataError("methods must be nonempty")
+    if not n_list or not second_list:
+        raise DataError("sweep lists must be nonempty")
+    if reps < 1:
+        raise DataError("reps must be at least 1")
 
 
 def run_comparison(
@@ -276,7 +265,6 @@ def run_comparison(
     seed: int,
     p: int = 100,
     grid_length: int = 100,
-    jobs: int = 1,
 ) -> list[MetricsRow]:
     """Sweep cells x replications x methods and collect metric rows.
 
@@ -288,37 +276,21 @@ def run_comparison(
     metrics instead of aborting the sweep; a preprocessing failure marks
     every method's row for that replication. Row order is deterministic:
     cells in given order, replications within a cell, methods within a
-    replication; jobs > 1 parallelizes replications without changing it.
+    replication.
     """
     if setting not in (1, 2):
         raise DataError("setting must be 1 or 2")
-    if not methods:
-        raise DataError("methods must be nonempty")
-    if not n_list or not sigma_or_p_list:
-        raise DataError("sweep lists must be nonempty")
-    if reps < 1:
-        raise DataError("reps must be at least 1")
-    if jobs < 1:
-        raise DataError("jobs must be at least 1")
+    _check_sweep(methods, n_list, sigma_or_p_list, reps)
 
-    tasks = []
+    config = FitConfig(grid_size=grid_length)
+    rows = []
     for cell_index, (n, swept) in enumerate(
         (n, swept) for n in n_list for swept in sigma_or_p_list
     ):
         for rep in range(reps):
             rep_seed = derive_seed(seed, setting, cell_index, rep)
-            tasks.append((n, swept, rep_seed))
-
-    def run(task):
-        n, swept, rep_seed = task
-        return _run_cell_replication(setting, methods, n, swept, p, rep_seed, grid_length)
-
-    if jobs == 1:
-        per_task = [run(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_task = list(pool.map(run, tasks))
-    return [row for rows in per_task for row in rows]
+            rows += _run_cell_replication(setting, methods, n, swept, p, rep_seed, config)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -366,13 +338,9 @@ def bench_comparison(
     preprocessing (standardize + decompose + rotate) is shared across
     methods, exactly as in run_comparison.
     """
-    if not methods:
-        raise DataError("methods must be nonempty")
-    if not n_list or not p_list:
-        raise DataError("sweep lists must be nonempty")
-    if reps < 1:
-        raise DataError("reps must be at least 1")
+    _check_sweep(methods, n_list, p_list, reps)
 
+    config = FitConfig(grid_size=grid_length)
     rows = []
     for cell_index, (n, p) in enumerate((n, p) for n in n_list for p in p_list):
         t_pre_all = []
@@ -385,8 +353,10 @@ def bench_comparison(
             rp = rotate(compact_svd(std.X_std), std.Y_centered)
             t_pre_all.append(time.perf_counter_ns() - t0)
             for method in methods:
-                _, _, k, t_main = _fit_one_method(method, rp, std, grid_length)
-                units = k if k is not None else grid_length
+                t0 = time.perf_counter_ns()
+                fit = solve(std, rp, method, config)[0]
+                t_main = time.perf_counter_ns() - t0
+                units = fit.k if method is Method.EM else grid_length
                 per_method[method].append((t_main, float(units)))
         t_pre_med = float(np.median(t_pre_all))
         for method in methods:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from fastridge.cli import main
+from fastridge.data import Method, load_csv, predict
+from fastridge.pipeline import FitConfig, fit
 
 
 def _write_csv(path, header, rows):
@@ -192,6 +194,27 @@ class TestFit:
         assert rc == 4
         assert "fastridge fit" in capsys.readouterr().err
 
+    def test_last_prefixed_column_name(self, tmp_path):
+        src = tmp_path / "d.csv"
+        rng = np.random.default_rng(4)
+        _write_csv(src, ["a", "b", "lastname"], rng.normal(size=(12, 3)))
+        out = tmp_path / "m.json"
+        base = ["fit", "--input", str(src), "--method", "em", "--output", str(out)]
+        assert main(base + ["--target", "lastname"]) == 0
+        assert json.loads(out.read_text())["target_names"] == ["lastname"]
+        assert main(base + ["--target", "last x"]) == 3
+
+    @pytest.mark.parametrize(
+        "flag", [("--tol", "nan"), ("--tol", "0"), ("--grid-size", "1"), ("--max-iter", "0")]
+    )
+    def test_bad_solver_flags_exit_2(self, train_csv, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["fit", "--input", str(train_csv), "--target", "y", "--method", "em"]
+                + ["--output", str(tmp_path / "m.json"), *flag]
+            )
+        assert exc.value.code == 2
+
     def test_unknown_method_exits_2(self, train_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -288,6 +311,31 @@ class TestPredict:
         assert main(["predict", "--model", str(model_path), "--input", str(named), "--output", str(out1)]) == 0
         assert main(["predict", "--model", str(model_path), "--input", str(renamed), "--output", str(out2)]) == 0
         assert out1.read_text().splitlines()[1:] == out2.read_text().splitlines()[1:]
+
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_predictions_equal_library_predict(self, tmp_path, method):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(25, 3))
+        src = tmp_path / "train.csv"
+        _write_csv(src, ["a", "b", "u", "v"], np.column_stack([X[:, :2], X @ [[1.0, 0.0], [2.0, -1.0], [0.0, 1.0]]]))
+        model_path, out = tmp_path / "m.json", tmp_path / "p.csv"
+        new = tmp_path / "new.csv"
+        X_new = rng.normal(size=(6, 2))
+        _write_csv(new, ["a", "b"], X_new)
+        assert main(["fit", "--input", str(src), "--target", "last 2", "--method", method, "--grid-size", "20", "--output", str(model_path)]) == 0
+        assert main(["predict", "--model", str(model_path), "--input", str(new), "--output", str(out)]) == 0
+        expected = predict(fit(load_csv(src, "last 2"), Method(method), FitConfig(grid_size=20)), X_new)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "u,v"
+        assert [line.split(",") for line in lines[1:]] == [[repr(float(v)) for v in row] for row in expected]
+
+    def test_ragged_row_exits_3(self, train_csv, tmp_path, capsys):
+        model_path = self._fit(train_csv, tmp_path)
+        new = tmp_path / "new.csv"
+        new.write_text("a,b,c\n0.1,0.2,0.3\n1.0,-1.0\n", encoding="utf-8")
+        rc = main(["predict", "--model", str(model_path), "--input", str(new), "--output", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert "row 3 has 2 cells, expected 3" in capsys.readouterr().err
 
     def test_wrong_width_exits_3(self, train_csv, tmp_path):
         model_path = self._fit(train_csv, tmp_path)

@@ -13,6 +13,7 @@ from fastridge.data import (
     load_csv,
     predict,
     r_squared,
+    read_csv,
     standardize,
 )
 from fastridge.exceptions import DataError
@@ -68,6 +69,54 @@ class TestLoadCsv:
     def test_missing_file(self):
         with pytest.raises(DataError, match="no such file"):
             load_csv("/nonexistent/nothing.csv", "y")
+
+    def test_last_prefixed_names_are_column_names(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["a", "lastname", "y"], [[1, 2, 3], [4, 5, 6]])
+        assert load_csv(path, "lastname").target_names == ["lastname"]
+        with pytest.raises(DataError, match="'last x' not found"):
+            load_csv(path, "last x")
+
+    def test_cells_float_accepts(self, tmp_path):
+        """A quoted number, a blank line and an underscore-grouped number
+        read as float() reads them."""
+        path = tmp_path / "d.csv"
+        path.write_text('a,y\n"1.5",2\n\n1_000, 3 \n', encoding="utf-8")
+        d = load_csv(path, "y")
+        assert d.X.tolist() == [[1.5], [1000.0]]
+        assert d.Y.tolist() == [[2.0], [3.0]]
+
+    @pytest.mark.parametrize("row", ["4", "4,5,6"])
+    def test_ragged_row_names_row_and_count(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,y\n1,2\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"row 3 has \d cells, expected 2"):
+            load_csv(path, "y")
+
+    def test_numeric_parse_is_float_exact(self, tmp_path, monkeypatch):
+        """numpy's parser reads every number as float() does, in the forms
+        numeric CSV writers emit."""
+        parsed = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(loadtxt(*a, **k)) or parsed[-1])
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-30, 30, size=(200, 4))
+        forms = (lambda v: repr(float(v)), "%.17g".__mod__, "%.6g".__mod__, "%.3e".__mod__)
+        cells = [[fmt(v) for fmt, v in zip(forms, row)] for row in values]
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c,d\n" + "".join(",".join(r) + "\n" for r in cells), encoding="utf-8")
+        header, table, texts = read_csv(path)
+        assert header == ["a", "b", "c", "d"] and texts is None
+        assert len(parsed) == 1  # the C parser read it
+        assert table.tolist() == [[float(c) for c in r] for r in cells]
+
+    def test_selected_columns_and_text_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('id,a,b\n"r 1, x",1,2\n007,3,4\n', encoding="utf-8")
+        header, table, texts = read_csv(path, lambda header: ([2, 1], 0))
+        assert header == ["id", "a", "b"]
+        assert table.tolist() == [[2.0, 1.0], [4.0, 3.0]]
+        assert texts == ["r 1, x", "007"]
 
     def test_unknown_target_column(self, tmp_path):
         path = tmp_path / "d.csv"

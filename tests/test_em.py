@@ -386,8 +386,9 @@ class TestEmFit:
         assert_allclose(em_fit(solo).beta, fit1.beta, rtol=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(DataError):
-            EmConfig(tol=0.0)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DataError):
+                EmConfig(tol=tol)
         with pytest.raises(DataError):
             EmConfig(max_iterations=0)
 
