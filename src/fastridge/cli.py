@@ -10,7 +10,6 @@ by FitResult.to_json and FitResult.from_json.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import math
@@ -22,7 +21,7 @@ from . import __version__
 from .data import FitResult, Method, load_csv, predict, read_csv
 from .em import EmConfig
 from .exceptions import DataError, DegenerateProblemError, FastridgeError
-from .pipeline import FitConfig, fit
+from .pipeline import FitConfig, _stage, fit
 from .simulate import (
     bench_comparison,
     run_comparison,
@@ -32,15 +31,6 @@ from .simulate import (
 
 _EXIT_DATA = 3
 _EXIT_DEGENERATE = 4
-
-
-@contextlib.contextmanager
-def _stage(name: str):
-    """Prefix library errors with the pipeline stage that raised them."""
-    try:
-        yield
-    except FastridgeError as exc:
-        raise type(exc)(f"{name}: {exc}") from None
 
 
 def _write_output(path, write) -> None:
@@ -82,7 +72,7 @@ def cmd_fit(args, parser) -> int:
         em=EmConfig(tol=args.tol, max_iterations=args.max_iter),
         lambda_rescale=not args.no_lambda_rescale,
     )
-    result = fit(ds, Method(args.method), config, stage=_stage)
+    result = fit(ds, Method(args.method), config)
 
     _write_output(args.output, lambda fh: fh.write(result.to_json()))
 

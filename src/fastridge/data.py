@@ -186,16 +186,10 @@ class FitResult:
 
 
 # Optional FitResult fields and their keys in the model file.
-_OPTIONAL_KEYS = {
-    "tau2": "tau2",
-    "sigma2": "sigma2",
-    "iterations": "iterations",
-    "grid": "grid",
-    "grid_kind": "grid_kind",
-    "cve_curves": "cve_curve",
-    "feature_names": "feature_names",
-    "target_names": "target_names",
-}
+_OPTIONAL_KEYS = dict(
+    tau2="tau2", sigma2="sigma2", iterations="iterations", grid="grid", grid_kind="grid_kind",
+    cve_curves="cve_curve", feature_names="feature_names", target_names="target_names",
+)
 # The standardization statistics, nested under their own key in the file.
 _STANDARDIZATION = ("col_means", "col_sds", "kept_columns", "y_means")
 

@@ -86,6 +86,21 @@ class UnimodalityDiagnostic:
     epsilon_exceeds_bound: bool
 
 
+# The E-step without input checks, shared with the em_fit loop, which
+# computes inv = 1/(s_j^2 + 1/tau2) once per iteration.
+def _esn(rp: RotatedProblem, alpha, inv, tau2: float, sigma2: float) -> float:
+    return float(alpha @ alpha) + sigma2 * (float(np.sum(inv)) + tau2 * rp.n_dropped_directions)
+
+
+def _ess(rp: RotatedProblem, alpha, c, y2: float, inv, sigma2: float) -> tuple[float, float]:
+    rss = y2 - 2.0 * float(alpha @ c) + float((alpha * alpha) @ rp.s2)
+    if rss < 0:
+        if rss < -_RSS_CLAMP_REL * y2:
+            raise DataError(f"negative residual sum of squares ({rss!r})")
+        rss = 0.0
+    return rss + sigma2 * float(rp.s2 @ inv), rss
+
+
 def expected_squared_norm(
     rp: RotatedProblem, alpha: np.ndarray, tau2: float, sigma2: float
 ) -> float:
@@ -103,8 +118,7 @@ def expected_squared_norm(
     if sigma2 < 0:
         raise DataError("sigma2 must be nonnegative")
     alpha = np.asarray(alpha, dtype=float)
-    trace = np.sum(1.0 / (rp.s2 + 1.0 / tau2)) + tau2 * rp.n_dropped_directions
-    return float(alpha @ alpha + sigma2 * trace)
+    return _esn(rp, alpha, 1.0 / (rp.s2 + 1.0 / tau2), tau2, sigma2)
 
 
 def expected_sse(
@@ -130,13 +144,7 @@ def expected_sse(
     alpha = np.asarray(alpha, dtype=float)
     c = rp.c[:, target]
     y2 = float(rp.y_sq_norms[target])
-    rss = y2 - 2.0 * float(alpha @ c) + float((alpha * alpha) @ rp.s2)
-    if rss < 0:
-        if rss < -_RSS_CLAMP_REL * y2:
-            raise DataError(f"negative residual sum of squares ({rss!r})")
-        rss = 0.0
-    ess = rss + sigma2 * float(rp.s2 @ (1.0 / (rp.s2 + 1.0 / tau2)))
-    return ess, rss
+    return _ess(rp, alpha, c, y2, 1.0 / (rp.s2 + 1.0 / tau2), sigma2)
 
 
 def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:
@@ -226,9 +234,10 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig | None = None, target: int = 0) -> 
     k = 0
     while k < cfg.max_iterations:
         rss_old = rss
-        alpha = c * (1.0 / (s2 + 1.0 / tau2))
-        esn = expected_squared_norm(rp, alpha, tau2, sigma2)
-        ess, rss = expected_sse(rp, alpha, tau2, sigma2, target)
+        inv = 1.0 / (s2 + 1.0 / tau2)
+        alpha = c * inv
+        esn = _esn(rp, alpha, inv, tau2, sigma2)
+        ess, rss = _ess(rp, alpha, c, y2, inv, sigma2)
         try:
             tau2, sigma2 = m_step(ess, esn, n, p)
         except DegenerateProblemError:

@@ -13,7 +13,16 @@ import numpy as np
 
 from . import data, decomposition, em, loocv
 from .data import FitResult, Method
-from .exceptions import DataError, DegenerateProblemError
+from .exceptions import DataError, DegenerateProblemError, FastridgeError
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Prefix library errors with the pipeline stage that raised them."""
+    try:
+        yield
+    except FastridgeError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -25,15 +34,15 @@ class FitConfig:
     lambda_rescale: bool = True
 
 
-def solve(std, rp, method: Method, config: FitConfig = FitConfig()) -> list:
-    """Run one penalty selector on every target of a rotated problem: one
-    EmFit or LoocvFit per target, on the standardized scale. A degenerate EM
-    fit is returned flagged, not raised; what to do with it is the caller's
-    decision."""
-    if method is Method.EM:
-        return [em.em_fit(rp, config.em, target=t) for t in range(rp.q)]
-    fits = []
+def solve(std, rp, method: Method, config: FitConfig = FitConfig()):
+    """Run one penalty selector on every target of a rotated problem, yielding
+    one EmFit or LoocvFit per target, on the standardized scale, as each is
+    made. A degenerate EM fit is yielded flagged, not raised; what to do with
+    it is the caller's decision."""
     for t in range(rp.q):
+        if method is Method.EM:
+            yield em.em_fit(rp, config.em, target=t)
+            continue
         y_t = std.Y_centered[:, t]
         if method is Method.LOOCV_FIXED:
             grid = loocv.fixed_grid(config.grid_size)
@@ -43,34 +52,30 @@ def solve(std, rp, method: Method, config: FitConfig = FitConfig()) -> list:
             )
         else:
             raise DataError(f"unknown method {method!r}")
-        fits.append(loocv.loocv_fit(rp, y_t, grid, target=t))
-    return fits
+        yield loocv.loocv_fit(rp, y_t, grid, target=t)
 
 
-def fit(
-    dataset: data.Dataset,
-    method: Method,
-    config: FitConfig = FitConfig(),
-    stage=lambda name: contextlib.nullcontext(),
-) -> FitResult:
+def fit(dataset: data.Dataset, method: Method, config: FitConfig = FitConfig()) -> FitResult:
     """Fit every target of a dataset and return the model.
 
-    ``stage(name)`` returns a context manager entered around each step:
-    "standardize", "decompose", "solve" and "destandardize". A degenerate EM
-    fit raises DegenerateProblemError: a model needs a finite penalty."""
-    with stage("standardize"):
+    Errors are prefixed with the step that raised them: "standardize",
+    "decompose", "solve" or "destandardize". A degenerate EM fit raises
+    DegenerateProblemError at the first target that has one: a model needs a
+    finite penalty."""
+    with _stage("standardize"):
         std = data.standardize(dataset)
-    with stage("decompose"):
+    with _stage("decompose"):
         rp = decomposition.rotate(decomposition.compact_svd(std.X_std), std.Y_centered)
-    with stage("solve"):
-        fits = solve(std, rp, method, config)
-        for t, f in enumerate(fits):
+    fits = []
+    with _stage("solve"):
+        for t, f in enumerate(solve(std, rp, method, config)):
             if getattr(f, "degenerate", False):
                 raise DegenerateProblemError(
                     f"target {t}: expected SSE underflowed; no finite "
                     "penalty exists for this data"
                 )
-    with stage("destandardize"):
+            fits.append(f)
+    with _stage("destandardize"):
         beta_raw, intercepts = data.destandardize(np.column_stack([f.beta for f in fits]), std)
     if method is Method.EM:
         detail = dict(

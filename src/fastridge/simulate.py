@@ -223,7 +223,7 @@ def _run_cell_replication(setting, methods, n, swept, p, rep_seed, config):
     for method in methods:
         try:
             t0 = time.perf_counter_ns()
-            fit = solve(std, rp, method, config)[0]
+            fit = next(solve(std, rp, method, config))
             t_main = time.perf_counter_ns() - t0
             beta_raw, _ = destandardize(fit.beta, std)
             is_em = method is Method.EM
@@ -354,7 +354,7 @@ def bench_comparison(
             t_pre_all.append(time.perf_counter_ns() - t0)
             for method in methods:
                 t0 = time.perf_counter_ns()
-                fit = solve(std, rp, method, config)[0]
+                fit = next(solve(std, rp, method, config))
                 t_main = time.perf_counter_ns() - t0
                 units = fit.k if method is Method.EM else grid_length
                 per_method[method].append((t_main, float(units)))

@@ -82,18 +82,19 @@ def test_degenerate_em_is_flagged_by_solve_and_refused_by_fit(monkeypatch):
         fit(ds, Method.EM)
 
 
-def test_stage_hook_sees_every_step():
-    seen = []
+def test_fit_stops_at_the_first_degenerate_target(monkeypatch):
+    """A degenerate target ends the fit before later targets are solved, and
+    the error names the step and the target."""
+    solved = []
+    real_em_fit = em_module.em_fit
 
-    class Recorder:
-        def __init__(self, name):
-            seen.append(name)
+    def first_collapses(rp, cfg=None, target=0):
+        solved.append(target)
+        if target == 0:
+            return dataclasses.replace(real_em_fit(rp, cfg, target), degenerate=True)
+        raise AssertionError("solved a target after a degenerate one")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    fit(_dataset(1), Method.EM, stage=Recorder)
-    assert seen == ["standardize", "decompose", "solve", "destandardize"]
+    monkeypatch.setattr(em_module, "em_fit", first_collapses)
+    with pytest.raises(DegenerateProblemError, match=r"^solve: target 0: "):
+        fit(_dataset(2), Method.EM)
+    assert solved == [0]
