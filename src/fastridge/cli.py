@@ -57,14 +57,7 @@ def _effective_seed(args) -> int:
     return seed
 
 
-def cmd_fit(args, parser) -> int:
-    if args.grid_size < 2:
-        parser.error("--grid-size must be at least 2")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        parser.error("--tol must be a positive finite number")
-    if args.max_iter < 1:
-        parser.error("--max-iter must be at least 1")
-
+def cmd_fit(args) -> int:
     with _stage("load"):
         ds = load_csv(args.input, args.target)
     config = FitConfig(
@@ -138,70 +131,23 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _parse_methods(text: str, parser) -> list[Method]:
-    methods = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            methods.append(Method(tok))
-        except ValueError:
-            parser.error(
-                f"unknown method {tok!r} (choose from "
-                f"{', '.join(m.value for m in Method)})"
-            )
-    if not methods:
-        parser.error("--methods must name at least one method")
-    return methods
-
-
-def _parse_int_list(text: str, flag: str, parser) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        parser.error(f"{flag} must be a comma-separated list of integers")
-    if not values or any(v < 1 for v in values):
-        parser.error(f"{flag} must contain positive integers")
-    return values
-
-
-def _parse_float_list(text: str, flag: str, parser) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        parser.error(f"{flag} must be a comma-separated list of numbers")
-    if not values:
-        parser.error(f"{flag} must be nonempty")
-    return values
-
-
 def cmd_simulate(args, parser) -> int:
-    methods = _parse_methods(args.methods, parser)
-    n_list = _parse_int_list(args.n_list, "--n-list", parser)
     if args.setting == "bernoulli":
-        setting = 1
-        if args.sigma_list is None:
+        setting, swept = 1, args.sigma_list
+        if swept is None:
             parser.error("--sigma-list is required for the bernoulli setting")
-        swept = _parse_float_list(args.sigma_list, "--sigma-list", parser)
-        if any(s < 0 for s in swept):
-            parser.error("--sigma-list values must be nonnegative")
     else:
-        setting = 2
-        if args.p_list is None:
+        setting, swept = 2, args.p_list
+        if swept is None:
             parser.error("--p-list is required for the gaussian setting")
-        swept = [float(p) for p in _parse_int_list(args.p_list, "--p-list", parser)]
-    if args.reps < 1:
-        parser.error("--reps must be at least 1")
 
-    seed = _effective_seed(args)
     rows = run_comparison(
         setting=setting,
-        methods=methods,
-        n_list=n_list,
-        sigma_or_p_list=[int(v) if setting == 2 else v for v in swept],
+        methods=args.methods,
+        n_list=args.n_list,
+        sigma_or_p_list=swept,
         reps=args.reps,
-        seed=seed,
+        seed=_effective_seed(args),
         p=args.p,
         grid_length=args.grid_size,
     )
@@ -216,24 +162,57 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-def cmd_bench(args, parser) -> int:
-    methods = _parse_methods(args.methods, parser)
-    n_list = _parse_int_list(args.n_list, "--n-list", parser)
-    p_list = _parse_int_list(args.p_list, "--p-list", parser)
-    if args.reps < 1:
-        parser.error("--reps must be at least 1")
-    seed = _effective_seed(args)
+def cmd_bench(args) -> int:
     rows = bench_comparison(
-        methods=methods,
-        n_list=n_list,
-        p_list=p_list,
+        methods=args.methods,
+        n_list=args.n_list,
+        p_list=args.p_list,
         reps=args.reps,
-        seed=seed,
+        seed=_effective_seed(args),
         grid_length=args.grid_size,
     )
     _write_output(args.output, lambda fh: write_bench_csv(rows, fh))
     print(f"bench rows={len(rows)} -> {args.output}")
     return 0
+
+
+def _flag_type(convert, rule: str, ok=lambda value: True):
+    """An argparse ``type=`` that converts a flag's text and requires ``ok``
+    of the value; anything else exits 2 naming the flag and ``rule``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+
+    return parse
+
+
+def _comma_list(item):
+    """An argparse ``type=`` for a comma-separated list of ``item`` values;
+    empty entries are skipped, and at least one value is required."""
+
+    def parse(text: str) -> list:
+        values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("must list at least one value")
+        return values
+
+    return parse
+
+
+_METHODS = ", ".join(m.value for m in Method)
+_positive_int = _flag_type(int, "a positive integer", lambda v: v >= 1)
+_grid_size = _flag_type(int, "an integer of at least 2", lambda v: v >= 2)
+_seed = _flag_type(int, "a non-negative integer", lambda v: v >= 0)
+_tol = _flag_type(float, "a positive finite number", lambda v: math.isfinite(v) and v > 0)
+_sigma = _flag_type(float, "a non-negative finite number", lambda v: math.isfinite(v) and v >= 0)
+_method = _flag_type(Method, "one of " + _METHODS)
+_counts = _comma_list(_positive_int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +226,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit a model on a numeric CSV")
+    # Flags shared by several subcommands, each declared once.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
+        "--grid-size",
+        type=_grid_size,
+        default=FitConfig.grid_size,
+        help="LOOCV grid length (default %(default)s)",
+    )
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument(
+        "--n-list", required=True, type=_counts, help="comma-separated sample sizes"
+    )
+    sweep.add_argument(
+        "--methods",
+        required=True,
+        type=_comma_list(_method),
+        help="comma-separated subset of: " + _METHODS,
+    )
+    sweep.add_argument("--seed", type=_seed, default=0, help="master seed")
+
+    fit = sub.add_parser("fit", parents=[grid], help="fit a model on a numeric CSV")
     fit.add_argument("--input", required=True, help="training CSV with a header row")
     fit.add_argument(
         "--target",
@@ -261,16 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="penalty selection procedure",
     )
     fit.add_argument(
-        "--grid-size", type=int, default=100, help="LOOCV grid length (default 100)"
-    )
-    fit.add_argument(
-        "--tol", type=float, default=1e-8, help="EM convergence threshold (default 1e-8)"
+        "--tol",
+        type=_tol,
+        default=EmConfig.tol,
+        help="EM convergence threshold (default %(default)s)",
     )
     fit.add_argument(
         "--max-iter",
-        type=int,
-        default=100000,
-        help="EM iteration cap (default 100000)",
+        type=_positive_int,
+        default=EmConfig.max_iterations,
+        help="EM iteration cap (default %(default)s)",
     )
     fit.add_argument(
         "--no-lambda-rescale",
@@ -290,34 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pred.add_argument("--output", required=True, help="predictions CSV path")
 
-    sim = sub.add_parser("simulate", help="run a synthetic-data comparison sweep")
+    sim = sub.add_parser(
+        "simulate", parents=[sweep, grid], help="run a synthetic-data comparison sweep"
+    )
     sim.add_argument(
         "--setting",
         required=True,
         choices=["bernoulli", "gaussian"],
         help="data generator: sparse binary or correlated Gaussian",
     )
-    sim.add_argument("--n-list", required=True, help="comma-separated sample sizes")
     sim.add_argument(
-        "--sigma-list", default=None, help="noise SDs (bernoulli setting only)"
+        "--sigma-list", type=_comma_list(_sigma), help="noise SDs (bernoulli setting only)"
     )
-    sim.add_argument(
-        "--p-list", default=None, help="dimensions (gaussian setting only)"
-    )
+    sim.add_argument("--p-list", type=_counts, help="dimensions (gaussian setting only)")
     sim.add_argument(
         "--p",
-        type=int,
+        type=_positive_int,
         default=100,
         help="fixed dimension for the bernoulli setting (default 100)",
     )
-    sim.add_argument("--reps", type=int, default=20, help="replications per cell")
-    sim.add_argument("--seed", type=int, default=0, help="master seed")
-    sim.add_argument(
-        "--methods",
-        required=True,
-        help="comma-separated subset of: " + ", ".join(m.value for m in Method),
-    )
-    sim.add_argument("--grid-size", type=int, default=100, help="LOOCV grid length")
+    sim.add_argument("--reps", type=_positive_int, default=20, help="replications per cell")
     sim.add_argument(
         "--timings",
         action="store_true",
@@ -328,17 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--output", required=True, help="metrics CSV path")
 
-    bench = sub.add_parser("bench", help="time preprocessing vs main loops")
-    bench.add_argument("--n-list", required=True, help="comma-separated sample sizes")
-    bench.add_argument("--p-list", required=True, help="comma-separated dimensions")
-    bench.add_argument(
-        "--methods",
-        required=True,
-        help="comma-separated subset of: " + ", ".join(m.value for m in Method),
-    )
-    bench.add_argument("--grid-size", type=int, default=100, help="LOOCV grid length")
-    bench.add_argument("--reps", type=int, default=5, help="replications per cell")
-    bench.add_argument("--seed", type=int, default=0, help="master seed")
+    bench = sub.add_parser("bench", parents=[sweep, grid], help="time preprocessing vs main loops")
+    bench.add_argument("--p-list", required=True, type=_counts, help="comma-separated dimensions")
+    bench.add_argument("--reps", type=_positive_int, default=5, help="replications per cell")
     bench.add_argument("--output", required=True, help="timing CSV path")
 
     return parser
@@ -349,12 +332,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "fit":
-            return cmd_fit(args, parser)
+            return cmd_fit(args)
         if args.command == "predict":
             return cmd_predict(args)
         if args.command == "simulate":
             return cmd_simulate(args, parser)
-        return cmd_bench(args, parser)
+        return cmd_bench(args)
     except FastridgeError as exc:
         print(f"fastridge {args.command}: {exc}", file=sys.stderr)
         return _EXIT_DEGENERATE if isinstance(exc, DegenerateProblemError) else _EXIT_DATA

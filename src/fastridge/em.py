@@ -30,20 +30,17 @@ class EmConfig:
     """Convergence control for em_fit.
 
     tol is compared against the relative RSS change
-    delta = |RSS_old - RSS| / (1 + |RSS|); tau2_init seeds the loop.
+    delta = |RSS_old - RSS| / (1 + |RSS|).
     """
 
     tol: float = 1e-8
     max_iterations: int = 100000
-    tau2_init: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DataError("tol must be positive and finite")
         if self.max_iterations < 1:
             raise DataError("max_iterations must be at least 1")
-        if self.tau2_init <= 0:
-            raise DataError("tau2_init must be positive")
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,7 @@ def q_function(tau2: float, sigma2: float, ess: float, esn: float, n: int, p: in
 def em_fit(rp: RotatedProblem, cfg: EmConfig | None = None, target: int = 0) -> EmFit:
     """Run the EM loop on one target of a rotated problem.
 
-    Initialization: tau2 = cfg.tau2_init, sigma2 = ||y||^2 / n (the target
+    Initialization: tau2 = 1, sigma2 = ||y||^2 / n (the target
     is assumed centered, so this is the mean squared deviation). Each
     iteration refreshes alpha at lambda = 1/tau2, computes (ESN, RSS, ESS),
     applies the closed-form M-step, and stops once
@@ -227,7 +224,7 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig | None = None, target: int = 0) -> 
             degenerate=True,
         )
 
-    tau2 = cfg.tau2_init
+    tau2 = 1.0
     sigma2 = y2 / n
     rss = math.inf
     delta = math.inf

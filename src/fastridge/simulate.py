@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,8 +59,8 @@ class Setting1Config:
             raise DataError("need n >= 1 and p >= 1")
         if not 0.0 < self.bernoulli_prob < 1.0:
             raise DataError("bernoulli_prob must lie strictly between 0 and 1")
-        if self.sigma < 0:
-            raise DataError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise DataError("sigma must be nonnegative and finite")
         if self.seed < 0:
             raise DataError("seed must be nonnegative")
 
@@ -200,7 +200,7 @@ def _run_cell_replication(setting, methods, n, swept, p, rep_seed, config):
     if setting == 1:
         cfg = Setting1Config(n=n, sigma=swept, seed=rep_seed, p=p)
         X, y, beta0 = gen_bernoulli_sparse(cfg)
-        p_actual, sigma_col = cfg.p, cfg.sigma
+        p_actual, sigma_col = cfg.p, float(cfg.sigma)
     else:
         cfg = Setting2Config(n=n, p=swept, seed=rep_seed)
         X, y, beta0 = gen_gaussian_wishart(cfg)
@@ -378,23 +378,15 @@ def bench_comparison(
     return rows
 
 
-def write_bench_csv(rows: list[BenchRow], fileobj) -> None:
-    """Write BenchRow records under the fixed bench header."""
+def _write_rows(rows, header: str, fileobj) -> None:
+    """Write dataclass rows under ``header``, one cell per field in declaration
+    order. Floats use repr, so the file is byte-identical for identical inputs
+    and round-trips exactly; None is an empty cell and booleans are
+    true/false."""
     writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(BENCH_CSV_HEADER.split(","))
+    writer.writerow(header.split(","))
     for r in rows:
-        writer.writerow(
-            [
-                r.method.value,
-                r.n,
-                r.p,
-                r.reps,
-                _format_cell(float(r.t_preprocess_ns)),
-                _format_cell(float(r.t_mainloop_ns)),
-                _format_cell(float(r.unit_count)),
-                _format_cell(float(r.t_per_unit_ns)),
-            ]
-        )
+        writer.writerow([_format_cell(getattr(r, f.name)) for f in fields(r)])
 
 
 def _format_cell(value) -> str:
@@ -402,30 +394,18 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, Method):
+        return value.value
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
+def write_bench_csv(rows: list[BenchRow], fileobj) -> None:
+    """Write BenchRow records under the fixed bench header."""
+    _write_rows(rows, BENCH_CSV_HEADER, fileobj)
+
+
 def write_metrics_csv(rows: list[MetricsRow], fileobj) -> None:
-    """Write rows under the fixed header; floats use repr so the file is
-    byte-identical for identical inputs and round-trips exactly."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for r in rows:
-        writer.writerow(
-            [
-                r.method.value,
-                r.n,
-                r.p,
-                _format_cell(float(r.sigma)),
-                _format_cell(float(r.param_mse)),
-                _format_cell(float(r.shrinkage_ratio)),
-                _format_cell(float(r.lambda_selected)),
-                _format_cell(r.k_iterations),
-                r.t_preprocess_ns,
-                r.t_mainloop_ns,
-                r.seed,
-                _format_cell(r.failed),
-            ]
-        )
+    """Write MetricsRow records under the fixed metrics header."""
+    _write_rows(rows, CSV_HEADER, fileobj)

@@ -519,6 +519,39 @@ class TestBench:
         assert len(lines) == 1 + 4
 
 
+class TestRejectedFlags:
+    _SIMULATE = ["simulate", "--setting", "bernoulli", "--sigma-list", "1", "--p", "5"]
+    _BENCH = ["bench", "--p-list", "5"]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--grid-size", "1"),
+            ("bench", "--grid-size", "1"),
+            ("simulate", "--sigma-list", "nan"),
+            ("simulate", "--sigma-list", "inf"),
+            ("simulate", "--seed", "-1"),
+            ("bench", "--seed", "-1"),
+            ("simulate", "--p", "0"),
+            ("simulate", "--reps", "0"),
+            ("bench", "--reps", "0"),
+            ("simulate", "--n-list", "0"),
+            ("bench", "--n-list", "0"),
+            ("simulate", "--methods", "lasso"),
+            ("bench", "--methods", "lasso"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out.csv"
+        base = self._SIMULATE if command == "simulate" else self._BENCH
+        argv = base + ["--n-list", "20", "--reps", "1", "--methods", "em", "--grid-size", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"fastridge {command}: error: argument {flag}: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTopLevel:
     def test_help_exits_0(self):
         with pytest.raises(SystemExit) as exc:

@@ -18,6 +18,7 @@ from fastridge.rng import RandomStream
 from fastridge.simulate import (
     BENCH_CSV_HEADER,
     CSV_HEADER,
+    BenchRow,
     MetricsRow,
     Setting1Config,
     Setting2Config,
@@ -39,8 +40,9 @@ class TestConfigs:
             Setting1Config(n=0, sigma=1.0, seed=0)
         with pytest.raises(DataError):
             Setting1Config(n=5, sigma=1.0, seed=0, bernoulli_prob=1.0)
-        with pytest.raises(DataError):
-            Setting1Config(n=5, sigma=-1.0, seed=0)
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(DataError):
+                Setting1Config(n=5, sigma=sigma, seed=0)
         with pytest.raises(DataError):
             Setting1Config(n=5, sigma=1.0, seed=-1)
         Setting1Config(n=5, sigma=0.0, seed=0)  # noiseless is legitimate
@@ -416,6 +418,16 @@ class TestCsvWriters:
         assert float(cells[5]) == rows[0].shrinkage_ratio
         assert float(cells[6]) == rows[0].lambda_selected
         assert int(cells[10]) == rows[0].seed
+
+    def test_int_sigma_is_written_as_a_float(self):
+        buf = io.StringIO()
+        write_metrics_csv(run_comparison(1, [Method.EM], [50], [1], 1, 0, p=5), buf)
+        assert buf.getvalue().splitlines()[1].split(",")[3] == "1.0"
+
+    def test_bench_cells(self):
+        buf = io.StringIO()
+        write_bench_csv([BenchRow(Method.EM, 3, 4, 2, 1.5, 2.25, 3.0, 0.75)], buf)
+        assert buf.getvalue().splitlines()[1] == "em,3,4,2,1.5,2.25,3.0,0.75"
 
     def test_bench_header(self):
         buf = io.StringIO()
