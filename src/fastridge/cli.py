@@ -131,7 +131,8 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_simulate(args, parser) -> int:
+def cmd_simulate(args) -> int:
+    parser = args.subparser
     if args.setting == "bernoulli":
         setting, swept = 1, args.sigma_list
         if swept is None:
@@ -192,14 +193,17 @@ def _flag_type(convert, rule: str, ok=lambda value: True):
     return parse
 
 
-def _comma_list(item):
+def _comma_list(item, distinct: bool = False):
     """An argparse ``type=`` for a comma-separated list of ``item`` values;
-    empty entries are skipped, and at least one value is required."""
+    empty entries are skipped, and at least one value is required. With
+    ``distinct`` a value may appear only once."""
 
     def parse(text: str) -> list:
         values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
         if not values:
             raise argparse.ArgumentTypeError("must list at least one value")
+        if distinct and len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"{text!r} lists a value more than once")
         return values
 
     return parse
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--methods",
         required=True,
-        type=_comma_list(_method),
+        type=_comma_list(_method, distinct=True),
         help="comma-separated subset of: " + _METHODS,
     )
     sweep.add_argument("--seed", type=_seed, default=0, help="master seed")
@@ -318,6 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sim.add_argument("--output", required=True, help="metrics CSV path")
+    # Which swept list is required depends on --setting, so cmd_simulate
+    # checks it and reports through this parser.
+    sim.set_defaults(subparser=sim)
 
     bench = sub.add_parser("bench", parents=[sweep, grid], help="time preprocessing vs main loops")
     bench.add_argument("--p-list", required=True, type=_counts, help="comma-separated dimensions")
@@ -336,7 +343,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(args)
         if args.command == "simulate":
-            return cmd_simulate(args, parser)
+            return cmd_simulate(args)
         return cmd_bench(args)
     except FastridgeError as exc:
         print(f"fastridge {args.command}: {exc}", file=sys.stderr)

@@ -2,8 +2,12 @@
 
 Every candidate lambda is scored with the PRESS shortcut: the full-data
 residuals and the hat-matrix diagonals give the exact LOOCV error without
-refitting, at O(n * r') per lambda. Grid construction (a fixed log-spaced
-ladder and a data-driven heuristic) lives here too.
+refitting, at O(n * r') per lambda. A grid is scored in chunks of
+penalties: the target-independent leverage factor U*U is formed once, and
+each chunk costs two matrix products (one for 1 - h, one for the
+residuals), so memory is bounded per chunk rather than per grid. Grid
+construction (a fixed log-spaced ladder and a data-driven heuristic) lives
+here too.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from .exceptions import DataError, DegenerateProblemError
 
 # Leverages this close to 1 make the PRESS denominator meaningless.
 _LEVERAGE_CEILING = 1.0 - 1e-12
+
+# Bytes of one n x chunk work array: a grid is scored a chunk of penalties
+# at a time, so memory is bounded per chunk, not per grid.
+_CHUNK_BYTES = 1 << 20
 
 # Relative slack when validating that consecutive grid ratios are constant.
 _RATIO_TOL = 1e-12
@@ -149,8 +157,52 @@ def hat_diagonals(U: np.ndarray, s2: np.ndarray, lam: float) -> np.ndarray:
     return (U * U) @ shrink
 
 
+def _press_curve(
+    rp: RotatedProblem, y: np.ndarray, lams: np.ndarray, target: int
+) -> np.ndarray:
+    """CVE at every penalty of lams (positive), in order.
+
+    U*U is formed once; the penalties are then taken a chunk at a time, and
+    each chunk's 1 - h and e (n x chunk each) cost one matrix product apiece.
+    The first penalty in lams order at which some leverage saturates raises,
+    naming its observations.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1, 1)
+    if y.shape[0] != rp.n:
+        raise DataError(f"y has length {y.shape[0]}, expected {rp.n}")
+    U, s2 = rp.U, rp.s2[:, None]
+    UU = U * U
+    c = rp.c[:, target][:, None]
+    complement = rp.rank == rp.n
+    step = max(1, _CHUNK_BYTES // (8 * rp.n))
+    cve = np.empty(lams.shape[0])
+    for start in range(0, lams.shape[0], step):
+        lam = lams[start : start + step]
+        if complement:
+            w = lam / (s2 + lam)
+            one_minus_h = UU @ w
+            e = U @ (w * (c / np.sqrt(s2)))
+        else:  # in place: each n x chunk array is allocated once
+            one_minus_h = UU @ (s2 / (s2 + lam))
+            np.subtract(1.0, one_minus_h, out=one_minus_h)
+            e = U @ (np.sqrt(s2) * (c / (s2 + lam)))
+            np.subtract(y, e, out=e)
+        saturated = one_minus_h <= 1.0 - _LEVERAGE_CEILING
+        if saturated.any():
+            first = int(np.flatnonzero(saturated.any(axis=0))[0])
+            raise DegenerateProblemError(
+                f"leverage saturated at observation(s) "
+                f"{np.flatnonzero(saturated[:, first]).tolist()}; "
+                "LOOCV residuals are undefined there"
+            )
+        e /= one_minus_h
+        cve[start : start + step] = np.einsum("ij,ij->j", e, e) / rp.n
+    return cve
+
+
 def press(rp: RotatedProblem, y: np.ndarray, lam: float, target: int = 0) -> float:
-    """Exact LOOCV mean squared error at one penalty, without refitting.
+    """Exact LOOCV mean squared error at one penalty, without refitting: the
+    one-penalty case of the scorer loocv_fit runs over a whole grid.
 
     CVE = (1/n) * sum_i (e_i / (1 - h_i))^2 with e = y - U (s * alpha).
     y must be the same centered target column the rotated problem was built
@@ -164,40 +216,20 @@ def press(rp: RotatedProblem, y: np.ndarray, lam: float, target: int = 0) -> flo
     of O(1) quantities that cancel to O(lam), which at small penalties
     would cost ~log10(s_max^2/lam) digits.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != rp.n:
-        raise DataError(f"y has length {y.shape[0]}, expected {rp.n}")
     if lam <= 0:
         raise DataError("lambda must be positive")
-    if rp.rank == rp.n:
-        w = lam / (rp.s2 + lam)
-        one_minus_h = (rp.U * rp.U) @ w
-        e = rp.U @ (w * (rp.c[:, target] / np.sqrt(rp.s2)))
-    else:
-        one_minus_h = 1.0 - hat_diagonals(rp.U, rp.s2, lam)
-        alpha = rotated_ridge_solution(rp, lam, target)
-        e = y - rp.U @ (np.sqrt(rp.s2) * alpha)
-    saturated = np.flatnonzero(one_minus_h <= 1.0 - _LEVERAGE_CEILING)
-    if saturated.size:
-        raise DegenerateProblemError(
-            f"leverage saturated at observation(s) {saturated.tolist()}; "
-            "LOOCV residuals are undefined there"
-        )
-    ratios = e / one_minus_h
-    return float(ratios @ ratios) / rp.n
+    return float(_press_curve(rp, y, np.array([lam], dtype=float), target)[0])
 
 
 def loocv_fit(
     rp: RotatedProblem, y: np.ndarray, grid: LambdaGrid, target: int = 0
 ) -> LoocvFit:
-    """Score every grid value with press and refit at the winner.
+    """Score every grid value as press would and refit at the winner.
 
     Ties at the minimum go to the largest lambda, i.e. the earliest entry of
     the descending grid, so the selection is deterministic.
     """
-    cve = np.empty(len(grid))
-    for j, lam in enumerate(grid.values):
-        cve[j] = press(rp, y, lam, target)
+    cve = _press_curve(rp, y, grid.values, target)
     best = int(np.argmin(cve))  # argmin takes the first, hence largest, lambda
     lambda_star = float(grid.values[best])
     alpha = rotated_ridge_solution(rp, lambda_star, target)

@@ -250,6 +250,8 @@ def _run_cell_replication(setting, methods, n, swept, p, rep_seed, config):
 def _check_sweep(methods, n_list, second_list, reps) -> None:
     if not methods:
         raise DataError("methods must be nonempty")
+    if len(set(methods)) < len(methods):
+        raise DataError("methods must not repeat a method")
     if not n_list or not second_list:
         raise DataError("sweep lists must be nonempty")
     if reps < 1:

@@ -539,6 +539,8 @@ class TestRejectedFlags:
             ("bench", "--n-list", "0"),
             ("simulate", "--methods", "lasso"),
             ("bench", "--methods", "lasso"),
+            ("simulate", "--methods", "em,em"),
+            ("bench", "--methods", "em,loocv-fixed,em"),
         ],
     )
     def test_exits_2_naming_the_flag(self, tmp_path, capsys, command, flag, value):
@@ -549,6 +551,18 @@ class TestRejectedFlags:
             main(argv + ["--output", str(out), flag, value])
         assert exc.value.code == 2
         assert f"fastridge {command}: error: argument {flag}: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, flag", [("bernoulli", "--sigma-list"), ("gaussian", "--p-list")])
+    def test_missing_swept_list_reported_by_simulate(self, tmp_path, capsys, setting, flag):
+        out = tmp_path / "out.csv"
+        argv = ["simulate", "--setting", setting, "--n-list", "10", "--reps", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--methods", "em", "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fastridge simulate ")
+        assert f"fastridge simulate: error: {flag} is required for the {setting} setting" in err
         assert not out.exists()
 
 

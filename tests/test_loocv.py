@@ -1,10 +1,13 @@
 """Grid construction and exact leave-one-out scoring via PRESS."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from fastridge import loocv
 from fastridge.decomposition import compact_svd, rotate, rotated_ridge_solution
 from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.loocv import (
@@ -249,3 +252,95 @@ class TestLoocvFit:
         assert fit1.lambda_star == ref.lambda_star
         assert_allclose(fit1.cve, ref.cve, rtol=1e-12)
         assert_allclose(fit1.beta, ref.beta, rtol=1e-12)
+
+
+class TestChunkedScoring:
+    """loocv_fit scores a grid a chunk of penalties at a time; every grid
+    here spans three or more chunks with a partial last one."""
+
+    @staticmethod
+    def _chunks_of(monkeypatch, n, length):
+        monkeypatch.setattr(loocv, "_CHUNK_BYTES", 8 * n * length)
+
+    def _assert_matches_press(self, monkeypatch, rp, y, target=0):
+        grid = fixed_grid(11)
+        self._chunks_of(monkeypatch, rp.n, 3)
+        fit = loocv_fit(rp, y, grid, target=target)
+        expected = [press(rp, y, lam, target) for lam in grid.values]
+        assert_allclose(fit.cve, expected, rtol=1e-12)
+
+    def test_complement_form_matches_press(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(12, 12))
+        y = X @ rng.normal(size=12) + rng.normal(size=12)
+        rp = _rotated(X, y)
+        assert rp.rank == rp.n
+        self._assert_matches_press(monkeypatch, rp, y)
+
+    def test_rank_deficient_form_matches_press(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(20, 5))
+        y = X @ rng.normal(size=5) + rng.normal(size=20)
+        rp = _rotated(X, y)
+        assert rp.rank < rp.n
+        self._assert_matches_press(monkeypatch, rp, y)
+
+    def test_second_target_matches_press(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(30, 4))
+        Y = np.column_stack([X @ rng.normal(size=4) + rng.normal(size=30) for _ in range(2)])
+        rp = rotate(compact_svd(X), Y)
+        self._assert_matches_press(monkeypatch, rp, Y[:, 1], target=1)
+
+    def test_ties_resolve_to_largest_lambda_across_chunks(self, monkeypatch):
+        y = np.zeros(5)
+        rp = _rotated(np.eye(5), y)
+        grid = fixed_grid(10)
+        self._chunks_of(monkeypatch, rp.n, 3)
+        fit = loocv_fit(rp, y, grid)
+        assert np.all(fit.cve == 0.0)
+        assert fit.lambda_star == grid.values[0]
+
+    def test_saturation_in_a_later_chunk_names_press_observations(self, monkeypatch):
+        """Observation 1 alone loads on a column with s^2 = 1e6, so its
+        leverage saturates below lambda ~ 1e-6; observation 0's column has
+        s^2 = 1, so it saturates only below ~1e-12. The first saturating
+        penalty, 10^-6.5, sits in the second chunk of eight values, which
+        ends at 10^-12.5, where both observations have saturated."""
+        X = np.zeros((5, 3))
+        X[0, 0] = 1.0
+        X[1, 1] = 1e3
+        X[2:, 2] = 1.0
+        y = np.array([1.0, -2.0, 0.5, 1.5, -1.0])
+        rp = _rotated(X, y)
+        grid = LambdaGrid(values=np.logspace(2.5, -13.5, 17), kind=GridKind.FIXED)
+        first = None
+        for j, lam in enumerate(grid.values):
+            try:
+                press(rp, y, lam)
+            except DegenerateProblemError as exc:
+                first = j, str(exc)
+                break
+        assert first is not None and first[0] == 9
+        assert "observation(s) [1];" in first[1]
+        self._chunks_of(monkeypatch, rp.n, 8)
+        with pytest.raises(DegenerateProblemError) as exc:
+            loocv_fit(rp, y, grid)
+        assert str(exc.value) == first[1]
+
+    @pytest.mark.parametrize("grid_size", [400, 4000])
+    def test_memory_is_bounded_per_chunk(self, grid_size):
+        """At n = 20000 an n x grid work array would take 64 or 640 MB;
+        chunking keeps the peak near U*U plus a few 1 MB chunk arrays."""
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(20000, 20))
+        y = X @ rng.normal(size=20) + rng.normal(size=20000)
+        rp = _rotated(X, y)
+        grid = fixed_grid(grid_size)
+        tracemalloc.start()
+        try:
+            loocv_fit(rp, y, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rp.U.nbytes + 8 * 2**20

@@ -173,6 +173,11 @@ class TestRunComparison:
         with pytest.raises(DataError):
             run_comparison(1, [Method.EM], [10], [1.0], 0, 0)
 
+    def test_repeated_method_rejected(self):
+        """A repeated method would write each of its rows twice."""
+        with pytest.raises(DataError, match="repeat"):
+            run_comparison(1, [Method.EM, Method.LOOCV_FIXED, Method.EM], [10], [1.0], 1, 0)
+
     def test_rows_deterministic_up_to_timings(self):
         kwargs = dict(
             setting=2,
@@ -352,6 +357,11 @@ class TestBenchComparison:
             bench_comparison([Method.EM], [], [2], 1, 0)
         with pytest.raises(DataError):
             bench_comparison([Method.EM], [10], [2], 0, 0)
+
+    def test_repeated_method_rejected(self):
+        """A repeated method would pool both copies' samples into one list."""
+        with pytest.raises(DataError, match="repeat"):
+            bench_comparison([Method.EM, Method.EM], [10], [2], 1, 0)
 
 
 class TestCsvWriters:
