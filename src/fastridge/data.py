@@ -230,7 +230,7 @@ def read_csv(path, select=None):
     float() accepts (such as 1_000) and names the first malformed row.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # drops a byte-order mark
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     with fh:

@@ -63,24 +63,16 @@ class RotatedProblem:
         return self.c.shape[1]
 
 
-def _gram_eig_descending(G: np.ndarray):
-    """Eigendecompose a symmetric Gram matrix; return (eigvals, eigvecs)
-    sorted by descending eigenvalue with ties broken by original index."""
-    evals, evecs = np.linalg.eigh(G)
-    # eigh returns ascending order; a stable argsort on the negated values
-    # keeps equal eigenvalues in original-index order.
-    order = np.argsort(-evals, kind="stable")
-    return evals[order], evecs[:, order]
-
-
 def compact_svd(X: np.ndarray) -> CompactSvd:
     """Compact SVD of X through the smaller Gram matrix.
 
-    For n >= p: X'X = V S^2 V', then U = X V S^-1; for n < p the transposed
-    route. Negative eigenvalues are clamped to zero and singular values at or
-    below 100 * max(n,p) * ulp(s_max) are dropped; an all-zero X yields rank
-    zero rather than an error. V columns are signed so their first nonzero
-    entry is positive (U flipped in tandem to preserve the product).
+    One route for both shapes: with A = X when n >= p and A = X' otherwise,
+    A'A = W S^2 W' is eigendecomposed, the other factor is A W S^-1, and
+    (U, V) = (A W S^-1, W) when A = X, (W, A W S^-1) when A = X'. Negative
+    eigenvalues are clamped to zero and singular values at or below
+    100 * max(n,p) * ulp(s_max) are dropped; an all-zero X yields rank zero
+    rather than an error. V columns are signed so their first nonzero entry
+    is positive (U flipped in tandem to preserve the product).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -91,34 +83,22 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     if not np.all(np.isfinite(X)):
         raise DataError("non-finite entries in X")
 
-    if n >= p:
-        evals, V = _gram_eig_descending(X.T @ X)
-    else:
-        evals, U = _gram_eig_descending(X @ X.T)
-    evals = np.maximum(evals, 0.0)
-    s = np.sqrt(evals)
-
-    s_max = s[0] if s.size else 0.0
-    tol = _DROP_SAFETY * max(n, p) * np.spacing(s_max)
-    keep = s > tol
+    A = X if n >= p else X.T
+    evals, W = np.linalg.eigh(A.T @ A)
+    # eigh returns ascending order; a stable argsort on the negated values
+    # keeps equal eigenvalues in original-index order.
+    order = np.argsort(-evals, kind="stable")
+    s = np.sqrt(np.maximum(evals[order], 0.0))
+    keep = s > _DROP_SAFETY * max(n, p) * np.spacing(s[0])
     s = s[keep]
-    r = s.shape[0]
+    W = W[:, order][:, keep]
+    U, V = (A @ W / s, W) if n >= p else (W, A @ W / s)
 
-    if n >= p:
-        V = V[:, keep]
-        U = (X @ V) / s if r else np.zeros((n, 0))
-    else:
-        U = U[:, keep]
-        V = (X.T @ U) / s if r else np.zeros((p, 0))
-
-    # Deterministic sign convention keyed to V.
-    for j in range(r):
-        col = V[:, j]
-        nz = np.flatnonzero(col)
-        if nz.size and col[nz[0]] < 0:
-            V[:, j] = -col
-            U[:, j] = -U[:, j]
-
+    # Deterministic sign convention keyed to V's first nonzero entry; a
+    # product with -1.0 or 1.0 is exact, so this is a negation.
+    sign = np.where(V[np.argmax(V != 0, axis=0), np.arange(s.shape[0])] < 0, -1.0, 1.0)
+    U *= sign
+    V *= sign
     return CompactSvd(U=U, s=s, V=V, n=n, p=p)
 
 

@@ -33,6 +33,10 @@ class FitConfig:
     em: em.EmConfig = em.EmConfig()
     lambda_rescale: bool = True
 
+    def __post_init__(self):
+        if self.grid_size < 2:
+            raise DataError("grid_size must be at least 2")
+
 
 def solve(std, rp, method: Method, config: FitConfig = FitConfig()):
     """Run one penalty selector on every target of a rotated problem, yielding

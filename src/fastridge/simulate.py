@@ -2,9 +2,13 @@
 
 Two data-generating settings are provided: sparse Bernoulli designs
 (setting 1) and correlated Gaussian designs with a Wishart-drawn covariance
-(setting 2). The harness fits each requested method on the same
-standardized, rotated problem per replication, so preprocessing is timed
-once and the per-method cost is the main loop alone.
+(setting 2); the timing bench draws dense standard-normal designs (setting
+3). One replication loop serves both drivers: it fits each requested method
+on the same standardized, rotated problem per replication, so preprocessing
+is timed once and the per-method cost is the main loop alone.
+run_comparison returns its rows, recording a failure as a failed row, and
+bench_comparison summarises the same rows as medians per (method, n, p),
+aborting at the first failure instead.
 
 Metric conventions (the plots these reproduce label no formulas):
 param_mse = ||beta_hat - beta0||^2 / p and
@@ -20,6 +24,7 @@ be regenerated in isolation from the seed recorded in it.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -78,8 +83,8 @@ class Setting2Config:
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise DataError("need n >= 1 and p >= 1")
-        if self.noise_var <= 0:
-            raise DataError("noise_var must be positive")
+        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
+            raise DataError("noise_var must be positive and finite")
         if self.seed < 0:
             raise DataError("seed must be nonnegative")
 
@@ -158,6 +163,15 @@ def gen_gaussian_wishart(cfg: Setting2Config):
     return X, X @ beta0 + math.sqrt(cfg.noise_var) * eps, beta0
 
 
+def _gen_bench_data(rep_seed: int, n: int, p: int):
+    """Dense i.i.d. standard-normal design for timing probes (setting 3):
+    X ~ N(0,1) entrywise (row-major block), beta0 ~ N(0, I), y = X beta0 + eps."""
+    X = RandomStream(rep_seed, 3, _PURPOSE_X).normals(n * p).reshape(n, p)
+    beta0 = RandomStream(rep_seed, 3, _PURPOSE_BETA).normals(p)
+    eps = RandomStream(rep_seed, 3, _PURPOSE_NOISE).normals(n)
+    return X, X @ beta0 + eps, beta0
+
+
 def parameter_mse(beta_hat: np.ndarray, beta0: np.ndarray) -> float:
     """||beta_hat - beta0||^2 / p."""
     beta_hat = np.asarray(beta_hat, dtype=float).ravel()
@@ -179,83 +193,80 @@ def shrinkage_ratio(beta_hat: np.ndarray, beta0: np.ndarray) -> float:
 
 
 def _failed_row(method, n, p, sigma, t_pre, rep_seed):
-    return MetricsRow(
-        method=method,
-        n=n,
-        p=p,
-        sigma=sigma,
-        param_mse=math.nan,
-        shrinkage_ratio=math.nan,
-        lambda_selected=math.nan,
-        k_iterations=None,
-        t_preprocess_ns=t_pre,
-        t_mainloop_ns=0,
-        seed=rep_seed,
-        failed=True,
-    )
+    """The row of a method that could not be fitted: NaN metrics, no main loop."""
+    nan = math.nan
+    return MetricsRow(method, n, p, sigma, nan, nan, nan, None, t_pre, 0, rep_seed, failed=True)
 
 
-def _run_cell_replication(setting, methods, n, swept, p, rep_seed, config):
-    """Generate one replication's data and produce one row per method."""
+def _draw(setting, n, swept, p, rep_seed):
+    """One replication's (X, y, beta0), then its p and noise-sd columns."""
     if setting == 1:
         cfg = Setting1Config(n=n, sigma=swept, seed=rep_seed, p=p)
-        X, y, beta0 = gen_bernoulli_sparse(cfg)
-        p_actual, sigma_col = cfg.p, float(cfg.sigma)
-    else:
+        return (*gen_bernoulli_sparse(cfg), cfg.p, float(cfg.sigma))
+    if setting == 2:
         cfg = Setting2Config(n=n, p=swept, seed=rep_seed)
-        X, y, beta0 = gen_gaussian_wishart(cfg)
-        p_actual, sigma_col = cfg.p, math.sqrt(cfg.noise_var)
-
-    t0 = time.perf_counter_ns()
-    try:
-        std = standardize(Dataset(X=X, Y=y))
-        rp = rotate(compact_svd(std.X_std), std.Y_centered)
-    except (FastridgeError, np.linalg.LinAlgError):
-        # A replication whose draw cannot even be standardized (for example
-        # an all-zero sparse design) fails every method, not the sweep.
-        t_pre = time.perf_counter_ns() - t0
-        return [
-            _failed_row(m, n, p_actual, sigma_col, t_pre, rep_seed) for m in methods
-        ]
-    t_pre = time.perf_counter_ns() - t0
-
-    rows = []
-    for method in methods:
-        try:
-            t0 = time.perf_counter_ns()
-            fit = next(solve(std, rp, method, config))
-            t_main = time.perf_counter_ns() - t0
-            beta_raw, _ = destandardize(fit.beta, std)
-            is_em = method is Method.EM
-            rows.append(
-                MetricsRow(
-                    method=method,
-                    n=n,
-                    p=p_actual,
-                    sigma=sigma_col,
-                    param_mse=parameter_mse(beta_raw[:, 0], beta0),
-                    shrinkage_ratio=shrinkage_ratio(beta_raw[:, 0], beta0),
-                    lambda_selected=fit.lambda_ if is_em else fit.lambda_star,
-                    k_iterations=fit.k if is_em else None,
-                    t_preprocess_ns=t_pre,
-                    t_mainloop_ns=t_main,
-                    seed=rep_seed,
-                )
-            )
-        except (FastridgeError, np.linalg.LinAlgError):
-            rows.append(_failed_row(method, n, p_actual, sigma_col, t_pre, rep_seed))
-    return rows
+        return (*gen_gaussian_wishart(cfg), cfg.p, math.sqrt(cfg.noise_var))
+    return (*_gen_bench_data(rep_seed, n, swept), swept, 1.0)
 
 
-def _check_sweep(methods, n_list, second_list, reps) -> None:
+def _replications(setting, methods, n_list, swept_list, reps, seed, p, grid_length, keep_failures):
+    """The replication loop behind run_comparison (keep_failures=True, see
+    there for the rows) and bench_comparison (keep_failures=False: the first
+    library error propagates unchanged)."""
     if not methods:
         raise DataError("methods must be nonempty")
     if len(set(methods)) < len(methods):
         raise DataError("methods must not repeat a method")
-    if not n_list or not second_list:
+    if not n_list or not swept_list:
         raise DataError("sweep lists must be nonempty")
     if reps < 1:
         raise DataError("reps must be at least 1")
+    config = FitConfig(grid_size=grid_length)
+    cells = [(n, swept) for n in n_list for swept in swept_list]
+    rows = []
+    for (cell_index, (n, swept)), rep in itertools.product(enumerate(cells), range(reps)):
+        rep_seed = derive_seed(seed, setting, cell_index, rep)
+        X, y, beta0, p_row, sigma = _draw(setting, n, swept, p, rep_seed)
+        t0 = time.perf_counter_ns()
+        try:
+            std = standardize(Dataset(X=X, Y=y))
+            rp = rotate(compact_svd(std.X_std), std.Y_centered)
+        except (FastridgeError, np.linalg.LinAlgError):
+            if not keep_failures:
+                raise
+            # A draw that cannot even be standardized (for example an
+            # all-zero sparse design) fails every method, not the sweep.
+            t_pre = time.perf_counter_ns() - t0
+            rows += [_failed_row(m, n, p_row, sigma, t_pre, rep_seed) for m in methods]
+            continue
+        t_pre = time.perf_counter_ns() - t0
+        for method in methods:
+            try:
+                t0 = time.perf_counter_ns()
+                fit = next(solve(std, rp, method, config))
+                t_main = time.perf_counter_ns() - t0
+                beta_raw = destandardize(fit.beta, std)[0][:, 0]
+                is_em = method is Method.EM
+                rows.append(
+                    MetricsRow(
+                        method=method,
+                        n=n,
+                        p=p_row,
+                        sigma=sigma,
+                        param_mse=parameter_mse(beta_raw, beta0),
+                        shrinkage_ratio=shrinkage_ratio(beta_raw, beta0),
+                        lambda_selected=fit.lambda_ if is_em else fit.lambda_star,
+                        k_iterations=fit.k if is_em else None,
+                        t_preprocess_ns=t_pre,
+                        t_mainloop_ns=t_main,
+                        seed=rep_seed,
+                    )
+                )
+            except (FastridgeError, np.linalg.LinAlgError):
+                if not keep_failures:
+                    raise
+                rows.append(_failed_row(method, n, p_row, sigma, t_pre, rep_seed))
+    return rows
 
 
 def run_comparison(
@@ -271,28 +282,20 @@ def run_comparison(
     """Sweep cells x replications x methods and collect metric rows.
 
     For setting 1 the swept second axis is sigma and p is fixed by the
-    keyword; for setting 2 it is p itself. Each replication standardizes,
-    decomposes, and rotates once, shares that cache across methods (their
-    rows carry the identical t_preprocess_ns), and times each method's main
-    loop separately. A solver failure marks its row failed=True with NaN
-    metrics instead of aborting the sweep; a preprocessing failure marks
-    every method's row for that replication. Row order is deterministic:
-    cells in given order, replications within a cell, methods within a
-    replication.
+    keyword; for setting 2 it is p itself. Replication rep of cell i is drawn
+    from derive_seed(seed, setting, i, rep), then standardized, decomposed
+    and rotated once under one timer; its methods share that cache (their
+    rows carry the identical t_preprocess_ns) and each method's main loop is
+    timed alone. A solver failure marks its row failed=True with NaN metrics
+    instead of aborting the sweep; a preprocessing failure marks every
+    method's row for that replication. Row order is deterministic: cells in
+    given order, replications within a cell, methods within a replication.
     """
     if setting not in (1, 2):
         raise DataError("setting must be 1 or 2")
-    _check_sweep(methods, n_list, sigma_or_p_list, reps)
-
-    config = FitConfig(grid_size=grid_length)
-    rows = []
-    for cell_index, (n, swept) in enumerate(
-        (n, swept) for n in n_list for swept in sigma_or_p_list
-    ):
-        for rep in range(reps):
-            rep_seed = derive_seed(seed, setting, cell_index, rep)
-            rows += _run_cell_replication(setting, methods, n, swept, p, rep_seed, config)
-    return rows
+    return _replications(
+        setting, methods, n_list, sigma_or_p_list, reps, seed, p, grid_length, keep_failures=True
+    )
 
 
 @dataclass(frozen=True)
@@ -317,15 +320,6 @@ class BenchRow:
 BENCH_CSV_HEADER = "method,n,p,reps,t_preprocess_ns,t_mainloop_ns,unit_count,t_per_unit_ns"
 
 
-def _gen_bench_data(rep_seed: int, n: int, p: int):
-    """Dense i.i.d. standard-normal design for timing probes: X ~ N(0,1)
-    entrywise (row-major block), beta0 ~ N(0, I), y = X beta0 + eps."""
-    X = RandomStream(rep_seed, 3, _PURPOSE_X).normals(n * p).reshape(n, p)
-    beta0 = RandomStream(rep_seed, 3, _PURPOSE_BETA).normals(p)
-    eps = RandomStream(rep_seed, 3, _PURPOSE_NOISE).normals(n)
-    return X, X @ beta0 + eps
-
-
 def bench_comparison(
     methods: list[Method],
     n_list: list[int],
@@ -336,48 +330,37 @@ def bench_comparison(
 ) -> list[BenchRow]:
     """Time preprocessing and main loops on dense normal designs.
 
-    One row per (method, n, p) with medians over reps. The per-replication
-    preprocessing (standardize + decompose + rotate) is shared across
-    methods, exactly as in run_comparison.
+    Runs the replication loop of run_comparison and summarises it as one row
+    per (method, n, p) with medians over reps. The first failure aborts with
+    its original error instead of becoming a failed row.
     """
-    _check_sweep(methods, n_list, p_list, reps)
-
-    config = FitConfig(grid_size=grid_length)
-    rows = []
-    for cell_index, (n, p) in enumerate((n, p) for n in n_list for p in p_list):
-        t_pre_all = []
-        per_method: dict[Method, list[tuple[int, float]]] = {m: [] for m in methods}
-        for rep in range(reps):
-            rep_seed = derive_seed(seed, 3, cell_index, rep)
-            X, y = _gen_bench_data(rep_seed, n, p)
-            t0 = time.perf_counter_ns()
-            std = standardize(Dataset(X=X, Y=y))
-            rp = rotate(compact_svd(std.X_std), std.Y_centered)
-            t_pre_all.append(time.perf_counter_ns() - t0)
-            for method in methods:
-                t0 = time.perf_counter_ns()
-                fit = next(solve(std, rp, method, config))
-                t_main = time.perf_counter_ns() - t0
-                units = fit.k if method is Method.EM else grid_length
-                per_method[method].append((t_main, float(units)))
-        t_pre_med = float(np.median(t_pre_all))
-        for method in methods:
-            mains = [t for t, _ in per_method[method]]
-            units = [u for _, u in per_method[method]]
-            ratios = [t / u for t, u in per_method[method]]
-            rows.append(
+    rows = _replications(
+        3, methods, n_list, p_list, reps, seed, None, grid_length, keep_failures=False
+    )
+    k = len(methods)
+    out = []
+    for start in range(0, len(rows), reps * k):
+        cell = rows[start : start + reps * k]
+        for i, method in enumerate(methods):
+            mine = cell[i::k]  # this method's row of each replication
+            units = [
+                float(r.k_iterations if method is Method.EM else grid_length) for r in mine
+            ]
+            out.append(
                 BenchRow(
                     method=method,
-                    n=n,
-                    p=p,
+                    n=mine[0].n,
+                    p=mine[0].p,
                     reps=reps,
-                    t_preprocess_ns=t_pre_med,
-                    t_mainloop_ns=float(np.median(mains)),
+                    t_preprocess_ns=float(np.median([r.t_preprocess_ns for r in mine])),
+                    t_mainloop_ns=float(np.median([r.t_mainloop_ns for r in mine])),
                     unit_count=float(np.median(units)),
-                    t_per_unit_ns=float(np.median(ratios)),
+                    t_per_unit_ns=float(
+                        np.median([r.t_mainloop_ns / u for r, u in zip(mine, units)])
+                    ),
                 )
             )
-    return rows
+    return out
 
 
 def _write_rows(rows, header: str, fileobj) -> None:

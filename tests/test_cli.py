@@ -312,6 +312,20 @@ class TestPredict:
         assert main(["predict", "--model", str(model_path), "--input", str(renamed), "--output", str(out2)]) == 0
         assert out1.read_text().splitlines()[1:] == out2.read_text().splitlines()[1:]
 
+    def test_input_with_byte_order_mark_matched_by_name(self, train_csv, tmp_path):
+        """A byte-order mark does not hide the first column's name, so
+        reordered columns are still matched by name, not by position."""
+        model_path = self._fit(train_csv, tmp_path)
+        X = np.array([[0.5, 1.5, -0.5], [2.0, -1.0, 0.25]])
+        named, marked = tmp_path / "named.csv", tmp_path / "marked.csv"
+        _write_csv(named, ["a", "b", "c"], X)
+        _write_csv(marked, ["c", "a", "b"], X[:, [2, 0, 1]])
+        marked.write_text(marked.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        out1, out2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        assert main(["predict", "--model", str(model_path), "--input", str(named), "--output", str(out1)]) == 0
+        assert main(["predict", "--model", str(model_path), "--input", str(marked), "--output", str(out2)]) == 0
+        assert out1.read_text() == out2.read_text()
+
     @pytest.mark.parametrize("method", [m.value for m in Method])
     def test_predictions_equal_library_predict(self, tmp_path, method):
         rng = np.random.default_rng(5)

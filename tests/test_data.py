@@ -118,6 +118,20 @@ class TestLoadCsv:
         assert table.tolist() == [[2.0, 1.0], [4.0, 3.0]]
         assert texts == ["r 1, x", "007"]
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        """Spreadsheet "CSV UTF-8" exports start with a byte-order mark, on
+        the numeric path and on the cell-by-cell one."""
+        path = tmp_path / "d.csv"
+        path.write_text("x0,x1,y\n1,2,3\n4,5,6\n", encoding="utf-8-sig")
+        d = load_csv(path, "x0")
+        assert d.target_names == ["x0"]
+        assert d.column_names == ["x1", "y"]
+        assert d.Y.tolist() == [[1.0], [4.0]]
+        path.write_text("id,a\nr1,1\n", encoding="utf-8-sig")
+        header, table, texts = read_csv(path, lambda header: ([1], 0))
+        assert header == ["id", "a"]
+        assert texts == ["r1"]
+
     def test_unknown_target_column(self, tmp_path):
         path = tmp_path / "d.csv"
         _write_csv(path, ["a", "b"], [[1, 2]])

@@ -9,7 +9,7 @@ import pytest
 import fastridge.em as em_module
 from fastridge.data import Dataset, FitResult, Method, standardize
 from fastridge.decomposition import compact_svd, rotate
-from fastridge.exceptions import DegenerateProblemError
+from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.pipeline import FitConfig, fit, solve
 
 
@@ -30,6 +30,12 @@ def _same(a, b):
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
     return a == b
+
+
+@pytest.mark.parametrize("grid_size", [1, 0, -3])
+def test_config_rejects_a_grid_shorter_than_two(grid_size):
+    with pytest.raises(DataError, match="grid_size must be at least 2"):
+        FitConfig(grid_size=grid_size)
 
 
 @pytest.mark.parametrize("q", [1, 2])

@@ -48,8 +48,9 @@ class TestConfigs:
         Setting1Config(n=5, sigma=0.0, seed=0)  # noiseless is legitimate
 
     def test_setting2_validation(self):
-        with pytest.raises(DataError):
-            Setting2Config(n=5, p=2, seed=0, noise_var=0.0)
+        for noise_var in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DataError):
+                Setting2Config(n=5, p=2, seed=0, noise_var=noise_var)
         with pytest.raises(DataError):
             Setting2Config(n=5, p=0, seed=0)
 
@@ -172,6 +173,12 @@ class TestRunComparison:
             run_comparison(1, [Method.EM], [], [1.0], 1, 0)
         with pytest.raises(DataError):
             run_comparison(1, [Method.EM], [10], [1.0], 0, 0)
+
+    def test_grid_length_below_two_rejected(self):
+        """A one-point grid cannot be scored; the sweep refuses it instead of
+        writing every row failed."""
+        with pytest.raises(DataError, match="grid_size"):
+            run_comparison(1, [Method.LOOCV_FIXED], [400], [1.0], 1, 0, p=8, grid_length=1)
 
     def test_repeated_method_rejected(self):
         """A repeated method would write each of its rows twice."""
@@ -362,6 +369,11 @@ class TestBenchComparison:
         """A repeated method would pool both copies' samples into one list."""
         with pytest.raises(DataError, match="repeat"):
             bench_comparison([Method.EM, Method.EM], [10], [2], 1, 0)
+
+    def test_first_failure_aborts_with_its_error(self):
+        """The bench writes no failed rows: the first failure propagates."""
+        with pytest.raises(DataError, match="standardize needs n >= 2"):
+            bench_comparison([Method.EM], [1], [5], 1, 0)
 
 
 class TestCsvWriters:
