@@ -72,8 +72,9 @@ class StandardizedDataset:
     """Standardized predictors and centered targets with the statistics
     needed to undo the transform.
 
-    ``kept_columns`` indexes into the original p columns; columns whose
-    sample standard deviation is exactly zero are dropped.
+    ``kept_columns`` indexes into the original p columns; a column is
+    dropped when all its entries are equal, or when its sample standard
+    deviation underflows to zero.
     """
 
     X_std: np.ndarray
@@ -298,15 +299,20 @@ def load_csv(path, target_spec) -> Dataset:
 
 def standardize(d: Dataset) -> StandardizedDataset:
     """Center and scale each column of X to sample sd 1 (denominator n-1),
-    center each target; zero-sd columns are dropped and recorded."""
+    center each target; constant columns are dropped and recorded."""
     if d.n < 2:
         raise DataError("standardize needs n >= 2")
     col_means = d.X.mean(axis=0)
-    col_sds = d.X.std(axis=0, ddof=1)
-    kept = np.flatnonzero(col_sds > 0.0)
+    dev = d.X - col_means
+    # The operations of X.std(axis=0, ddof=1), on the one deviation array.
+    col_sds = np.sqrt(np.square(dev).sum(axis=0) / (d.n - 1))
+    # A constant column's mean need not round back, leaving a tiny sd.
+    kept = np.flatnonzero((d.X != d.X[0]).any(axis=0) & (col_sds > 0.0))
     if kept.size == 0:
         raise DataError("all predictor columns have zero variance")
-    X_std = (d.X[:, kept] - col_means[kept]) / col_sds[kept]
+    # Fortran order, as a column gather would give: glmnet_grid's X_std' y
+    # rounds by the layout.
+    X_std = np.divide(dev if kept.size == d.p else dev[:, kept], col_sds[kept], order="F")
     y_means = d.Y.mean(axis=0)
     return StandardizedDataset(
         X_std=X_std,

@@ -3,12 +3,17 @@
 The decomposition is always obtained from a symmetric eigendecomposition of
 X'X (n >= p) or XX' (n < p), never a general SVD, so the preprocessing cost
 is O(max(n,p) * min(n,p)^2). Both solvers share the resulting cache: squared
-singular values s^2, rotated targets c = s * (U'y), and the factors U, V.
+singular values s^2, rotated targets c = s * (U'y), and the factor U. When
+n < p, V is formed only on first read and the map back goes through X, so
+the decomposition keeps a reference to X, which must not be modified while
+the decomposition is in use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,13 +26,27 @@ _DROP_SAFETY = 100.0
 @dataclass(frozen=True)
 class CompactSvd:
     """X = U diag(s) V' restricted to the r' singular values above the drop
-    threshold; s is descending, U (n x r') and V (p x r') semi-orthonormal."""
+    threshold; s is descending, U (n x r') and V (p x r') semi-orthonormal.
+
+    X, the decomposed matrix, is held by reference. When n < p, V = X' U / s
+    is formed on first read.
+    """
 
     U: np.ndarray
     s: np.ndarray
-    V: np.ndarray
-    n: int
-    p: int
+    X: np.ndarray
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return self.X.T @ self.U / self.s
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.X.shape[1]
 
     @property
     def rank(self) -> int:
@@ -38,17 +57,20 @@ class CompactSvd:
 class RotatedProblem:
     """The r'-dimensional equivalent ridge problem plus what LOOCV needs.
 
-    c[:, t] = s * (U' y_t); y_sq_norms[t] = ||y_t||^2. n_dropped_directions
-    counts the p - r' coefficient directions with zero singular value.
+    c[:, t] = s * (U' y_t); y_sq_norms[t] = ||y_t||^2. U, V, n and p are
+    those of the decomposition svd. n_dropped_directions counts the p - r'
+    coefficient directions with zero singular value.
     """
 
     s2: np.ndarray
     c: np.ndarray
     y_sq_norms: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    n: int
-    p: int
+    svd: CompactSvd
+
+    U = property(attrgetter("svd.U"))
+    V = property(attrgetter("svd.V"))
+    n = property(attrgetter("svd.n"))
+    p = property(attrgetter("svd.p"))
 
     @property
     def rank(self) -> int:
@@ -67,9 +89,10 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     """Compact SVD of X through the smaller Gram matrix.
 
     One route for both shapes: with A = X when n >= p and A = X' otherwise,
-    A'A = W S^2 W' is eigendecomposed, the other factor is A W S^-1, and
-    (U, V) = (A W S^-1, W) when A = X, (W, A W S^-1) when A = X'. Negative
-    eigenvalues are clamped to zero and singular values at or below
+    A'A = W S^2 W' is eigendecomposed, and W is the factor on A's column
+    side: (U, V) = (A W S^-1, W) when A = X, and U = W when A = X', with V =
+    A W S^-1 left to be formed on first read. Negative eigenvalues are
+    clamped to zero and singular values at or below
     100 * max(n,p) * ulp(s_max) are dropped; an all-zero X yields rank zero
     rather than an error. V columns are signed so their first nonzero entry
     is positive (U flipped in tandem to preserve the product).
@@ -92,14 +115,19 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     keep = s > _DROP_SAFETY * max(n, p) * np.spacing(s[0])
     s = s[keep]
     W = W[:, order][:, keep]
-    U, V = (A @ W / s, W) if n >= p else (W, A @ W / s)
 
     # Deterministic sign convention keyed to V's first nonzero entry; a
-    # product with -1.0 or 1.0 is exact, so this is a negation.
-    sign = np.where(V[np.argmax(V != 0, axis=0), np.arange(s.shape[0])] < 0, -1.0, 1.0)
-    U *= sign
-    V *= sign
-    return CompactSvd(U=U, s=s, V=V, n=n, p=p)
+    # product with -1.0 or 1.0 is exact, so this is a negation. When n < p
+    # the key is V s = A W: its first row is one vector product, and the
+    # whole of it is needed only past an exact zero in that row.
+    key = W if n >= p else A[:1] @ W
+    if n < p and not key.all():
+        key = A @ W
+    W *= np.where(key[np.argmax(key != 0, axis=0), np.arange(s.shape[0])] < 0, -1.0, 1.0)
+    svd = CompactSvd(U=A @ W / s if n >= p else W, s=s, X=X)
+    if n >= p:
+        object.__setattr__(svd, "V", W)  # V = W is free: fill the cached property
+    return svd
 
 
 def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
@@ -111,15 +139,7 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
         raise DataError(f"Y has {Y.shape[0]} rows, expected {svd.n}")
     c = svd.s[:, None] * (svd.U.T @ Y)
     y_sq_norms = np.einsum("ij,ij->j", Y, Y)
-    return RotatedProblem(
-        s2=svd.s**2,
-        c=c,
-        y_sq_norms=y_sq_norms,
-        U=svd.U,
-        V=svd.V,
-        n=svd.n,
-        p=svd.p,
-    )
+    return RotatedProblem(s2=svd.s**2, c=c, y_sq_norms=y_sq_norms, svd=svd)
 
 
 def rotated_ridge_solution(rp: RotatedProblem, lam: float, target: int = 0) -> np.ndarray:
@@ -131,9 +151,12 @@ def rotated_ridge_solution(rp: RotatedProblem, lam: float, target: int = 0) -> n
 
 
 def recover_beta(svd_or_rp, alpha: np.ndarray) -> np.ndarray:
-    """Map a rotated solution back: beta = V @ alpha (O(p r'))."""
-    V = svd_or_rp.V
+    """Map a rotated solution back: beta = V @ alpha (O(p r')) when n >= p,
+    and beta = X' (U (alpha / s)) (O(n p)) when n < p, which leaves V unread."""
+    svd = svd_or_rp.svd if isinstance(svd_or_rp, RotatedProblem) else svd_or_rp
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[0] != V.shape[1]:
-        raise DataError(f"alpha has length {alpha.shape[0]}, expected {V.shape[1]}")
-    return V @ alpha
+    if alpha.shape[0] != svd.rank:
+        raise DataError(f"alpha has length {alpha.shape[0]}, expected {svd.rank}")
+    if svd.n < svd.p:
+        return svd.X.T @ (svd.U @ (alpha.T / svd.s).T)
+    return svd.V @ alpha

@@ -156,6 +156,44 @@ class TestStandardize:
         assert list(s.kept_columns) == [0, 2]
         assert s.p_kept == 2 and s.p_original == 3
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.full(3, 0.1),
+            np.full(10, 0.1),
+            np.full(5000, 0.1),
+            np.full(7, 0.7),
+            np.array([0.0, 1e-170, 0.0]),
+        ],
+        ids=["0.1x3", "0.1x10", "0.1x5000", "0.7x7", "underflow"],
+    )
+    def test_drops_columns_with_no_spread(self, column):
+        """A column of 0.1 or 0.7 has a mean that does not round back to
+        its value, hence a tiny nonzero computed sd; a column of tiny values
+        has a sd that underflows to zero. Both are dropped."""
+        n = column.shape[0]
+        X = np.column_stack([np.arange(n, dtype=float), column])
+        s = standardize(Dataset(X=X, Y=np.arange(n, dtype=float)))
+        assert list(s.kept_columns) == [0]
+
+    @pytest.mark.parametrize("constant", [None, 0.1, 7.0])
+    def test_matches_numpy_mean_and_sd_exactly(self, constant):
+        """X_std, col_means and col_sds are bitwise what numpy's mean and
+        std give, and X_std is Fortran-ordered: glmnet_grid's X_std' y
+        rounds by the layout."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(2.0, 3.0, size=(50, 6)) * np.exp(rng.normal(size=6))
+        if constant is not None:
+            X[:, 2] = constant
+        s = standardize(Dataset(X=X, Y=rng.normal(size=50)))
+        kept = s.kept_columns
+        assert kept.size == (6 if constant is None else 5)
+        ref = (X[:, kept] - X.mean(axis=0)[kept]) / X.std(axis=0, ddof=1)[kept]
+        assert np.array_equal(s.X_std, ref)
+        assert s.X_std.flags.f_contiguous
+        assert np.array_equal(s.col_means, X.mean(axis=0))
+        assert np.array_equal(s.col_sds, X.std(axis=0, ddof=1))
+
     def test_all_constant_errors(self):
         with pytest.raises(DataError):
             standardize(Dataset(X=np.ones((5, 2)), Y=np.arange(5.0)))

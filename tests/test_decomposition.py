@@ -1,5 +1,7 @@
 """Compact SVD via Gram eigendecomposition and the rotated ridge problem."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from fastridge.decomposition import (
     rotated_ridge_solution,
 )
 from fastridge.exceptions import DataError
+from fastridge.loocv import fixed_grid, loocv_fit
 from fastridge.oracles import dense_ridge_solve
 
 
@@ -121,6 +124,32 @@ class TestCompactSvd:
         assert svd.rank <= 3
         assert_allclose(svd.U @ np.diag(svd.s) @ svd.V.T, X, atol=1e-8)
 
+    def test_wide_v_is_formed_on_first_read(self):
+        """When n < p, V is not made with the decomposition; read, it is
+        X' U / s exactly, and it is cached."""
+        X = _random_matrix(15, 6, 40)
+        svd = compact_svd(X)
+        assert "V" not in vars(svd)
+        assert np.array_equal(svd.V, X.T @ svd.U / svd.s)
+        assert svd.V is svd.V
+
+    def test_wide_fit_does_not_hold_v(self):
+        """A wide decomposition, its rotated problem and a LOOCV fit peak
+        below half the bytes of V (p x r')."""
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(200, 4000))
+        X -= X.mean(axis=0)  # centered, as standardize leaves it: rank n - 1
+        y = X[:, :10].sum(axis=1) + rng.normal(size=200)
+        y -= y.mean()
+        tracemalloc.start()
+        try:
+            svd = compact_svd(X)
+            loocv_fit(rotate(svd, y), y, fixed_grid(100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * svd.rank * 8 / 2
+
     def test_rejects_non_finite(self):
         X = np.ones((3, 2))
         X[0, 0] = np.inf
@@ -199,6 +228,16 @@ class TestRotatedRidgeSolution:
         rp = rotate(compact_svd(np.eye(2)), np.ones(2))
         with pytest.raises(DataError):
             rotated_ridge_solution(rp, 0.0)
+
+    def test_wide_recover_beta_matches_v(self):
+        """When n < p beta is mapped back through X, without V, and agrees
+        with V alpha."""
+        X = _random_matrix(17, 12, 60)
+        rp = rotate(compact_svd(X), np.random.default_rng(18).normal(size=12))
+        alpha = rotated_ridge_solution(rp, 0.3)
+        beta = recover_beta(rp, alpha)
+        assert "V" not in vars(rp.svd)
+        assert_allclose(beta, rp.V @ alpha, rtol=1e-13, atol=0)
 
     def test_recover_beta_length_check(self):
         rp = rotate(compact_svd(np.eye(3)), np.ones(3))

@@ -112,10 +112,7 @@ class TestExpectedSse:
             s2=np.array([1.0]),
             c=np.array([[1.0]]),
             y_sq_norms=np.array([1.0 - 1e-12]),
-            U=np.ones((1, 1)),
-            V=np.ones((1, 1)),
-            n=1,
-            p=1,
+            svd=compact_svd(np.ones((1, 1))),
         )
         ess, rss = expected_sse(rp, np.array([1.0]), 1.0, 0.0)
         assert rss == 0.0
@@ -126,10 +123,7 @@ class TestExpectedSse:
             s2=np.array([1.0]),
             c=np.array([[1.0]]),
             y_sq_norms=np.array([0.5]),
-            U=np.ones((1, 1)),
-            V=np.ones((1, 1)),
-            n=1,
-            p=1,
+            svd=compact_svd(np.ones((1, 1))),
         )
         with pytest.raises(DataError, match="negative residual"):
             expected_sse(rp, np.array([1.0]), 1.0, 0.0)

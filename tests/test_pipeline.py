@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import fastridge.decomposition as decomposition
 import fastridge.em as em_module
 from fastridge.data import Dataset, FitResult, Method, standardize
 from fastridge.decomposition import compact_svd, rotate
@@ -104,3 +105,36 @@ def test_fit_stops_at_the_first_degenerate_target(monkeypatch):
     with pytest.raises(DegenerateProblemError, match=r"^solve: target 0: "):
         fit(_dataset(2), Method.EM)
     assert solved == [0]
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_wide_fit_never_forms_v(monkeypatch, method):
+    """With n < p no solver reads V: each coefficient vector is mapped back
+    through X."""
+    made = []
+
+    def recorded(X):
+        made.append(compact_svd(X))
+        return made[-1]
+
+    monkeypatch.setattr(decomposition, "compact_svd", recorded)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 120))
+    Y = X[:, :5] @ rng.normal(size=(5, 2)) + rng.normal(size=(40, 2))
+    result = fit(Dataset(X=X, Y=Y), method)
+    assert len(made) == 1 and made[0].n < made[0].p
+    assert "V" not in vars(made[0])
+    assert np.all(np.isfinite(result.beta_raw))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_constant_column_gets_no_coefficient(method):
+    """A constant column of 0.1, whose computed sd is not exactly zero, is
+    dropped: its coefficient is 0 and the intercept is not split with it."""
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(200, 6))
+    X[:, 3] = 0.1
+    y = X @ rng.normal(size=6) + rng.normal(size=200)
+    result = fit(Dataset(X=X, Y=y), method)
+    assert list(result.kept_columns) == [0, 1, 2, 4, 5]
+    assert result.beta_raw[3, 0] == 0.0
