@@ -48,7 +48,6 @@ from .loocv import (
     LoocvFit,
     fixed_grid,
     glmnet_grid,
-    hat_diagonals,
     loocv_fit,
     press,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "gen_bernoulli_sparse",
     "gen_gaussian_wishart",
     "glmnet_grid",
-    "hat_diagonals",
     "load_csv",
     "loocv_fit",
     "m_step",

@@ -145,7 +145,7 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
 def rotated_ridge_solution(rp: RotatedProblem, lam: float, target: int = 0) -> np.ndarray:
     """alpha_j = c_{j,t} / (s_j^2 + lambda), the O(r') ridge solve in the
     rotated coordinates (lambda = 1/tau^2 for the EM caller)."""
-    if lam <= 0:
+    if not lam > 0:  # also rejects NaN
         raise DataError("lambda must be positive")
     return rp.c[:, target] / (rp.s2 + lam)
 

@@ -2,12 +2,11 @@
 
 Every candidate lambda is scored with the PRESS shortcut: the full-data
 residuals and the hat-matrix diagonals give the exact LOOCV error without
-refitting, at O(n * r') per lambda. A grid is scored in chunks of
-penalties: the target-independent leverage factor U*U is formed once, and
-each chunk costs two matrix products (one for 1 - h, one for the
-residuals), so memory is bounded per chunk rather than per grid. Grid
-construction (a fixed log-spaced ladder and a data-driven heuristic) lives
-here too.
+refitting, at O(n * r') per lambda. A grid is scored in chunks of at most
+rank penalties: the leverage factor U*U is formed once per call, and each
+chunk costs two matrix products (one for 1 - h, one for the residuals)
+whose n x chunk results are no larger than U. Grid construction (a fixed
+log-spaced ladder and a data-driven heuristic) lives here too.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ from .exceptions import DataError, DegenerateProblemError
 
 # Leverages this close to 1 make the PRESS denominator meaningless.
 _LEVERAGE_CEILING = 1.0 - 1e-12
-
-# Bytes of one n x chunk work array: a grid is scored a chunk of penalties
-# at a time, so memory is bounded per chunk, not per grid.
-_CHUNK_BYTES = 1 << 20
 
 # Relative slack when validating that consecutive grid ratios are constant.
 _RATIO_TOL = 1e-12
@@ -149,23 +144,16 @@ def glmnet_grid(
     return LambdaGrid(values=values, kind=GridKind.GLMNET)
 
 
-def hat_diagonals(U: np.ndarray, s2: np.ndarray, lam: float) -> np.ndarray:
-    """Leverages h_i = sum_j u_ij^2 * s_j^2/(s_j^2 + lambda), each in [0, 1)."""
-    if lam <= 0:
-        raise DataError("lambda must be positive")
-    shrink = s2 / (s2 + lam)
-    return (U * U) @ shrink
-
-
 def _press_curve(
     rp: RotatedProblem, y: np.ndarray, lams: np.ndarray, target: int
 ) -> np.ndarray:
     """CVE at every penalty of lams (positive), in order.
 
-    U*U is formed once; the penalties are then taken a chunk at a time, and
-    each chunk's 1 - h and e (n x chunk each) cost one matrix product apiece.
+    U*U is formed once per call; the penalties are then taken at most rank
+    at a time, so each chunk's 1 - h and e (n x chunk each, one matrix
+    product apiece) are no larger than U, whatever n or the grid length.
     The first penalty in lams order at which some leverage saturates raises,
-    naming its observations.
+    counting its observations and naming the first few.
     """
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     if y.shape[0] != rp.n:
@@ -174,7 +162,7 @@ def _press_curve(
     UU = U * U
     c = rp.c[:, target][:, None]
     complement = rp.rank == rp.n
-    step = max(1, _CHUNK_BYTES // (8 * rp.n))
+    step = max(1, rp.rank)
     cve = np.empty(lams.shape[0])
     for start in range(0, lams.shape[0], step):
         lam = lams[start : start + step]
@@ -190,13 +178,15 @@ def _press_curve(
         saturated = one_minus_h <= 1.0 - _LEVERAGE_CEILING
         if saturated.any():
             first = int(np.flatnonzero(saturated.any(axis=0))[0])
+            rows = np.flatnonzero(saturated[:, first])
+            more = f" and {rows.size - 5} more" if rows.size > 5 else ""
             raise DegenerateProblemError(
-                f"leverage saturated at observation(s) "
-                f"{np.flatnonzero(saturated[:, first]).tolist()}; "
-                "LOOCV residuals are undefined there"
+                f"leverage saturated at {rows.size} observation(s) "
+                f"{rows[:5].tolist()}{more}; LOOCV residuals are undefined there"
             )
         e /= one_minus_h
         cve[start : start + step] = np.einsum("ij,ij->j", e, e) / rp.n
+        del one_minus_h, e, saturated  # before the next chunk allocates its own
     return cve
 
 
@@ -216,7 +206,7 @@ def press(rp: RotatedProblem, y: np.ndarray, lam: float, target: int = 0) -> flo
     of O(1) quantities that cancel to O(lam), which at small penalties
     would cost ~log10(s_max^2/lam) digits.
     """
-    if lam <= 0:
+    if not lam > 0:  # also rejects NaN
         raise DataError("lambda must be positive")
     return float(_press_curve(rp, y, np.array([lam], dtype=float), target)[0])
 

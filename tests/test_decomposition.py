@@ -228,6 +228,8 @@ class TestRotatedRidgeSolution:
         rp = rotate(compact_svd(np.eye(2)), np.ones(2))
         with pytest.raises(DataError):
             rotated_ridge_solution(rp, 0.0)
+        with pytest.raises(DataError):
+            rotated_ridge_solution(rp, np.nan)
 
     def test_wide_recover_beta_matches_v(self):
         """When n < p beta is mapped back through X, without V, and agrees

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from fastridge import loocv
 from fastridge.decomposition import compact_svd, rotate, rotated_ridge_solution
 from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.loocv import (
@@ -15,7 +14,6 @@ from fastridge.loocv import (
     LambdaGrid,
     fixed_grid,
     glmnet_grid,
-    hat_diagonals,
     loocv_fit,
     press,
 )
@@ -126,37 +124,6 @@ class TestGlmnetGrid:
             glmnet_grid(np.ones((4, 2)), np.ones(5))
 
 
-class TestHatDiagonals:
-    def test_identity_design(self):
-        """X = I_n: every leverage is 1/(1 + lambda)."""
-        svd = compact_svd(np.eye(4))
-        h = hat_diagonals(svd.U, svd.s**2, 3.0)
-        assert_allclose(h, np.full(4, 0.25), rtol=1e-14)
-
-    def test_matches_dense_hat_matrix(self):
-        rng = np.random.default_rng(5)
-        for n, p in [(12, 4), (6, 9)]:
-            X = rng.normal(size=(n, p))
-            lam = 0.7
-            svd = compact_svd(X)
-            h = hat_diagonals(svd.U, svd.s**2, lam)
-            H = X @ np.linalg.solve(X.T @ X + lam * np.eye(p), X.T)
-            assert_allclose(h, np.diag(H), rtol=1e-10)
-            assert_allclose(np.sum(h), np.trace(H), rtol=1e-10)
-
-    def test_bounds(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(15, 5))
-        svd = compact_svd(X)
-        h = hat_diagonals(svd.U, svd.s**2, 1e-6)
-        assert np.all(h >= 0) and np.all(h < 1)
-
-    def test_rejects_nonpositive_lambda(self):
-        svd = compact_svd(np.eye(2))
-        with pytest.raises(DataError):
-            hat_diagonals(svd.U, svd.s**2, 0.0)
-
-
 class TestPress:
     def test_two_point_hand_value(self):
         """x = (1, 1), y = (1, 3), lambda = 2: beta_hat = 1, residuals
@@ -200,6 +167,12 @@ class TestPress:
         rp = _rotated(np.eye(3), np.ones(3))
         with pytest.raises(DataError):
             press(rp, np.ones(4), 1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+    def test_rejects_nonpositive_lambda(self, lam):
+        rp = _rotated(np.eye(3), np.ones(3))
+        with pytest.raises(DataError, match="lambda must be positive"):
+            press(rp, np.ones(3), lam)
 
 
 class TestLoocvFit:
@@ -255,65 +228,64 @@ class TestLoocvFit:
 
 
 class TestChunkedScoring:
-    """loocv_fit scores a grid a chunk of penalties at a time; every grid
-    here spans three or more chunks with a partial last one."""
+    """loocv_fit scores a grid at most rank penalties at a time; the
+    low-rank problems here split an 11-point grid into three or four chunks
+    with a partial last one."""
 
     @staticmethod
-    def _chunks_of(monkeypatch, n, length):
-        monkeypatch.setattr(loocv, "_CHUNK_BYTES", 8 * n * length)
-
-    def _assert_matches_press(self, monkeypatch, rp, y, target=0):
+    def _assert_matches_press(rp, y, target=0):
+        assert rp.rank in (3, 4)  # 11 penalties: 4 or 3 chunks, the last partial
         grid = fixed_grid(11)
-        self._chunks_of(monkeypatch, rp.n, 3)
         fit = loocv_fit(rp, y, grid, target=target)
         expected = [press(rp, y, lam, target) for lam in grid.values]
         assert_allclose(fit.cve, expected, rtol=1e-12)
 
-    def test_complement_form_matches_press(self, monkeypatch):
+    def test_complement_form_matches_press(self):
         rng = np.random.default_rng(11)
-        X = rng.normal(size=(12, 12))
-        y = X @ rng.normal(size=12) + rng.normal(size=12)
+        X = rng.normal(size=(4, 4))
+        y = X @ rng.normal(size=4) + rng.normal(size=4)
         rp = _rotated(X, y)
         assert rp.rank == rp.n
-        self._assert_matches_press(monkeypatch, rp, y)
+        self._assert_matches_press(rp, y)
 
-    def test_rank_deficient_form_matches_press(self, monkeypatch):
+    def test_rank_deficient_form_matches_press(self):
         rng = np.random.default_rng(12)
-        X = rng.normal(size=(20, 5))
-        y = X @ rng.normal(size=5) + rng.normal(size=20)
+        X = rng.normal(size=(20, 3))
+        y = X @ rng.normal(size=3) + rng.normal(size=20)
         rp = _rotated(X, y)
         assert rp.rank < rp.n
-        self._assert_matches_press(monkeypatch, rp, y)
+        self._assert_matches_press(rp, y)
 
-    def test_second_target_matches_press(self, monkeypatch):
+    def test_second_target_matches_press(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(30, 4))
         Y = np.column_stack([X @ rng.normal(size=4) + rng.normal(size=30) for _ in range(2)])
         rp = rotate(compact_svd(X), Y)
-        self._assert_matches_press(monkeypatch, rp, Y[:, 1], target=1)
+        self._assert_matches_press(rp, Y[:, 1], target=1)
 
-    def test_ties_resolve_to_largest_lambda_across_chunks(self, monkeypatch):
-        y = np.zeros(5)
-        rp = _rotated(np.eye(5), y)
-        grid = fixed_grid(10)
-        self._chunks_of(monkeypatch, rp.n, 3)
+    def test_ties_resolve_to_largest_lambda_across_chunks(self):
+        y = np.zeros(3)
+        rp = _rotated(np.eye(3), y)
+        grid = fixed_grid(10)  # chunks of 3, 3, 3 and 1 penalties
         fit = loocv_fit(rp, y, grid)
         assert np.all(fit.cve == 0.0)
         assert fit.lambda_star == grid.values[0]
 
-    def test_saturation_in_a_later_chunk_names_press_observations(self, monkeypatch):
+    def test_saturation_in_a_later_chunk_names_press_observations(self):
         """Observation 1 alone loads on a column with s^2 = 1e6, so its
         leverage saturates below lambda ~ 1e-6; observation 0's column has
-        s^2 = 1, so it saturates only below ~1e-12. The first saturating
-        penalty, 10^-6.5, sits in the second chunk of eight values, which
-        ends at 10^-12.5, where both observations have saturated."""
+        s^2 = 1, so it saturates only below ~1e-12. With rank 3 the grid
+        1e2, 1e-1, ..., 1e-16 is scored in chunks of three: the first
+        saturating penalty, 1e-7, opens the second chunk, which ends at
+        1e-13, where both observations have saturated."""
         X = np.zeros((5, 3))
         X[0, 0] = 1.0
         X[1, 1] = 1e3
         X[2:, 2] = 1.0
         y = np.array([1.0, -2.0, 0.5, 1.5, -1.0])
         rp = _rotated(X, y)
-        grid = LambdaGrid(values=np.logspace(2.5, -13.5, 17), kind=GridKind.FIXED)
+        assert rp.rank == 3
+        grid = LambdaGrid(values=np.logspace(2.0, -16.0, 7), kind=GridKind.FIXED)
         first = None
         for j, lam in enumerate(grid.values):
             try:
@@ -321,12 +293,48 @@ class TestChunkedScoring:
             except DegenerateProblemError as exc:
                 first = j, str(exc)
                 break
-        assert first is not None and first[0] == 9
+        assert first is not None and first[0] == 3
         assert "observation(s) [1];" in first[1]
-        self._chunks_of(monkeypatch, rp.n, 8)
+        with pytest.raises(DegenerateProblemError, match=r"observation\(s\) \[0, 1\];"):
+            press(rp, y, grid.values[5])
         with pytest.raises(DegenerateProblemError) as exc:
             loocv_fit(rp, y, grid)
         assert str(exc.value) == first[1]
+
+    def test_saturation_message_stays_short(self):
+        """An uncentered 200 x 4000 design saturates every leverage at the
+        bottom of the fixed grid; the error counts them and names five."""
+        X = np.random.default_rng(15).normal(size=(200, 4000))
+        y = X[:, 0].copy()
+        rp = _rotated(X, y)
+        with pytest.raises(DegenerateProblemError) as exc:
+            loocv_fit(rp, y, fixed_grid())
+        message = str(exc.value)
+        assert "200 observation(s) [0, 1, 2, 3, 4] and 195 more;" in message
+        assert "\n" not in message and len(message) < 120
+
+    def test_chunk_count_does_not_grow_with_n(self, monkeypatch):
+        """A chunk is rank penalties wide whatever n, so at p = 50 a
+        100-point grid takes two chunks (one einsum each) at n = 2000 and
+        at n = 8000."""
+        rng = np.random.default_rng(16)
+        problems = []
+        for n in (2000, 8000):
+            X = rng.normal(size=(n, 50))
+            y = X @ rng.normal(size=50) + rng.normal(size=n)
+            problems.append((_rotated(X, y), y))
+        counts = []
+        einsum = np.einsum
+
+        def counting_einsum(*args, **kwargs):
+            counts[-1] += 1
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        for rp, y in problems:
+            counts.append(0)
+            loocv_fit(rp, y, fixed_grid(100))
+        assert counts == [2, 2]
 
     @pytest.mark.parametrize("grid_size", [400, 4000])
     def test_memory_is_bounded_per_chunk(self, grid_size):
