@@ -43,7 +43,6 @@ from .em import (
 )
 from .exceptions import DataError, DegenerateProblemError, FastridgeError
 from .loocv import (
-    GridKind,
     LambdaGrid,
     LoocvFit,
     fixed_grid,
@@ -88,7 +87,6 @@ __all__ = [
     "FastridgeError",
     "FitConfig",
     "FitResult",
-    "GridKind",
     "LambdaGrid",
     "LoocvFit",
     "Method",

@@ -85,10 +85,6 @@ class StandardizedDataset:
     kept_columns: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.X_std.shape[0]
-
-    @property
     def p_kept(self) -> int:
         return self.X_std.shape[1]
 

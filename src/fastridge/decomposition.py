@@ -94,8 +94,11 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     A W S^-1 left to be formed on first read. Negative eigenvalues are
     clamped to zero and singular values at or below
     100 * max(n,p) * ulp(s_max) are dropped; an all-zero X yields rank zero
-    rather than an error. V columns are signed so their first nonzero entry
-    is positive (U flipped in tandem to preserve the product).
+    rather than an error. The factors are unique only up to a sign shared by
+    a column of U and the same column of V, and they keep the signs eigh
+    gives W. No output depends on them: every solver statistic is a square,
+    or a product in which a column and its coefficient c = s * (U'y) change
+    sign together.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -115,15 +118,6 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     keep = s > _DROP_SAFETY * max(n, p) * np.spacing(s[0])
     s = s[keep]
     W = W[:, order][:, keep]
-
-    # Deterministic sign convention keyed to V's first nonzero entry; a
-    # product with -1.0 or 1.0 is exact, so this is a negation. When n < p
-    # the key is V s = A W: its first row is one vector product, and the
-    # whole of it is needed only past an exact zero in that row.
-    key = W if n >= p else A[:1] @ W
-    if n < p and not key.all():
-        key = A @ W
-    W *= np.where(key[np.argmax(key != 0, axis=0), np.arange(s.shape[0])] < 0, -1.0, 1.0)
     svd = CompactSvd(U=A @ W / s if n >= p else W, s=s, X=X)
     if n >= p:
         object.__setattr__(svd, "V", W)  # V = W is free: fill the cached property
@@ -150,10 +144,10 @@ def rotated_ridge_solution(rp: RotatedProblem, lam: float, target: int = 0) -> n
     return rp.c[:, target] / (rp.s2 + lam)
 
 
-def recover_beta(svd_or_rp, alpha: np.ndarray) -> np.ndarray:
+def recover_beta(rp: RotatedProblem, alpha: np.ndarray) -> np.ndarray:
     """Map a rotated solution back: beta = V @ alpha (O(p r')) when n >= p,
     and beta = X' (U (alpha / s)) (O(n p)) when n < p, which leaves V unread."""
-    svd = svd_or_rp.svd if isinstance(svd_or_rp, RotatedProblem) else svd_or_rp
+    svd = rp.svd
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[0] != svd.rank:
         raise DataError(f"alpha has length {alpha.shape[0]}, expected {svd.rank}")

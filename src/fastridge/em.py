@@ -47,24 +47,24 @@ class EmConfig:
 class EmFit:
     """Converged (or abandoned) EM estimate for a single target.
 
-    lambda_ is 1/tau2, the implied ridge penalty; beta = V @ alpha. When
-    degenerate is True the expected SSE underflowed to zero, alpha/beta hold
-    the minimum-norm least-squares limit, tau2 is +inf and lambda_ is 0.
+    beta = V @ alpha, and the property lambda_ = 1/tau2 is the implied ridge
+    penalty. When degenerate is True the expected SSE underflowed to zero,
+    alpha/beta hold the minimum-norm least-squares limit, tau2 is +inf and
+    lambda_ is 0.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     tau2: float
     sigma2: float
-    lambda_: float
     k: int
     converged: bool
     delta_final: float
     degenerate: bool = False
 
-    def __post_init__(self):
-        if not self.degenerate and abs(self.lambda_ * self.tau2 - 1.0) > 1e-12:
-            raise DataError("lambda_ must equal 1/tau2")
+    @property
+    def lambda_(self) -> float:
+        return 1.0 / self.tau2
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def expected_squared_norm(
     term is the posterior-covariance trace; coefficient directions with zero
     singular value each contribute sigma2 * tau2 to it.
     """
-    if tau2 <= 0:
+    if not tau2 > 0:  # also rejects NaN, as does every not-form check below
         raise DataError("tau2 must be positive")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise DataError("sigma2 must be nonnegative")
     alpha = np.asarray(alpha, dtype=float)
     return _esn(rp, alpha, 1.0 / (rp.s2 + 1.0 / tau2), tau2, sigma2)
@@ -134,9 +134,9 @@ def expected_sse(
     1e-10 * ||y||^2) are rounding and clamped to zero, larger ones mean
     alpha does not belong to this problem and raise.
     """
-    if tau2 <= 0:
+    if not tau2 > 0:
         raise DataError("tau2 must be positive")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise DataError("sigma2 must be nonnegative")
     alpha = np.asarray(alpha, dtype=float)
     c = rp.c[:, target]
@@ -154,7 +154,7 @@ def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:
 
     Both outputs are strictly positive whenever ESS > 0 and ESN > 0.
     """
-    if ess <= 0 or esn <= 0:
+    if not (ess > 0 and esn > 0):
         raise DegenerateProblemError("m_step requires ESS > 0 and ESN > 0")
     g = (4.0 * n + 4.0) * esn * (3.0 + p) * ess + ((1.0 - n) * esn + (p + 1.0) * ess) ** 2
     tau2_hat = ((n - 1.0) * esn - (1.0 + p) * ess + math.sqrt(g)) / ((6.0 + 2.0 * p) * ess)
@@ -169,7 +169,7 @@ def q_function(tau2: float, sigma2: float, ess: float, esn: float, n: int, p: in
     Q = ((n+p+2)/2) log sigma2 + ESS/(2 sigma2)
         + ((p+1)/2) log tau2 + ESN/(2 sigma2 tau2) + log(1 + tau2)
     """
-    if tau2 <= 0 or sigma2 <= 0 or ess <= 0 or esn <= 0:
+    if not (tau2 > 0 and sigma2 > 0 and ess > 0 and esn > 0):
         raise DataError("q_function requires positive arguments")
     return (
         0.5 * (n + p + 2.0) * math.log(sigma2)
@@ -217,7 +217,6 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig | None = None, target: int = 0) -> 
             beta=recover_beta(rp, alpha),
             tau2=math.inf,
             sigma2=sigma2,
-            lambda_=0.0,
             k=k,
             converged=False,
             delta_final=math.nan,
@@ -253,7 +252,6 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig | None = None, target: int = 0) -> 
         beta=recover_beta(rp, alpha),
         tau2=tau2,
         sigma2=sigma2,
-        lambda_=1.0 / tau2,
         k=k,
         converged=delta < cfg.tol,
         delta_final=delta,
@@ -267,7 +265,7 @@ def tau_update_fixed_variance(w: float, p: int) -> float:
 
     where w is the current expected squared norm of the means.
     """
-    if w < 0:
+    if not w >= 0:
         raise DataError("w must be nonnegative")
     if p < 1:
         raise DataError("p must be at least 1")
@@ -283,8 +281,8 @@ def multiple_means_kappa(y: np.ndarray) -> float:
     """
     y = np.asarray(y, dtype=float).ravel()
     y2 = float(y @ y)
-    if y2 == 0.0:
-        raise DataError("multiple_means_kappa requires y != 0")
+    if not 0.0 < y2 < math.inf:
+        raise DataError("multiple_means_kappa requires a finite y != 0")
     return min(1.0, (y.shape[0] + 2.0) / y2)
 
 
@@ -301,7 +299,7 @@ def unimodality_bound(
     """
     if n < 1:
         raise DataError("n must be at least 1")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DataError("epsilon must be positive")
     s2 = np.asarray(s2, dtype=float).ravel()
     if s2.shape[0] < p:
@@ -324,7 +322,7 @@ def unimodality_bound(
 def sample_size_threshold(c: float, alpha: float, epsilon: float) -> float:
     """Smallest n beyond which eigenvalue decay gamma_n = c * n^-alpha still
     certifies a unique mode at radius epsilon: n > (4/(c*epsilon))^(1/(1-alpha))."""
-    if c <= 0 or epsilon <= 0:
+    if not (c > 0 and epsilon > 0):
         raise DataError("c and epsilon must be positive")
     if not 0 <= alpha < 1:
         raise DataError("alpha must lie in [0, 1)")

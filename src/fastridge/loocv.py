@@ -11,7 +11,6 @@ log-spaced ladder and a data-driven heuristic) lives here too.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -27,22 +26,17 @@ _LEVERAGE_CEILING = 1.0 - 1e-12
 _RATIO_TOL = 1e-12
 
 
-class GridKind(enum.Enum):
-    FIXED = "fixed"
-    GLMNET = "glmnet"
-
-
 @dataclass(frozen=True)
 class LambdaGrid:
     """Descending, log-spaced candidate penalties.
 
     values must be strictly positive and strictly descending with a constant
     consecutive ratio (within 1e-12 relative); a single-value grid is
-    allowed and trivially satisfies both.
+    allowed and trivially satisfies both. Which rule made the grid is the
+    fit method's to record, not the grid's.
     """
 
     values: np.ndarray
-    kind: GridKind
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -80,7 +74,7 @@ def fixed_grid(l: int = 100) -> LambdaGrid:
     # Endpoints are part of the contract; pin them against logspace rounding.
     values[0] = 1e10
     values[-1] = 1e-10
-    return LambdaGrid(values=values, kind=GridKind.FIXED)
+    return LambdaGrid(values)
 
 
 def _pin_ratio(values: np.ndarray, kappa: float) -> np.ndarray:
@@ -141,7 +135,7 @@ def glmnet_grid(
     values[0] = top
     values[-1] = top * kappa
     values = _pin_ratio(values, kappa)
-    return LambdaGrid(values=values, kind=GridKind.GLMNET)
+    return LambdaGrid(values)
 
 
 def _press_curve(

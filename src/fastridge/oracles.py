@@ -48,7 +48,7 @@ def dense_ridge_solve(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
     _guard(n, p)
-    if lam < 0:
+    if not lam >= 0:  # also rejects NaN, as does every not-form check below
         raise DataError("lambda must be nonnegative")
     return np.linalg.solve(X.T @ X + lam * np.eye(p), X.T @ y)
 
@@ -69,9 +69,9 @@ def dense_em_statistics(
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
     _guard(n, p)
-    if tau2 <= 0:
+    if not tau2 > 0:
         raise DataError("tau2 must be positive")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise DataError("sigma2 must be nonnegative")
     gram = X.T @ X
     A_inv = np.linalg.inv(gram + (1.0 / tau2) * np.eye(p))
@@ -93,7 +93,7 @@ def _dense_refit(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     tolerances it arbitrates. lam = 0 always uses the p x p form so a
     rank-deficient refit still surfaces as LinAlgError.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise DataError("lambda must be nonnegative")
     n, p = X.shape
     if lam > 0 and p > n:
@@ -138,7 +138,7 @@ def numeric_m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float
     profiled objective has a single interior minimum), then the stationary
     sigma2 at the winner. Bracket tolerance 1e-10 in log space.
     """
-    if ess <= 0 or esn <= 0:
+    if not (ess > 0 and esn > 0):
         raise DataError("numeric_m_step requires ESS > 0 and ESN > 0")
     lo, hi = _LOG_TAU2_LO, _LOG_TAU2_HI
     a = hi - _INV_PHI * (hi - lo)

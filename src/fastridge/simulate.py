@@ -42,6 +42,10 @@ _PURPOSE_BETA = 2
 _PURPOSE_NOISE = 3
 _PURPOSE_COV = 4
 
+# The paper's settings: design density of setting 1, noise variance of setting 2.
+_BERNOULLI_PROB = 0.01
+_NOISE_VAR = 0.25
+
 CSV_HEADER = (
     "method,n,p,sigma,param_mse,shrinkage_ratio,lambda,k,"
     "t_preprocess_ns,t_mainloop_ns,seed,failed"
@@ -50,20 +54,17 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class Setting1Config:
-    """Sparse binary design: X_ij ~ Bernoulli(bernoulli_prob) as 0/1 reals,
+    """Sparse binary design: X_ij ~ Bernoulli(0.01) as 0/1 reals,
     beta0 ~ N(0, I_p), y = X beta0 + sigma * eps."""
 
     n: int
     sigma: float
     seed: int
     p: int = 100
-    bernoulli_prob: float = 0.01
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise DataError("need n >= 1 and p >= 1")
-        if not 0.0 < self.bernoulli_prob < 1.0:
-            raise DataError("bernoulli_prob must lie strictly between 0 and 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise DataError("sigma must be nonnegative and finite")
         if self.seed < 0:
@@ -73,18 +74,15 @@ class Setting1Config:
 @dataclass(frozen=True)
 class Setting2Config:
     """Correlated Gaussian design: Sigma ~ Wishart(I_p, p) once per
-    replication, rows of X ~ N(0, Sigma), y = X beta0 + sqrt(noise_var) * eps."""
+    replication, rows of X ~ N(0, Sigma), y = X beta0 + sqrt(0.25) * eps."""
 
     n: int
     p: int
     seed: int
-    noise_var: float = 0.25
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise DataError("need n >= 1 and p >= 1")
-        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
-            raise DataError("noise_var must be positive and finite")
         if self.seed < 0:
             raise DataError("seed must be nonnegative")
 
@@ -116,7 +114,7 @@ def gen_bernoulli_sparse(cfg: Setting1Config):
     """
     X = (
         RandomStream(cfg.seed, 1, _PURPOSE_X)
-        .bernoulli(cfg.bernoulli_prob, cfg.n * cfg.p)
+        .bernoulli(_BERNOULLI_PROB, cfg.n * cfg.p)
         .reshape(cfg.n, cfg.p)
     )
     beta0 = RandomStream(cfg.seed, 1, _PURPOSE_BETA).normals(cfg.p)
@@ -160,7 +158,7 @@ def gen_gaussian_wishart(cfg: Setting2Config):
     X = Z @ L.T
     beta0 = RandomStream(cfg.seed, 2, _PURPOSE_BETA).normals(cfg.p)
     eps = RandomStream(cfg.seed, 2, _PURPOSE_NOISE).normals(cfg.n)
-    return X, X @ beta0 + math.sqrt(cfg.noise_var) * eps, beta0
+    return X, X @ beta0 + math.sqrt(_NOISE_VAR) * eps, beta0
 
 
 def _gen_bench_data(rep_seed: int, n: int, p: int):
@@ -205,7 +203,7 @@ def _draw(setting, n, swept, p, rep_seed):
         return (*gen_bernoulli_sparse(cfg), cfg.p, float(cfg.sigma))
     if setting == 2:
         cfg = Setting2Config(n=n, p=swept, seed=rep_seed)
-        return (*gen_gaussian_wishart(cfg), cfg.p, math.sqrt(cfg.noise_var))
+        return (*gen_gaussian_wishart(cfg), cfg.p, math.sqrt(_NOISE_VAR))
     return (*_gen_bench_data(rep_seed, n, swept), swept, 1.0)
 
 
@@ -332,8 +330,14 @@ def bench_comparison(
 
     Runs the replication loop of run_comparison and summarises it as one row
     per (method, n, p) with medians over reps. The first failure aborts with
-    its original error instead of becoming a failed row.
+    its original error instead of becoming a failed row. The first cell is
+    run once untimed and discarded, so a slow start of the host is not
+    charged to it: after a few seconds idle, threaded BLAS calls can run
+    over ten times slower for about a second, longer than one replication.
     """
+    _replications(
+        3, methods, n_list[:1], p_list[:1], reps, seed, None, grid_length, keep_failures=False
+    )
     rows = _replications(
         3, methods, n_list, p_list, reps, seed, None, grid_length, keep_failures=False
     )

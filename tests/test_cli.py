@@ -580,6 +580,77 @@ class TestRejectedFlags:
         assert not out.exists()
 
 
+
+class TestErrorPaths:
+    """Data errors exit 3 with one stderr line naming the stage."""
+
+    def _one_line(self, capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        return err
+
+    def _predict(self, model, features, tmp_path, *extra):
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(model), "--input", str(features), "--output", str(out), *extra])
+        assert not out.exists()
+        return rc
+
+    def test_predict_missing_model(self, train_csv, tmp_path, capsys):
+        assert self._predict(tmp_path / "absent.json", train_csv, tmp_path) == 3
+        self._one_line(capsys, "fastridge predict: load-model: no such file: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not json {", "invalid JSON"),
+            ('{"method": "em", "intercepts": [0.0], "lambda": [1.0]}', "malformed model file"),
+        ],
+        ids=["not-json", "no-coefficients"],
+    )
+    def test_predict_unreadable_model(self, train_csv, tmp_path, capsys, text, message):
+        model = tmp_path / "model.json"
+        model.write_text(text, encoding="utf-8")
+        assert self._predict(model, train_csv, tmp_path) == 3
+        self._one_line(capsys, f"fastridge predict: load-model: {model}: {message}")
+
+    def test_predict_unknown_id_column(self, train_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        fit_args = ["fit", "--input", str(train_csv), "--target", "y", "--method", "em"]
+        assert main(fit_args + ["--output", str(model)]) == 0
+        capsys.readouterr()
+        assert self._predict(model, train_csv, tmp_path, "--id-column", "row") == 3
+        self._one_line(capsys, "fastridge predict: load-input: id column 'row' not in input header")
+
+    def test_fit_output_in_missing_directory(self, train_csv, tmp_path, capsys):
+        out = tmp_path / "absent" / "model.json"
+        rc = main(["fit", "--input", str(train_csv), "--target", "y", "--method", "em", "--output", str(out)])
+        assert rc == 3
+        self._one_line(capsys, f"fastridge fit: write: cannot write {out}: ")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("abc", "FASTRIDGE_SEED is not an integer: 'abc'"), ("-1", "FASTRIDGE_SEED must be nonnegative")],
+    )
+    def test_bad_seed_environment(self, tmp_path, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("FASTRIDGE_SEED", value)
+        out = tmp_path / "b.csv"
+        argv = ["bench", "--n-list", "20", "--p-list", "3", "--methods", "em", "--reps", "1"]
+        assert main(argv + ["--output", str(out)]) == 3
+        self._one_line(capsys, f"fastridge bench: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_empty_n_list_exits_2(self, tmp_path, capsys, command):
+        base = TestRejectedFlags._SIMULATE if command == "simulate" else TestRejectedFlags._BENCH
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--n-list", ",", "--reps", "1", "--methods", "em", "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"fastridge {command}: error: argument --n-list: must list at least one value" in err
+        assert not out.exists()
+
+
 class TestTopLevel:
     def test_help_exits_0(self):
         with pytest.raises(SystemExit) as exc:

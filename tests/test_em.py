@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fastridge.data import Dataset, standardize
-from fastridge.decomposition import RotatedProblem, compact_svd, rotate
+from fastridge.decomposition import RotatedProblem, compact_svd, rotate, rotated_ridge_solution
 from fastridge.em import (
     EmConfig,
     em_fit,
@@ -23,7 +23,12 @@ from fastridge.em import (
     unimodality_bound,
 )
 from fastridge.exceptions import DataError, DegenerateProblemError
-from fastridge.oracles import dense_em_statistics, dense_ridge_solve, numeric_m_step
+from fastridge.oracles import (
+    brute_force_loocv,
+    dense_em_statistics,
+    dense_ridge_solve,
+    numeric_m_step,
+)
 
 
 def _rotated(X, y):
@@ -478,3 +483,47 @@ class TestUnimodalityDiagnostic:
             unimodality_bound(np.array([1.0]), 5, 1, 0.0)
         with pytest.raises(DataError):
             sample_size_threshold(1.0, 1.0, 0.1)
+
+
+_NAN = math.nan
+_RP3 = rotate(compact_svd(np.eye(3)), np.ones(3))
+_ALPHA3 = rotated_ridge_solution(_RP3, 1.0)
+_X3 = np.eye(3)
+_Y3 = np.array([1.0, 2.0, 3.0])
+
+
+_NAN_CASES = [
+    (expected_squared_norm, (_RP3, _ALPHA3, _NAN, 1.0), "tau2"),
+    (expected_squared_norm, (_RP3, _ALPHA3, 1.0, _NAN), "sigma2"),
+    (expected_sse, (_RP3, _ALPHA3, _NAN, 1.0), "tau2"),
+    (expected_sse, (_RP3, _ALPHA3, 1.0, _NAN), "sigma2"),
+    (m_step, (_NAN, 1.0, 5, 3), "ess"),
+    (m_step, (1.0, _NAN, 5, 3), "esn"),
+    (q_function, (_NAN, 1.0, 1.0, 1.0, 5, 3), "tau2"),
+    (q_function, (1.0, _NAN, 1.0, 1.0, 5, 3), "sigma2"),
+    (q_function, (1.0, 1.0, _NAN, 1.0, 5, 3), "ess"),
+    (q_function, (1.0, 1.0, 1.0, _NAN, 5, 3), "esn"),
+    (tau_update_fixed_variance, (_NAN, 3), "w"),
+    (sample_size_threshold, (_NAN, 0.5, 0.1), "c"),
+    (sample_size_threshold, (1.0, _NAN, 0.1), "alpha"),
+    (sample_size_threshold, (1.0, 0.5, _NAN), "epsilon"),
+    (unimodality_bound, (np.ones(3), 10, 3, _NAN), "epsilon"),
+    (multiple_means_kappa, ([_NAN, 1.0],), "y"),
+    (dense_ridge_solve, (_X3, _Y3, _NAN), "lam"),
+    (dense_em_statistics, (_X3, _Y3, _NAN, 1.0), "tau2"),
+    (dense_em_statistics, (_X3, _Y3, 1.0, _NAN), "sigma2"),
+    (brute_force_loocv, (_X3, _Y3, _NAN), "lam"),
+    (numeric_m_step, (_NAN, 1.0, 5, 3), "ess"),
+    (numeric_m_step, (1.0, _NAN, 5, 3), "esn"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [pytest.param(f, a, id=f"{f.__name__}-{arg}") for f, a, arg in _NAN_CASES],
+)
+def test_nan_scalar_is_rejected(func, args):
+    """Every public scalar check rejects NaN, which compares False both
+    ways; m_step raises DegenerateProblemError as for any ESS, ESN <= 0."""
+    with pytest.raises(DegenerateProblemError if func is m_step else DataError):
+        func(*args)

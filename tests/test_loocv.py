@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from fastridge.decomposition import compact_svd, rotate, rotated_ridge_solution
 from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.loocv import (
-    GridKind,
     LambdaGrid,
     fixed_grid,
     glmnet_grid,
@@ -26,28 +25,28 @@ def _rotated(X, y):
 
 class TestLambdaGrid:
     def test_accepts_descending_log_spaced(self):
-        g = LambdaGrid(values=np.array([100.0, 10.0, 1.0]), kind=GridKind.FIXED)
+        g = LambdaGrid(values=np.array([100.0, 10.0, 1.0]))
         assert len(g) == 3
 
     def test_single_value_allowed(self):
-        g = LambdaGrid(values=np.array([2.0]), kind=GridKind.FIXED)
+        g = LambdaGrid(values=np.array([2.0]))
         assert len(g) == 1
 
     def test_rejects_ascending(self):
         with pytest.raises(DataError, match="descending"):
-            LambdaGrid(values=np.array([1.0, 10.0]), kind=GridKind.FIXED)
+            LambdaGrid(values=np.array([1.0, 10.0]))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DataError, match="positive"):
-            LambdaGrid(values=np.array([1.0, 0.0]), kind=GridKind.FIXED)
+            LambdaGrid(values=np.array([1.0, 0.0]))
 
     def test_rejects_uneven_spacing(self):
         with pytest.raises(DataError, match="log-spaced"):
-            LambdaGrid(values=np.array([10.0, 5.0, 1.0]), kind=GridKind.FIXED)
+            LambdaGrid(values=np.array([10.0, 5.0, 1.0]))
 
     def test_rejects_matrix(self):
         with pytest.raises(DataError):
-            LambdaGrid(values=np.ones((2, 2)), kind=GridKind.FIXED)
+            LambdaGrid(values=np.ones((2, 2)))
 
 
 class TestFixedGrid:
@@ -55,7 +54,6 @@ class TestFixedGrid:
         g = fixed_grid(100)
         assert g.values[0] == 1e10
         assert g.values[-1] == 1e-10
-        assert g.kind is GridKind.FIXED
 
     def test_three_points(self):
         g = fixed_grid(3)
@@ -86,7 +84,6 @@ class TestGlmnetGrid:
         assert_allclose(raw.values[0], 500.0, rtol=1e-12)
         scaled = glmnet_grid(X, y, l=10)
         assert_allclose(scaled.values[0], 10 * 0.999 * 500.0, rtol=1e-12)
-        assert scaled.kind is GridKind.GLMNET
 
     def test_ratio_exact_tall(self):
         rng = np.random.default_rng(0)
@@ -205,7 +202,7 @@ class TestLoocvFit:
         X = rng.normal(size=(8, 3))
         y = rng.normal(size=8)
         rp = _rotated(X, y)
-        grid = LambdaGrid(values=np.array([2.0]), kind=GridKind.FIXED)
+        grid = LambdaGrid(values=np.array([2.0]))
         fit = loocv_fit(rp, y, grid)
         assert fit.lambda_star == 2.0
         assert fit.cve.shape == (1,)
@@ -285,7 +282,7 @@ class TestChunkedScoring:
         y = np.array([1.0, -2.0, 0.5, 1.5, -1.0])
         rp = _rotated(X, y)
         assert rp.rank == 3
-        grid = LambdaGrid(values=np.logspace(2.0, -16.0, 7), kind=GridKind.FIXED)
+        grid = LambdaGrid(values=np.logspace(2.0, -16.0, 7))
         first = None
         for j, lam in enumerate(grid.values):
             try:

@@ -138,3 +138,29 @@ def test_constant_column_gets_no_coefficient(method):
     result = fit(Dataset(X=X, Y=y), method)
     assert list(result.kept_columns) == [0, 1, 2, 4, 5]
     assert result.beta_raw[3, 0] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(60, 8), (20, 50)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", list(Method))
+def test_model_does_not_depend_on_eigenvector_signs(monkeypatch, method, shape):
+    """compact_svd keeps the column signs eigh returns; negating some of
+    them leaves every byte of the model file unchanged."""
+    n, p = shape
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(n, p))
+    Y = X[:, :3] @ rng.normal(size=(3, 2)) + rng.normal(size=(n, 2))
+    ds = Dataset(X=X, Y=Y)
+    config = FitConfig(grid_size=20)
+    plain = fit(ds, method, config).to_json()
+
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def flipped(a):
+        evals, W = real_eigh(a)
+        calls.append(W.shape[1])
+        return evals, W * np.where(np.arange(W.shape[1]) % 3 == 0, -1.0, 1.0)
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped)
+    assert fit(ds, method, config).to_json() == plain
+    assert calls == [min(n, p)]
