@@ -16,7 +16,6 @@ from .data import (
     destandardize,
     load_csv,
     predict,
-    r_squared,
     standardize,
 )
 from .decomposition import (
@@ -121,7 +120,6 @@ __all__ = [
     "predict",
     "press",
     "q_function",
-    "r_squared",
     "recover_beta",
     "rotate",
     "rotated_ridge_solution",

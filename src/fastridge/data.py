@@ -1,4 +1,8 @@
-"""Dataset handling: CSV reading, standardization, the model file, prediction, R^2.
+"""Dataset handling: CSV reading, standardization, the model file, prediction.
+
+Numeric CSV bodies are read in blocks of whole lines by orjson, whose
+correctly rounded decimal-to-double conversion gives the bits float()
+gives; any other file goes through csv.reader and float().
 
 Everything downstream of this module consumes standardized predictors
 (zero mean, unit sample standard deviation) and centered targets; the
@@ -7,15 +11,15 @@ intercept is recovered when mapping coefficients back to the raw scale.
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import io
 import json
 import re
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .exceptions import DataError
@@ -216,58 +220,146 @@ def _parse_target_spec(target_spec, header: list[str]) -> list[int]:
     return idx
 
 
+# Body bytes the block reader takes: digits, signs, exponent markers, the
+# decimal point, commas and whitespace. Any other byte (a quote, a letter, a
+# bracket, non-ASCII text) sends the file to csv.reader, so nothing that JSON
+# reads as a string, literal or list can pass for a number.
+_NUMERIC_BYTES = b"0123456789eE+-.,\t\n\r "
+# The integer -0, which orjson reads as 0 and float() as -0.0; not the tail of
+# an exponent such as 1e-0.
+_NEG_ZERO = re.compile(rb"-(?<![eE]-)0(?![\d.eE])")
+# Whole lines per block: large enough to amortize the per-block calls, small
+# enough that a block's bytes and Python floats stay a few MiB.
+_BLOCK_BYTES = 1 << 20
+
+
+def _plain_header(line: bytes) -> list[str] | None:
+    """The header cells of a first line that is one csv.reader record on its
+    own (no quote, no carriage return but a final CRLF), or None."""
+    if b'"' in line or line.count(b"\r") > line.endswith(b"\r\n"):
+        return None
+    try:
+        cells = next(csv.reader([line.decode("utf-8-sig")]), [])  # drops a byte-order mark
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    return [h.strip() for h in cells] or None
+
+
+def _parse_block(data: bytes, width: int) -> np.ndarray | None:
+    """The rows of ``data``, whole lines without the final line end, read as
+    float() reads each cell, or None when the block is not rows of ``width``
+    plain numbers. orjson reads the numbers, correctly rounded like float()."""
+    if data.translate(None, _NUMERIC_BYTES):
+        return None
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None  # a lone CR ends a csv.reader row, but is blank space to JSON
+    try:
+        table = np.array(orjson.loads(b"[[%b]]" % data.replace(b"\n", b"],[")), dtype=float)
+    except ValueError:  # not JSON numbers (say +1, .5, 007 or 1e400), or ragged rows
+        return None
+    if table.ndim != 2 or table.shape[1] != width:
+        return None
+    if not table.all():
+        data, count = _NEG_ZERO.subn(b"-0.0", data)
+        if count:
+            return _parse_block(data, width)
+    return table
+
+
+def _read_blocks(fh, width: int, size: int) -> np.ndarray | None:
+    """The rest of a binary file, ``size`` bytes, parsed block by block, or
+    None as soon as a block is not plain numeric rows. Blank lines at a
+    block's ends are dropped, as csv.reader skips them; one inside a block
+    fails it.
+
+    The table is sized for the rows the bytes left would hold at the last
+    block's bytes per row, and grows in place (realloc): the rows are held
+    once, in an allocation not much larger than the table. (Doubling made
+    allocations up to twice the table, which moved the heap's later peak.)"""
+    table, rows = np.empty((0, width)), 0
+    while chunk := fh.read(_BLOCK_BYTES):
+        chunk += fh.readline()  # whole lines
+        size -= len(chunk)
+        data = chunk.strip(b"\r\n")
+        if data:
+            block = _parse_block(data, width)
+            if block is None:
+                return None
+            if rows + len(block) > len(table):
+                more = max(size, 0) * len(block) // len(data) + 1
+                table.resize((rows + len(block) + more, width), refcheck=False)
+            table[rows:rows + len(block)] = block
+            rows += len(block)
+    table.resize((rows, width), refcheck=False)
+    return table if rows else None
+
+
 def read_csv(path, select=None):
     """Read a CSV file with one header row into ``(header, table, texts)``.
 
     ``select(header)`` returns the indices of the columns to parse, in
     order, and the index of one column returned unparsed as ``texts``, or
-    None; by default every column is parsed. Numeric files are read by
-    numpy's C parser, which reads numbers as float() does. Other files are
-    read cell by cell with csv.reader and float(), which accepts all that
-    float() accepts (such as 1_000) and names the first malformed row.
+    None; by default every column is parsed. A numeric file is read in
+    blocks of whole lines, about 1 MiB each, by orjson, which reads every
+    number as float() does. A file with any other cell, a text column, a
+    quoted or multi-line header or a blank line between rows is read from
+    its first row by csv.reader and float(), which accept all that float()
+    accepts (such as 1_000) and name the first malformed row.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")  # drops a byte-order mark
+        raw = open(path, "rb")
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        columns, text_column = select(header) if select else (range(len(header)), None)
-        table = None
-        if text_column is None:
-            with warnings.catch_warnings(), contextlib.suppress(ValueError):
-                warnings.simplefilter("ignore")  # a file without data rows warns
-                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        if table is not None and table.shape[0] and table.shape[1] == len(header):
-            # Row-major, as the cell-by-cell path builds it: a matmul's
-            # rounding depends on the operand's layout.
-            return header, np.ascontiguousarray(table[:, columns]) if select else table, None
+    with raw:
+        # The cell path reads the file again from its start, so a pipe is
+        # held in memory.
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        size = fh.seek(0, io.SEEK_END)
         fh.seek(0)
-        next(reader)
-        rows, texts = [], [] if text_column is not None else None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+        line = fh.readline()
+        header = _plain_header(line)
+        if header is not None:
+            columns, text_column = select(header) if select else (range(len(header)), None)
+            if text_column is None:
+                table = _read_blocks(fh, len(header), size - len(line))
+                if table is not None:
+                    # Row-major, as the cell-by-cell path builds it: a matmul's
+                    # rounding depends on the operand's layout.
+                    return header, np.ascontiguousarray(table[:, columns]) if select else table, None
+        fh.seek(0)
+        text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")  # drops a byte-order mark
+        return _read_cells(text, path, select)
+
+
+def _read_cells(fh, path, select):
+    """read_csv cell by cell from the start of the text file ``fh``:
+    csv.reader splits the rows, float() reads the selected cells."""
+    reader = csv.reader(fh)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    columns, text_column = select(header) if select else (range(len(header)), None)
+    rows, texts = [], [] if text_column is not None else None
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+            )
+        vals = []
+        for j in columns:
+            try:
+                vals.append(float(row[j]))
+            except ValueError:
                 raise DataError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            vals = []
-            for j in columns:
-                try:
-                    vals.append(float(row[j]))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell {row[j]!r} at row {lineno}, "
-                        f"column {j + 1} ({header[j]})"
-                    ) from None
-            rows.append(vals)
-            if texts is not None:
-                texts.append(row[text_column])
+                    f"{path}: non-numeric cell {row[j]!r} at row {lineno}, "
+                    f"column {j + 1} ({header[j]})"
+                ) from None
+        rows.append(vals)
+        if texts is not None:
+            texts.append(row[text_column])
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=float), texts
@@ -351,18 +443,3 @@ def predict(f: FitResult, X_new: np.ndarray) -> np.ndarray:
             f"X_new has {X_new.shape[1]} columns, model expects {f.beta_raw.shape[0]}"
         )
     return X_new @ f.beta_raw + f.intercepts
-
-
-def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """1 - SSE/SST with SST around the mean of y_true; may be negative."""
-    y_true = np.asarray(y_true, dtype=float).ravel()
-    y_pred = np.asarray(y_pred, dtype=float).ravel()
-    if y_true.shape != y_pred.shape:
-        raise DataError("y_true and y_pred must have equal length")
-    if y_true.size < 2:
-        raise DataError("r_squared needs m >= 2")
-    sst = float(np.sum((y_true - y_true.mean()) ** 2))
-    if sst == 0.0:
-        raise DataError("y_true has zero variance")
-    sse = float(np.sum((y_true - y_pred) ** 2))
-    return 1.0 - sse / sst

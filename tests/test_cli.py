@@ -628,6 +628,28 @@ class TestErrorPaths:
         self._one_line(capsys, f"fastridge fit: write: cannot write {out}: ")
 
     @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("true", "non-numeric cell 'true' at row 3, column 1 (a)"),
+            ("null", "non-numeric cell 'null' at row 3, column 1 (a)"),
+            ("[1]", "non-numeric cell '[1]' at row 3, column 1 (a)"),
+            ("1],[2", "row 3 has 3 cells, expected 2"),
+            ("{}", "non-numeric cell '{}' at row 3, column 1 (a)"),
+            ('"""1"""', "non-numeric cell '\"1\"' at row 3, column 1 (a)"),
+        ],
+    )
+    def test_json_values_are_not_numbers(self, tmp_path, capsys, cell, message):
+        """Cells that JSON would read as a literal, list, object or string
+        are data errors, as in any other non-numeric cell. (A cell quoted as
+        CSV quotes it, "1", is the number 1; the string "1" is written
+        \"\"\"1\"\"\".)"""
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,y\n1.5,2\n{cell},4\n5,6\n7,8.5\n", encoding="utf-8")
+        argv = ["fit", "--input", str(path), "--target", "y", "--method", "em"]
+        assert main(argv + ["--output", str(tmp_path / "m.json")]) == 3
+        assert self._one_line(capsys, "fastridge fit: load: ") == f"fastridge fit: load: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
         "value, message",
         [("abc", "FASTRIDGE_SEED is not an integer: 'abc'"), ("-1", "FASTRIDGE_SEED must be nonnegative")],
     )

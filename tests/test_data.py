@@ -1,10 +1,16 @@
 """Dataset loading, standardization, and raw-scale mapping."""
 
+import os
+import random
+import tracemalloc
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from fastridge import data
 from fastridge.data import (
     Dataset,
     FitResult,
@@ -12,7 +18,6 @@ from fastridge.data import (
     destandardize,
     load_csv,
     predict,
-    r_squared,
     read_csv,
     standardize,
 )
@@ -94,11 +99,11 @@ class TestLoadCsv:
             load_csv(path, "y")
 
     def test_numeric_parse_is_float_exact(self, tmp_path, monkeypatch):
-        """numpy's parser reads every number as float() does, in the forms
+        """The block parser reads every number as float() does, in the forms
         numeric CSV writers emit."""
         parsed = []
-        loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(loadtxt(*a, **k)) or parsed[-1])
+        parse_block = data._parse_block
+        monkeypatch.setattr(data, "_parse_block", lambda *a: parsed.append(parse_block(*a)) or parsed[-1])
         rng = np.random.default_rng(0)
         values = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-30, 30, size=(200, 4))
         forms = (lambda v: repr(float(v)), "%.17g".__mod__, "%.6g".__mod__, "%.3e".__mod__)
@@ -107,7 +112,7 @@ class TestLoadCsv:
         path.write_text("a,b,c,d\n" + "".join(",".join(r) + "\n" for r in cells), encoding="utf-8")
         header, table, texts = read_csv(path)
         assert header == ["a", "b", "c", "d"] and texts is None
-        assert len(parsed) == 1  # the C parser read it
+        assert len(parsed) == 1 and parsed[0] is not None  # one block read it
         assert table.tolist() == [[float(c) for c in r] for r in cells]
 
     def test_selected_columns_and_text_column(self, tmp_path):
@@ -137,6 +142,153 @@ class TestLoadCsv:
         _write_csv(path, ["a", "b"], [[1, 2]])
         with pytest.raises(DataError, match="not found"):
             load_csv(path, "z")
+
+
+def _hard_tokens() -> list[str]:
+    """Number tokens that are hard to round: random doubles in the forms CSV
+    writers emit, exact midpoints between adjacent doubles and numbers just
+    off them (40+ digits), subnormals, the largest double, integers past
+    2^53 and 2^64, and signed zeros and underflows."""
+    rng = random.Random(11)
+    tokens = []
+    with localcontext() as ctx:
+        ctx.prec = 2000  # midpoints and the numbers beside them are exact
+        for _ in range(300):
+            v = rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 300)
+            mid = (Decimal(v) + Decimal(float(np.nextafter(v, np.inf)))) / 2
+            off = mid.scaleb(-40)
+            tokens += [format(mid, "e"), format(mid + off, "e"), format(mid - off, "e")]
+    for _ in range(2000):
+        v = rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 300) * rng.choice((1, -1))
+        tokens += [repr(v), "%.17g" % v, "%.6g" % v, "%.3e" % v]
+    tokens += [repr(5e-324 * rng.randint(1, 2**52)) for _ in range(100)]
+    tokens += ["4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324"]
+    tokens += ["1.7976931348623157e308", "-1.7976931348623157e308", "2.2250738585072011e-308"]
+    for big in (2**53 + 1, 2**53 + 3, 2**63 + 1, 2**64 - 1, 2**64 + 1, 2**70 + 2**17 + 1):
+        tokens += [str(big), str(-big)]
+    return tokens + ["-0", "-0.0", "0", "1e-400", "-1e-400", "1e-0", "-0e0"]
+
+
+class TestNumericBlocks:
+    """The block reader gives float()'s bits for every number it takes, and
+    a file it does not take reads exactly as the cell-by-cell path reads it."""
+
+    @staticmethod
+    def _refuse_cells(monkeypatch):
+        def refuse(fh, path, select):
+            raise AssertionError("read cell by cell")
+
+        monkeypatch.setattr(data, "_read_cells", refuse)
+
+    @pytest.mark.parametrize("block_bytes", [64, data._BLOCK_BYTES])
+    def test_hard_numbers_read_as_float_does(self, tmp_path, monkeypatch, block_bytes):
+        """CRLF line ends, a trailing blank line and blocks cut anywhere."""
+        self._refuse_cells(monkeypatch)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+        tokens = _hard_tokens()
+        tokens += ["1"] * (-len(tokens) % 8)
+        rows = [tokens[i:i + 8] for i in range(0, len(tokens), 8)]
+        path = tmp_path / "d.csv"
+        body = "\r\n".join(",".join(r) for r in rows)
+        path.write_bytes(("a,b,c,d,e,f,g,h\r\n" + body + "\r\n\r\n").encode())
+        header, table, _ = read_csv(path)
+        assert header == list("abcdefgh")
+        expected = np.array([[float(c) for c in r] for r in rows])
+        assert np.array_equal(table.view(np.int64), expected.view(np.int64))
+
+    def test_negative_zero_integers(self, tmp_path, monkeypatch):
+        """orjson reads the integer -0 as 0; the reader keeps float()'s -0.0,
+        also in a %.6g CRLF file with a constant column, and leaves the
+        exponent in 1e-0 alone."""
+        self._refuse_cells(monkeypatch)
+        rng = np.random.default_rng(4)
+        values = np.column_stack([rng.normal(size=50), np.full(50, 3.0), np.full(50, -0.0)])
+        lines = [",".join("%.6g" % v for v in row) for row in values] + ["-0,0,1e-0", "-0e0,-0.0,-0"]
+        path = tmp_path / "d.csv"
+        path.write_bytes(("x,c,z\r\n" + "\r\n".join(lines) + "\r\n").encode())
+        _, table, _ = read_csv(path)
+        expected = np.array([[float(c) for c in line.split(",")] for line in lines])
+        assert np.array_equal(table.view(np.int64), expected.view(np.int64))
+        assert np.signbit(table[:50, 2]).all()
+
+    @pytest.mark.parametrize(
+        "row",
+        ["+1,2", ".5,2", "1.,2", "007,2", "1_000,2", "nan,2", "1e400,2", '"2",2', "", " 1 ,\t2"],
+        ids=["plus", "dot5", "1dot", "007", "underscore", "nan", "1e400", "quoted", "blank", "spaces"],
+    )
+    def test_other_cells_read_as_cells(self, tmp_path, monkeypatch, row):
+        """Cells JSON does not read as float() does, after and between
+        blocks the reader took, give the cell-by-cell table."""
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 64)
+        lines = [f"{i}.25,{-i}" for i in range(40)]
+        lines[25] = row
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        header, table, texts = read_csv(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            ref_header, ref_table, ref_texts = data._read_cells(fh, path, None)
+        assert (header, texts) == (ref_header, ref_texts)
+        assert np.array_equal(table.view(np.int64), ref_table.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,2", r"non-numeric cell 'x' at row 32, column 1 \(a\)$"),
+            ("1,true", r"non-numeric cell 'true' at row 32, column 2 \(b\)$"),
+            ("1],[2,3", r"row 32 has 3 cells, expected 2$"),
+            ("1,2,3", r"row 32 has 3 cells, expected 2$"),
+            ("1\r,2", r"row 32 has 1 cells, expected 2$"),  # a lone CR ends a row
+        ],
+    )
+    def test_errors_after_read_blocks_name_the_row(self, tmp_path, monkeypatch, row, message):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 64)
+        lines = [f"{i}.5,{i}" for i in range(40)]
+        lines[30] = row
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            read_csv(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("row", [None, "+1,2", "1_000,2"], ids=["numeric", "plus", "underscore"])
+    def test_pipe_reads_as_the_file(self, tmp_path, monkeypatch, row):
+        """A pipe (say --input /dev/stdin) reads as the same bytes in a file
+        do, also when the cell path reads it again from its start."""
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 64)
+        lines = [f"{i}.25,{-i}" for i in range(40)]
+        if row is not None:
+            lines[30] = row
+        text = ("a,b\n" + "\n".join(lines) + "\n").encode()
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, text)  # fits in the pipe's buffer
+        os.close(write_fd)
+        try:
+            header, table, _ = read_csv(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+        ref_header, ref_table, _ = read_csv(path)
+        assert header == ref_header
+        assert np.array_equal(table.view(np.int64), ref_table.view(np.int64))
+
+    def test_peak_memory_is_two_tables_and_a_block(self, tmp_path):
+        """load_csv of a 5000 x 210 %.17g file (22 MB) holds at most the
+        table, its X/Y copies and one block's bytes and Python floats, not
+        the whole file's."""
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(5000, 210))
+        path = tmp_path / "d.csv"
+        header = ",".join(f"x{j}" for j in range(210))
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+        tracemalloc.start()
+        try:
+            d = load_csv(path, "last 10")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(np.hstack([d.X, d.Y]), table)
+        assert peak <= 2 * table.nbytes + 4 * data._BLOCK_BYTES, peak / 2**20
 
 
 class TestStandardize:
@@ -275,33 +427,3 @@ class TestFitResult:
         )
         assert f.beta_raw.shape == (2, 1)
 
-
-class TestRSquared:
-    def test_perfect_prediction(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert r_squared(y, y) == 1.0
-
-    def test_mean_prediction_scores_zero(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert_allclose(r_squared(y, np.full(3, 2.0)), 0.0, atol=1e-15)
-
-    def test_can_be_negative(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert r_squared(y, -y) < 0
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
-    def test_invariant_under_affine_change_of_units(self, seed):
-        """Rescaling y and predictions by the same affine map leaves the
-        score unchanged."""
-        rng = np.random.default_rng(seed)
-        y = rng.normal(size=12)
-        pred = y + rng.normal(scale=0.5, size=12)
-        a, b = 2.5, -7.0
-        assert_allclose(
-            r_squared(a * y + b, a * pred + b), r_squared(y, pred), rtol=1e-9
-        )
-
-    def test_constant_truth_errors(self):
-        with pytest.raises(DataError):
-            r_squared(np.ones(4), np.arange(4.0))
