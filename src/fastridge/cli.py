@@ -2,9 +2,13 @@
 
 Exit codes: 0 success, 2 bad flags or an invalid sweep, 3 data errors
 (unreadable/malformed input), 4 solver degeneracy. Error messages name the
-stage that failed. The FASTRIDGE_SEED environment variable overrides
---seed for every command that accepts one. Model files are written and read
-by FitResult.to_json and FitResult.from_json.
+stage that failed. Each flag has one rule, checked by its argparse type
+(method names by _method, for both --method and --methods); simulate also
+rejects a flag its --setting does not read. Each subcommand names its
+handler through set_defaults. The FASTRIDGE_SEED environment variable
+overrides --seed for every command that accepts one. Model files are
+written and read by FitResult.to_json and FitResult.from_json, which checks
+every array against the coefficients' shape.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ def cmd_fit(args) -> int:
         em=EmConfig(tol=args.tol, max_iterations=args.max_iter),
         lambda_rescale=not args.no_lambda_rescale,
     )
-    result = fit(ds, Method(args.method), config)
+    result = fit(ds, args.method, config)
 
     _write_output(args.output, lambda fh: fh.write(result.to_json()))
 
@@ -75,7 +79,7 @@ def cmd_fit(args) -> int:
     else:
         detail = "cve*=" + ",".join(format(float(c.min()), ".6g") for c in result.cve_curves)
     print(
-        f"fit method={args.method} targets={len(result.lambda_)} lambda=[{lam_txt}] "
+        f"fit method={result.method.value} targets={len(result.lambda_)} lambda=[{lam_txt}] "
         f"{detail} -> {args.output}"
     )
     return 0
@@ -116,8 +120,7 @@ def cmd_predict(args) -> int:
         Y_hat = predict(result, X)
 
     q = Y_hat.shape[1]
-    names = result.target_names
-    out_names = list(names) if names and len(names) == q else [f"y{t + 1}" for t in range(q)]
+    out_names = result.target_names or [f"y{t + 1}" for t in range(q)]
 
     def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
@@ -134,13 +137,16 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     parser = args.subparser
     if args.setting == "bernoulli":
-        setting, swept = 1, args.sigma_list
-        if swept is None:
-            parser.error("--sigma-list is required for the bernoulli setting")
+        setting, flag, swept = 1, "--sigma-list", args.sigma_list
+        unread = {"--p-list": args.p_list}
     else:
-        setting, swept = 2, args.p_list
-        if swept is None:
-            parser.error("--p-list is required for the gaussian setting")
+        setting, flag, swept = 2, "--p-list", args.p_list
+        unread = {"--sigma-list": args.sigma_list, "--p": args.p}
+    for name, value in unread.items():
+        if value is not None:
+            parser.error(f"{name} does not apply to the {args.setting} setting")
+    if swept is None:
+        parser.error(f"{flag} is required for the {args.setting} setting")
 
     rows = run_comparison(
         setting=setting,
@@ -149,7 +155,7 @@ def cmd_simulate(args) -> int:
         sigma_or_p_list=swept,
         reps=args.reps,
         seed=_effective_seed(args),
-        p=args.p,
+        p=100 if args.p is None else args.p,
         grid_length=args.grid_size,
     )
     if not args.timings:
@@ -260,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--method",
         required=True,
-        choices=[m.value for m in Method],
+        type=_method,
+        metavar="{" + ",".join(m.value for m in Method) + "}",
         help="penalty selection procedure",
     )
     fit.add_argument(
@@ -282,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "library's scale",
     )
     fit.add_argument("--output", required=True, help="model JSON path")
+    fit.set_defaults(handler=cmd_fit)
 
     pred = sub.add_parser("predict", help="apply a fitted model to new rows")
     pred.add_argument("--model", required=True, help="model JSON from 'fit'")
@@ -292,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="input column copied through to the output unchanged",
     )
     pred.add_argument("--output", required=True, help="predictions CSV path")
+    pred.set_defaults(handler=cmd_predict)
 
     sim = sub.add_parser(
         "simulate", parents=[sweep, grid], help="run a synthetic-data comparison sweep"
@@ -309,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--p",
         type=_positive_int,
-        default=100,
         help="fixed dimension for the bernoulli setting (default 100)",
     )
     sim.add_argument("--reps", type=_positive_int, default=20, help="replications per cell")
@@ -322,14 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sim.add_argument("--output", required=True, help="metrics CSV path")
-    # Which swept list is required depends on --setting, so cmd_simulate
-    # checks it and reports through this parser.
-    sim.set_defaults(subparser=sim)
+    # Which flags --setting requires and reads is checked by cmd_simulate,
+    # which reports through this parser.
+    sim.set_defaults(handler=cmd_simulate, subparser=sim)
 
     bench = sub.add_parser("bench", parents=[sweep, grid], help="time preprocessing vs main loops")
     bench.add_argument("--p-list", required=True, type=_counts, help="comma-separated dimensions")
     bench.add_argument("--reps", type=_positive_int, default=5, help="replications per cell")
     bench.add_argument("--output", required=True, help="timing CSV path")
+    bench.set_defaults(handler=cmd_bench)
 
     return parser
 
@@ -338,13 +347,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "fit":
-            return cmd_fit(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_bench(args)
+        return args.handler(args)
     except FastridgeError as exc:
         print(f"fastridge {args.command}: {exc}", file=sys.stderr)
         return _EXIT_DEGENERATE if isinstance(exc, DegenerateProblemError) else _EXIT_DATA

@@ -105,9 +105,14 @@ class StandardizedDataset:
 class FitResult:
     """A fitted model on the raw data scale: what a model file holds.
 
-    ``lambda_`` and the per-method detail hold one entry per target: EM
-    fills tau2, sigma2 and iterations, LOOCV grid, cve_curves and
-    grid_kind. lambda_[t] == 1/tau2[t] whenever tau2 is present.
+    beta_raw is p x q: one row per feature, one column per target.
+    intercepts, lambda_, y_means, target_names and the per-method detail
+    hold one entry per target (EM fills tau2, sigma2 and iterations, LOOCV
+    one grid and cve_curves row each); feature_names, col_means and col_sds
+    one per feature. Any other count raises DataError, as does
+    lambda_[t] != 1/tau2[t] when tau2 is present. Which rule made a LOOCV
+    grid follows from the method, so the model file's "grid_kind" is
+    written from it and not stored.
     """
 
     beta_raw: np.ndarray
@@ -119,7 +124,6 @@ class FitResult:
     iterations: np.ndarray | None = None
     cve_curves: np.ndarray | None = None
     grid: np.ndarray | None = None
-    grid_kind: str | None = None
     col_means: np.ndarray | None = None
     col_sds: np.ndarray | None = None
     kept_columns: np.ndarray | None = None
@@ -131,6 +135,8 @@ class FitResult:
         beta = np.asarray(self.beta_raw, dtype=float)
         if beta.ndim == 1:
             beta = beta[:, None]
+        if beta.ndim != 2:
+            raise DataError("beta_raw must be 1-D or 2-D")
         object.__setattr__(self, "beta_raw", beta)
         for name in ("intercepts", "lambda_"):
             value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
@@ -139,11 +145,16 @@ class FitResult:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name)))
         if self.tau2 is not None:
-            tau2 = np.atleast_1d(np.asarray(self.tau2, dtype=float))
-            object.__setattr__(self, "tau2", tau2)
-            rel = np.abs(self.lambda_ * tau2 - 1.0)
-            if np.any(rel > 1e-12):
-                raise DataError("lambda must equal 1/tau2")
+            object.__setattr__(self, "tau2", np.atleast_1d(np.asarray(self.tau2, dtype=float)))
+        p, q = beta.shape
+        for names, count, unit in ((_PER_TARGET, q, "target"), (_PER_FEATURE, p, "feature")):
+            for name in names:
+                value = getattr(self, name)
+                if value is not None and np.shape(value)[:1] != (count,):
+                    got = f"has length {len(value)}" if np.ndim(value) else "is a scalar"
+                    raise DataError(f"{name} {got}; expected {count}, one per {unit}")
+        if self.tau2 is not None and np.any(np.abs(self.lambda_ * self.tau2 - 1.0) > 1e-12):
+            raise DataError("lambda must equal 1/tau2")
 
     def to_json(self) -> str:
         """The model file: JSON with sorted keys, repr-exact floats and no
@@ -158,6 +169,8 @@ class FitResult:
             "lambda": self.lambda_,
         }
         model.update((key, getattr(self, name)) for name, key in _OPTIONAL_KEYS.items())
+        if self.grid is not None and self.method is not Method.EM:
+            model["grid_kind"] = self.method.value.removeprefix("loocv-")
         if self.col_means is not None:
             model["standardization"] = {name: getattr(self, name) for name in _STANDARDIZATION}
         model = {key: value for key, value in model.items() if value is not None}
@@ -167,8 +180,9 @@ class FitResult:
     @classmethod
     def from_json(cls, text: str) -> FitResult:
         """Parse a model file written by to_json. Only coefficients,
-        intercepts, lambda and method are required; a file that is not JSON
-        or lacks them raises DataError."""
+        intercepts, lambda and method are required, and "grid_kind" is not
+        read; a file that is not JSON, lacks them or holds arrays whose
+        lengths disagree with its coefficients raises DataError."""
         try:
             model = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -188,11 +202,18 @@ class FitResult:
 
 # Optional FitResult fields and their keys in the model file.
 _OPTIONAL_KEYS = dict(
-    tau2="tau2", sigma2="sigma2", iterations="iterations", grid="grid", grid_kind="grid_kind",
+    tau2="tau2", sigma2="sigma2", iterations="iterations", grid="grid",
     cve_curves="cve_curve", feature_names="feature_names", target_names="target_names",
 )
 # The standardization statistics, nested under their own key in the file.
 _STANDARDIZATION = ("col_means", "col_sds", "kept_columns", "y_means")
+# FitResult fields with one entry per target (coefficient column) and per
+# feature (coefficient row), when present.
+_PER_TARGET = (
+    "intercepts", "lambda_", "tau2", "sigma2", "iterations", "grid", "cve_curves",
+    "y_means", "target_names",
+)
+_PER_FEATURE = ("feature_names", "col_means", "col_sds")
 
 
 def _parse_target_spec(target_spec, header: list[str]) -> list[int]:

@@ -136,12 +136,20 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
     return RotatedProblem(s2=svd.s**2, c=c, y_sq_norms=y_sq_norms, svd=svd)
 
 
+def target_column(rp: RotatedProblem, target: int) -> np.ndarray:
+    """c[:, target], the rotated target every solver reads; an index outside
+    0..q-1, negative ones included, raises DataError."""
+    if not 0 <= target < rp.q:
+        raise DataError(f"target {target} out of range for q={rp.q}")
+    return rp.c[:, target]
+
+
 def rotated_ridge_solution(rp: RotatedProblem, lam: float, target: int = 0) -> np.ndarray:
     """alpha_j = c_{j,t} / (s_j^2 + lambda), the O(r') ridge solve in the
     rotated coordinates (lambda = 1/tau^2 for the EM caller)."""
     if not lam > 0:  # also rejects NaN
         raise DataError("lambda must be positive")
-    return rp.c[:, target] / (rp.s2 + lam)
+    return target_column(rp, target) / (rp.s2 + lam)
 
 
 def recover_beta(rp: RotatedProblem, alpha: np.ndarray) -> np.ndarray:

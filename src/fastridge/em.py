@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import RotatedProblem, recover_beta, rotated_ridge_solution
+from .decomposition import RotatedProblem, recover_beta, rotated_ridge_solution, target_column
 from .exceptions import DataError, DegenerateProblemError
 
 # |RSS| below this fraction of ||y||^2 counts as rounding noise and is
@@ -139,7 +139,7 @@ def expected_sse(
     if not sigma2 >= 0:
         raise DataError("sigma2 must be nonnegative")
     alpha = np.asarray(alpha, dtype=float)
-    c = rp.c[:, target]
+    c = target_column(rp, target)
     y2 = float(rp.y_sq_norms[target])
     return _ess(rp, alpha, c, y2, 1.0 / (rp.s2 + 1.0 / tau2), sigma2)
 
@@ -180,8 +180,9 @@ def q_function(tau2: float, sigma2: float, ess: float, esn: float, n: int, p: in
     )
 
 
-def em_fit(rp: RotatedProblem, cfg: EmConfig | None = None, target: int = 0) -> EmFit:
-    """Run the EM loop on one target of a rotated problem.
+def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> EmFit:
+    """Run the EM loop on one target of a rotated problem, under cfg's
+    tolerance and iteration cap (EmConfig's defaults unless given).
 
     Initialization: tau2 = 1, sigma2 = ||y||^2 / n (the target
     is assumed centered, so this is the mean squared deviation). Each
@@ -194,15 +195,11 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig | None = None, target: int = 0) -> 
     underflows to zero during iteration the fit returns the minimum-norm
     least-squares solution (the lambda -> 0 limit) flagged degenerate.
     """
-    if cfg is None:
-        cfg = EmConfig()
     n, p = rp.n, rp.p
     if n < 2:
         raise DataError("em_fit requires n >= 2")
-    if target < 0 or target >= rp.q:
-        raise DataError(f"target {target} out of range for q={rp.q}")
 
-    c = rp.c[:, target]
+    c = target_column(rp, target)
     s2 = rp.s2
     y2 = float(rp.y_sq_norms[target])
     if y2 == 0.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import RotatedProblem, recover_beta, rotated_ridge_solution
+from .decomposition import RotatedProblem, recover_beta, rotated_ridge_solution, target_column
 from .exceptions import DataError, DegenerateProblemError
 
 # Leverages this close to 1 make the PRESS denominator meaningless.
@@ -132,8 +132,7 @@ def glmnet_grid(
     else:
         top = lam_g_max
     values = np.logspace(math.log10(top), math.log10(top * kappa), l)
-    values[0] = top
-    values[-1] = top * kappa
+    values[0] = top  # _pin_ratio starts from values[0] and sets values[-1]
     values = _pin_ratio(values, kappa)
     return LambdaGrid(values)
 
@@ -154,7 +153,7 @@ def _press_curve(
         raise DataError(f"y has length {y.shape[0]}, expected {rp.n}")
     U, s2 = rp.U, rp.s2[:, None]
     UU = U * U
-    c = rp.c[:, target][:, None]
+    c = target_column(rp, target)[:, None]
     complement = rp.rank == rp.n
     step = max(1, rp.rank)
     cve = np.empty(lams.shape[0])

@@ -92,7 +92,6 @@ def fit(dataset: data.Dataset, method: Method, config: FitConfig = FitConfig()) 
         detail = dict(
             lambda_=[f.lambda_star for f in fits],
             grid=[f.grid.values for f in fits],
-            grid_kind="fixed" if method is Method.LOOCV_FIXED else "glmnet",
             cve_curves=[f.cve for f in fits],
         )
     return FitResult(

@@ -215,7 +215,7 @@ class TestFit:
             )
         assert exc.value.code == 2
 
-    def test_unknown_method_exits_2(self, train_csv, tmp_path):
+    def test_unknown_method_exits_2(self, train_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
                 [
@@ -231,6 +231,8 @@ class TestFit:
                 ]
             )
         assert exc.value.code == 2
+        message = "argument --method: 'lasso' is not one of em, loocv-fixed, loocv-glmnet"
+        assert message in capsys.readouterr().err
 
 
 class TestPredict:
@@ -567,6 +569,26 @@ class TestRejectedFlags:
         assert f"fastridge {command}: error: argument {flag}: {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting, flag, value",
+        [
+            ("bernoulli", "--p-list", "5,6"),
+            ("gaussian", "--sigma-list", "3"),
+            ("gaussian", "--p", "7"),
+        ],
+    )
+    def test_flag_of_the_other_setting_reported_by_simulate(self, tmp_path, capsys, setting, flag, value):
+        out = tmp_path / "out.csv"
+        swept = ["--sigma-list", "1"] if setting == "bernoulli" else ["--p-list", "5"]
+        argv = ["simulate", "--setting", setting, *swept, "--n-list", "20", "--reps", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--methods", "em", "--output", str(out), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fastridge simulate ")
+        assert f"fastridge simulate: error: {flag} does not apply to the {setting} setting" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting, flag", [("bernoulli", "--sigma-list"), ("gaussian", "--p-list")])
     def test_missing_swept_list_reported_by_simulate(self, tmp_path, capsys, setting, flag):
         out = tmp_path / "out.csv"
@@ -612,6 +634,72 @@ class TestErrorPaths:
         model.write_text(text, encoding="utf-8")
         assert self._predict(model, train_csv, tmp_path) == 3
         self._one_line(capsys, f"fastridge predict: load-model: {model}: {message}")
+
+    @pytest.mark.parametrize(
+        "key, method",
+        [
+            ("intercepts", "em"),
+            ("lambda", "loocv-fixed"),
+            ("tau2", "em"),
+            ("sigma2", "em"),
+            ("iterations", "em"),
+            ("grid", "loocv-glmnet"),
+            ("cve_curve", "loocv-fixed"),
+            ("y_means", "em"),
+            ("target_names", "loocv-glmnet"),
+            ("feature_names", "em"),
+            ("col_means", "loocv-fixed"),
+            ("col_sds", "loocv-glmnet"),
+        ],
+    )
+    def test_predict_model_with_an_extra_entry(self, train_csv, tmp_path, capsys, key, method):
+        """A model file array with one entry more than the coefficients'
+        targets (1) or features (3) exits 3 naming the model file."""
+        model = tmp_path / "model.json"
+        fit_args = ["fit", "--input", str(train_csv), "--target", "y", "--method", method]
+        assert main(fit_args + ["--output", str(model)]) == 0
+        capsys.readouterr()
+        content = json.loads(model.read_text())
+        holder = content["standardization"] if key in ("y_means", "col_means", "col_sds") else content
+        holder[key].append(holder[key][0])
+        model.write_text(json.dumps(content), encoding="utf-8")
+        assert self._predict(model, train_csv, tmp_path) == 3
+        field = {"lambda": "lambda_", "cve_curve": "cve_curves"}.get(key, key)
+        count, unit = (3, "feature") if key in ("feature_names", "col_means", "col_sds") else (1, "target")
+        err = self._one_line(capsys, f"fastridge predict: load-model: {model}: malformed model file: ")
+        assert err.endswith(f"{field} has length {count + 1}; expected {count}, one per {unit}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0,5.0],"lambda":[1.0]}',
+                "intercepts has length 2; expected 1, one per target",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1,2,3]}',
+                "lambda_ has length 3; expected 1, one per target",
+            ),
+            (
+                '{"method":"em","coefficients":[[1.0],[2.0]],"intercepts":[0.0],"lambda":[1.0],'
+                '"sigma2":1.0}',
+                "sigma2 is a scalar; expected 1, one per target",
+            ),
+            (
+                '{"method":"em","coefficients":1.0,"intercepts":[0.0],"lambda":[1.0]}',
+                "beta_raw must be 1-D or 2-D",
+            ),
+        ],
+        ids=["two-intercepts", "three-lambdas", "scalar-sigma2", "scalar-coefficients"],
+    )
+    def test_predict_hand_written_model_with_miscounted_array(
+        self, tmp_path, capsys, text, message
+    ):
+        model, features = tmp_path / "model.json", tmp_path / "x.csv"
+        model.write_text(text, encoding="utf-8")
+        _write_csv(features, ["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+        assert self._predict(model, features, tmp_path) == 3
+        self._one_line(capsys, f"fastridge predict: load-model: {model}: malformed model file: {message}\n")
 
     def test_predict_unknown_id_column(self, train_csv, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -13,8 +13,9 @@ from fastridge.decomposition import (
     rotate,
     rotated_ridge_solution,
 )
+from fastridge.em import em_fit, expected_sse
 from fastridge.exceptions import DataError
-from fastridge.loocv import fixed_grid, loocv_fit
+from fastridge.loocv import fixed_grid, loocv_fit, press
 from fastridge.oracles import dense_ridge_solve
 
 
@@ -228,3 +229,26 @@ class TestRotatedRidgeSolution:
         rp = rotate(compact_svd(np.eye(3)), np.ones(3))
         with pytest.raises(DataError):
             recover_beta(rp, np.ones(2))
+
+
+# Each public function that reads one target of a rotated problem, called
+# on target t of a two-target problem built from (12 x 4) X and Y.
+_TARGET_READERS = {
+    "press": lambda rp, Y, t: press(rp, Y[:, 0], 1.0, target=t),
+    "loocv_fit": lambda rp, Y, t: loocv_fit(rp, Y[:, 0], fixed_grid(5), target=t),
+    "rotated_ridge_solution": lambda rp, Y, t: rotated_ridge_solution(rp, 1.0, target=t),
+    "expected_sse": lambda rp, Y, t: expected_sse(rp, np.zeros(rp.rank), 1.0, 1.0, target=t),
+    "em_fit": lambda rp, Y, t: em_fit(rp, target=t),
+}
+
+
+@pytest.mark.parametrize("target", [-1, 2])
+@pytest.mark.parametrize("reader", list(_TARGET_READERS))
+def test_target_outside_the_problem_is_rejected(reader, target):
+    """A negative index does not wrap round to the last target, and q itself
+    is no target: both raise the same DataError in every reader."""
+    rng = np.random.default_rng(5)
+    X, Y = rng.normal(size=(12, 4)), rng.normal(size=(12, 2))
+    rp = rotate(compact_svd(X), Y)
+    with pytest.raises(DataError, match=f"^target {target} out of range for q=2$"):
+        _TARGET_READERS[reader](rp, Y, target)

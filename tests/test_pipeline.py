@@ -1,6 +1,7 @@
 """The library fit pipeline, its method dispatch, and the model file."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -49,6 +50,41 @@ def test_model_file_roundtrip_is_bitwise(method, q):
     assert back.to_json() == result.to_json()
 
 
+# Model-file arrays with one entry per target, then per feature, each with a
+# method whose file has it; the standardization statistics sit under their
+# own key.
+_PER_TARGET_KEYS = [
+    ("intercepts", Method.EM),
+    ("lambda", Method.LOOCV_FIXED),
+    ("tau2", Method.EM),
+    ("sigma2", Method.EM),
+    ("iterations", Method.EM),
+    ("grid", Method.LOOCV_GLMNET),
+    ("cve_curve", Method.LOOCV_FIXED),
+    ("y_means", Method.EM),
+    ("target_names", Method.LOOCV_GLMNET),
+]
+_PER_FEATURE_KEYS = [
+    ("feature_names", Method.EM),
+    ("col_means", Method.LOOCV_FIXED),
+    ("col_sds", Method.LOOCV_GLMNET),
+]
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-more", "one-fewer"])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("key, method", _PER_TARGET_KEYS + _PER_FEATURE_KEYS)
+def test_model_file_with_a_miscounted_array_is_refused(key, method, q, extra):
+    model = json.loads(fit(_dataset(q), method, FitConfig(grid_size=12)).to_json())
+    holder = model["standardization"] if key in ("y_means", "col_means", "col_sds") else model
+    holder[key] = holder[key] + holder[key][:1] if extra > 0 else holder[key][:-1]
+    field = {"lambda": "lambda_", "cve_curve": "cve_curves"}.get(key, key)
+    unit, count = ("target", q) if (key, method) in _PER_TARGET_KEYS else ("feature", 4)
+    message = f"{field} has length {count + extra}; expected {count}, one per {unit}"
+    with pytest.raises(DataError, match=f"^malformed model file: {message}$"):
+        FitResult.from_json(json.dumps(model))
+
+
 @pytest.mark.parametrize("method", list(Method))
 def test_fit_fills_the_method_detail(method):
     result = fit(_dataset(2), method, FitConfig(grid_size=12))
@@ -61,7 +97,8 @@ def test_fit_fills_the_method_detail(method):
     else:
         assert result.tau2 is None and result.iterations is None
         assert result.grid.shape == result.cve_curves.shape == (2, 12)
-        assert result.grid_kind == ("fixed" if method is Method.LOOCV_FIXED else "glmnet")
+        grid_kind = json.loads(result.to_json())["grid_kind"]
+        assert grid_kind == ("fixed" if method is Method.LOOCV_FIXED else "glmnet")
         assert set(result.lambda_) <= set(result.grid.ravel())
 
 
