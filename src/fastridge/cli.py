@@ -8,7 +8,8 @@ rejects a flag its --setting does not read. Each subcommand names its
 handler through set_defaults. The FASTRIDGE_SEED environment variable
 overrides --seed for every command that accepts one. Model files are
 written and read by FitResult.to_json and FitResult.from_json, which checks
-every array against the coefficients' shape.
+every array against the coefficients' shape and the arrays against each
+other.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .em import EmConfig
 from .exceptions import DataError, DegenerateProblemError, FastridgeError
 from .pipeline import FitConfig, _stage, fit
 from .simulate import (
+    Setting1Config,
     bench_comparison,
     run_comparison,
     write_bench_csv,
@@ -67,7 +69,6 @@ def cmd_fit(args) -> int:
     config = FitConfig(
         grid_size=args.grid_size,
         em=EmConfig(tol=args.tol, max_iterations=args.max_iter),
-        lambda_rescale=not args.no_lambda_rescale,
     )
     result = fit(ds, args.method, config)
 
@@ -155,7 +156,7 @@ def cmd_simulate(args) -> int:
         sigma_or_p_list=swept,
         reps=args.reps,
         seed=_effective_seed(args),
-        p=100 if args.p is None else args.p,
+        p=args.p,
         grid_length=args.grid_size,
     )
     if not args.timings:
@@ -282,12 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=EmConfig.max_iterations,
         help="EM iteration cap (default %(default)s)",
     )
-    fit.add_argument(
-        "--no-lambda-rescale",
-        action="store_true",
-        help="keep glmnet-scale penalties instead of converting to this "
-        "library's scale",
-    )
     fit.add_argument("--output", required=True, help="model JSON path")
     fit.set_defaults(handler=cmd_fit)
 
@@ -318,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--p",
         type=_positive_int,
-        help="fixed dimension for the bernoulli setting (default 100)",
+        help=f"fixed dimension for the bernoulli setting (default {Setting1Config.p})",
     )
     sim.add_argument("--reps", type=_positive_int, default=20, help="replications per cell")
     sim.add_argument(

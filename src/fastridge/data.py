@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,10 +110,13 @@ class FitResult:
     intercepts, lambda_, y_means, target_names and the per-method detail
     hold one entry per target (EM fills tau2, sigma2 and iterations, LOOCV
     one grid and cve_curves row each); feature_names, col_means and col_sds
-    one per feature. Any other count raises DataError, as does
-    lambda_[t] != 1/tau2[t] when tau2 is present. Which rule made a LOOCV
-    grid follows from the method, so the model file's "grid_kind" is
-    written from it and not stored.
+    one per feature. Any other count raises DataError. So does a model that
+    disagrees with itself: lambda_[t] != 1/tau2[t] when tau2 is present;
+    grid and cve_curves rows of unequal length, or lambda_[t] other than
+    the grid value at the first CVE minimum, when both are present;
+    kept_columns not strictly increasing within 0..p-1; or a feature name
+    given twice. Which rule made a LOOCV grid follows from the method, so
+    the model file's "grid_kind" is written from it and not stored.
     """
 
     beta_raw: np.ndarray
@@ -155,6 +159,25 @@ class FitResult:
                     raise DataError(f"{name} {got}; expected {count}, one per {unit}")
         if self.tau2 is not None and np.any(np.abs(self.lambda_ * self.tau2 - 1.0) > 1e-12):
             raise DataError("lambda must equal 1/tau2")
+        if self.grid is not None and self.cve_curves is not None:
+            grid = np.asarray(self.grid, dtype=float)
+            cve = np.asarray(self.cve_curves, dtype=float)
+            if grid.ndim != 2 or grid.shape != cve.shape:
+                raise DataError("grid and cve_curves rows must have equal lengths")
+            # argmin takes the first minimum, as loocv_fit does
+            if np.any(self.lambda_ != grid[np.arange(q), np.argmin(cve, axis=1)]):
+                raise DataError("lambda must be the grid value at the CVE minimum")
+        kept = self.kept_columns
+        if kept is not None and not (
+            kept.ndim == 1
+            and np.issubdtype(kept.dtype, np.integer)
+            and np.all(np.diff(kept) > 0)
+            and np.all((kept >= 0) & (kept < p))
+        ):
+            raise DataError(f"kept_columns must be strictly increasing within 0..{p - 1}")
+        if self.feature_names is not None:
+            if (name := _repeated(self.feature_names)) is not None:
+                raise DataError(f"feature_names lists {name!r} twice")
 
     def to_json(self) -> str:
         """The model file: JSON with sorted keys, repr-exact floats and no
@@ -216,6 +239,11 @@ _PER_TARGET = (
 _PER_FEATURE = ("feature_names", "col_means", "col_sds")
 
 
+def _repeated(names) -> str | None:
+    """The first of names that appears more than once, or None."""
+    return next((name for name, count in Counter(names).items() if count > 1), None)
+
+
 def _parse_target_spec(target_spec, header: list[str]) -> list[int]:
     """Resolve a target spec (names, comma-joined names, or 'last k') to
     column indices within ``header``. Only ``last`` and ``last <k>`` select
@@ -236,6 +264,8 @@ def _parse_target_spec(target_spec, header: list[str]) -> list[int]:
         if name not in header:
             raise DataError(f"target column {name!r} not found in header")
         idx.append(header.index(name))
+    if (name := _repeated(names)) is not None:
+        raise DataError(f"target column {name!r} listed twice")
     if not idx:
         raise DataError("empty target spec")
     return idx
@@ -254,7 +284,15 @@ _NEG_ZERO = re.compile(rb"-(?<![eE]-)0(?![\d.eE])")
 _BLOCK_BYTES = 1 << 20
 
 
-def _plain_header(line: bytes) -> list[str] | None:
+def _header(cells, path) -> list[str]:
+    """The stripped header cells; a name given twice raises DataError."""
+    header = [h.strip() for h in cells]
+    if (name := _repeated(header)) is not None:
+        raise DataError(f"{path}: header names column {name!r} twice")
+    return header
+
+
+def _plain_header(line: bytes, path) -> list[str] | None:
     """The header cells of a first line that is one csv.reader record on its
     own (no quote, no carriage return but a final CRLF), or None."""
     if b'"' in line or line.count(b"\r") > line.endswith(b"\r\n"):
@@ -263,7 +301,7 @@ def _plain_header(line: bytes) -> list[str] | None:
         cells = next(csv.reader([line.decode("utf-8-sig")]), [])  # drops a byte-order mark
     except (UnicodeDecodeError, csv.Error):
         return None
-    return [h.strip() for h in cells] or None
+    return _header(cells, path) or None
 
 
 def _parse_block(data: bytes, width: int) -> np.ndarray | None:
@@ -325,7 +363,9 @@ def read_csv(path, select=None):
     number as float() does. A file with any other cell, a text column, a
     quoted or multi-line header or a blank line between rows is read from
     its first row by csv.reader and float(), which accept all that float()
-    accepts (such as 1_000) and name the first malformed row.
+    accepts (such as 1_000) and name the first malformed row. On either
+    path a header that names a column twice, after stripping, raises
+    DataError naming the file and the name.
     """
     try:
         raw = open(path, "rb")
@@ -338,7 +378,7 @@ def read_csv(path, select=None):
         size = fh.seek(0, io.SEEK_END)
         fh.seek(0)
         line = fh.readline()
-        header = _plain_header(line)
+        header = _plain_header(line, path)
         if header is not None:
             columns, text_column = select(header) if select else (range(len(header)), None)
             if text_column is None:
@@ -357,7 +397,7 @@ def _read_cells(fh, path, select):
     csv.reader splits the rows, float() reads the selected cells."""
     reader = csv.reader(fh)
     try:
-        header = [h.strip() for h in next(reader)]
+        header = _header(next(reader), path)
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     columns, text_column = select(header) if select else (range(len(header)), None)

@@ -25,6 +25,9 @@ _LEVERAGE_CEILING = 1.0 - 1e-12
 # Relative slack when validating that consecutive grid ratios are constant.
 _RATIO_TOL = 1e-12
 
+# Penalties per LOOCV grid unless a caller asks for another length.
+GRID_LENGTH = 100
+
 
 @dataclass(frozen=True)
 class LambdaGrid:
@@ -66,7 +69,7 @@ class LoocvFit:
     beta: np.ndarray
 
 
-def fixed_grid(l: int = 100) -> LambdaGrid:
+def fixed_grid(l: int = GRID_LENGTH) -> LambdaGrid:
     """l log-spaced penalties from 1e10 down to 1e-10, endpoints exact."""
     if l < 2:
         raise DataError("fixed_grid requires l >= 2")
@@ -101,20 +104,17 @@ def _pin_ratio(values: np.ndarray, kappa: float) -> np.ndarray:
 def glmnet_grid(
     X_std: np.ndarray,
     y_centered: np.ndarray,
-    l: int = 100,
-    rescale: bool = True,
+    l: int = GRID_LENGTH,
 ) -> LambdaGrid:
     """Data-driven grid in the style of coordinate-descent lasso solvers.
 
-    The top of the grid is lambda_g_max = max_j |x_j'y| / (n * 0.001) (the
-    elastic-net entry point at mixing weight 0.001) and the bottom is
-    kappa * lambda_g_max with kappa = 1e-4 when n >= p and 1e-2 otherwise.
-    The min/max ratio of the returned grid equals kappa exactly.
-
-    With rescale=True (default) each value is converted from the
-    per-observation penalty scale to this library's scale via
-    lambda = n * (1 - 0.001) * lambda_g; pass rescale=False to keep raw
-    values for cross-tool comparison.
+    The grid is built on the per-observation penalty scale, from
+    lambda_g_max = max_j |x_j'y| / (n * 0.001) (the elastic-net entry point
+    at mixing weight 0.001) down to kappa * lambda_g_max, with kappa = 1e-4
+    when n >= p and 1e-2 otherwise, and returned on this library's scale,
+    lambda = n * (1 - 0.001) * lambda_g: a value's per-observation
+    counterpart is lambda / (0.999 n). The min/max ratio of the returned
+    grid equals kappa exactly.
     """
     if l < 2:
         raise DataError("glmnet_grid requires l >= 2")
@@ -127,10 +127,7 @@ def glmnet_grid(
     if lam_g_max <= 0:
         raise DataError("y_centered is orthogonal to every column; grid top is 0")
     kappa = 1e-4 if n >= p else 1e-2
-    if rescale:
-        top = n * (1.0 - 0.001) * lam_g_max
-    else:
-        top = lam_g_max
+    top = n * (1.0 - 0.001) * lam_g_max
     values = np.logspace(math.log10(top), math.log10(top * kappa), l)
     values[0] = top  # _pin_ratio starts from values[0] and sets values[-1]
     values = _pin_ratio(values, kappa)

@@ -39,10 +39,16 @@ class DensePosterior:
 
 
 def dense_ridge_solve(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """beta = (X'X + lambda I)^-1 X'y by a direct dense solve.
+    """beta = (X'X + lambda I)^-1 X'y by a direct dense solve, in whichever
+    classical form is better conditioned.
 
-    lambda = 0 is allowed when X has full column rank; a singular system
-    surfaces as numpy.linalg.LinAlgError.
+    (X'X + lam I)^-1 X'y and X'(XX' + lam I)^-1 y are algebraically equal,
+    but for p > n the p x p system carries p - n eigenvalues equal to lam,
+    so at small penalties it loses ~log10(s_max^2/lam) digits that the
+    n x n form keeps; the n x n form is taken when p > n and lam > 0. The
+    oracle's own rounding must stay far below the tolerances it arbitrates.
+    lambda = 0 is allowed when X has full column rank and always takes the
+    p x p form, so a singular system surfaces as numpy.linalg.LinAlgError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -50,6 +56,8 @@ def dense_ridge_solve(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     _guard(n, p)
     if not lam >= 0:  # also rejects NaN, as does every not-form check below
         raise DataError("lambda must be nonnegative")
+    if lam > 0 and p > n:
+        return X.T @ np.linalg.solve(X @ X.T + lam * np.eye(n), y)
     return np.linalg.solve(X.T @ X + lam * np.eye(p), X.T @ y)
 
 
@@ -82,27 +90,9 @@ def dense_em_statistics(
     return ess, esn, DensePosterior(beta_hat=beta_hat, covariance=sigma2 * A_inv)
 
 
-def _dense_refit(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """One dense ridge solution via whichever classical form is better
-    conditioned.
-
-    (X'X + lam I)^-1 X'y and X'(XX' + lam I)^-1 y are algebraically equal,
-    but for p > n the p x p system carries p - n eigenvalues equal to lam,
-    so at small penalties it loses ~log10(s_max^2/lam) digits that the
-    n x n form keeps. The oracle's own rounding must stay far below the
-    tolerances it arbitrates. lam = 0 always uses the p x p form so a
-    rank-deficient refit still surfaces as LinAlgError.
-    """
-    if not lam >= 0:
-        raise DataError("lambda must be nonnegative")
-    n, p = X.shape
-    if lam > 0 and p > n:
-        return X.T @ np.linalg.solve(X @ X.T + lam * np.eye(n), y)
-    return np.linalg.solve(X.T @ X + lam * np.eye(p), X.T @ y)
-
-
 def brute_force_loocv(X: np.ndarray, y: np.ndarray, lam: float) -> float:
-    """LOOCV mean squared error by n literal refits, one per omitted row."""
+    """LOOCV mean squared error by n literal refits, one per omitted row,
+    each by dense_ridge_solve."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
@@ -112,7 +102,7 @@ def brute_force_loocv(X: np.ndarray, y: np.ndarray, lam: float) -> float:
     total = 0.0
     for i in range(n):
         keep = np.arange(n) != i
-        beta = _dense_refit(X[keep], y[keep], lam)
+        beta = dense_ridge_solve(X[keep], y[keep], lam)
         err = y[i] - float(X[i] @ beta)
         total += err * err
     return total / n

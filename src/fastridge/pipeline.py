@@ -27,11 +27,10 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """LOOCV grid length, EM convergence control, and the glmnet-grid rescale."""
+    """LOOCV grid length (default loocv.GRID_LENGTH) and EM convergence control."""
 
-    grid_size: int = 100
+    grid_size: int = loocv.GRID_LENGTH
     em: em.EmConfig = em.EmConfig()
-    lambda_rescale: bool = True
 
     def __post_init__(self):
         if self.grid_size < 2:
@@ -51,9 +50,7 @@ def solve(std, rp, method: Method, config: FitConfig = FitConfig()):
         if method is Method.LOOCV_FIXED:
             grid = loocv.fixed_grid(config.grid_size)
         elif method is Method.LOOCV_GLMNET:
-            grid = loocv.glmnet_grid(
-                std.X_std, y_t, config.grid_size, rescale=config.lambda_rescale
-            )
+            grid = loocv.glmnet_grid(std.X_std, y_t, config.grid_size)
         else:
             raise DataError(f"unknown method {method!r}")
         yield loocv.loocv_fit(rp, y_t, grid, target=t)

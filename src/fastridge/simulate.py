@@ -34,6 +34,7 @@ import numpy as np
 from .data import Dataset, Method, destandardize, standardize
 from .decomposition import compact_svd, rotate
 from .exceptions import DataError, DegenerateProblemError, FastridgeError
+from .loocv import GRID_LENGTH
 from .pipeline import FitConfig, solve
 from .rng import RandomStream, derive_seed
 
@@ -199,6 +200,7 @@ def _failed_row(method, n, p, sigma, t_pre, rep_seed):
 def _draw(setting, n, swept, p, rep_seed):
     """One replication's (X, y, beta0), then its p and noise-sd columns."""
     if setting == 1:
+        p = Setting1Config.p if p is None else p
         cfg = Setting1Config(n=n, sigma=swept, seed=rep_seed, p=p)
         return (*gen_bernoulli_sparse(cfg), cfg.p, float(cfg.sigma))
     if setting == 2:
@@ -274,13 +276,14 @@ def run_comparison(
     sigma_or_p_list: list[float],
     reps: int,
     seed: int,
-    p: int = 100,
-    grid_length: int = 100,
+    p: int | None = None,
+    grid_length: int = GRID_LENGTH,
 ) -> list[MetricsRow]:
     """Sweep cells x replications x methods and collect metric rows.
 
     For setting 1 the swept second axis is sigma and p is fixed by the
-    keyword; for setting 2 it is p itself. Replication rep of cell i is drawn
+    keyword (None for Setting1Config's default); for setting 2 it is p
+    itself, and passing p raises DataError. Replication rep of cell i is drawn
     from derive_seed(seed, setting, i, rep), then standardized, decomposed
     and rotated once under one timer; its methods share that cache (their
     rows carry the identical t_preprocess_ns) and each method's main loop is
@@ -291,6 +294,8 @@ def run_comparison(
     """
     if setting not in (1, 2):
         raise DataError("setting must be 1 or 2")
+    if setting == 2 and p is not None:
+        raise DataError("p does not apply to setting 2, which sweeps it")
     return _replications(
         setting, methods, n_list, sigma_or_p_list, reps, seed, p, grid_length, keep_failures=True
     )
@@ -324,7 +329,7 @@ def bench_comparison(
     p_list: list[int],
     reps: int,
     seed: int,
-    grid_length: int = 100,
+    grid_length: int = GRID_LENGTH,
 ) -> list[BenchRow]:
     """Time preprocessing and main loops on dense normal designs.
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fastridge.cli import main
-from fastridge.data import Method, load_csv, predict
+from fastridge.data import FitResult, Method, load_csv, predict
+from fastridge.exceptions import DataError
 from fastridge.pipeline import FitConfig, fit
 
 
@@ -601,6 +602,65 @@ class TestRejectedFlags:
         assert f"fastridge simulate: error: {flag} is required for the {setting} setting" in err
         assert not out.exists()
 
+    def test_no_lambda_rescale_is_not_a_fit_flag(self, train_csv, tmp_path, capsys):
+        """The glmnet grid has one penalty scale, this library's."""
+        out = tmp_path / "m.json"
+        argv = ["fit", "--input", str(train_csv), "--target", "y", "--method", "loocv-glmnet"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(out), "--no-lambda-rescale"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-lambda-rescale" in capsys.readouterr().err
+        assert not out.exists()
+
+
+
+def _worst_penalty(model):
+    """Move the last target's penalty to its grid value at the largest CVE."""
+    cve = model["cve_curve"][-1]
+    model["lambda"][-1] = model["grid"][-1][cve.index(max(cve))]
+
+
+def _set(key, value, nested=False):
+    def change(model):
+        (model["standardization"] if nested else model)[key] = value
+
+    return change
+
+
+# Model-file edits that keep every count right but make the file disagree
+# with itself: (method, edit, message; {last} is the last feature index).
+_SELF_DISAGREEMENTS = {
+    "cve-row-shorter": (
+        Method.LOOCV_FIXED,
+        lambda model: [row.pop() for row in model["cve_curve"]],
+        "grid and cve_curves rows must have equal lengths",
+    ),
+    "lambda-off-grid": (
+        Method.LOOCV_GLMNET,
+        lambda model: model["lambda"].__setitem__(-1, model["lambda"][-1] * 1.001),
+        "lambda must be the grid value at the CVE minimum",
+    ),
+    "lambda-off-minimum": (
+        Method.LOOCV_FIXED,
+        _worst_penalty,
+        "lambda must be the grid value at the CVE minimum",
+    ),
+    "kept-column-out-of-range": (
+        Method.EM,
+        _set("kept_columns", [0, 7], nested=True),
+        "kept_columns must be strictly increasing within 0..{last}",
+    ),
+    "kept-columns-decreasing": (
+        Method.LOOCV_GLMNET,
+        _set("kept_columns", [1, 0], nested=True),
+        "kept_columns must be strictly increasing within 0..{last}",
+    ),
+    "feature-name-twice": (
+        Method.EM,
+        lambda model: model["feature_names"].__setitem__(-1, model["feature_names"][0]),
+        "feature_names lists 'a' twice",
+    ),
+}
 
 
 class TestErrorPaths:
@@ -708,6 +768,57 @@ class TestErrorPaths:
         capsys.readouterr()
         assert self._predict(model, train_csv, tmp_path, "--id-column", "row") == 3
         self._one_line(capsys, "fastridge predict: load-input: id column 'row' not in input header")
+
+    def test_fit_on_a_header_naming_a_column_twice(self, tmp_path, capsys):
+        """Two columns named a would be saved as feature names that predict
+        cannot tell apart."""
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(50, 2))
+        path = tmp_path / "train.csv"
+        _write_csv(path, ["a", "a", "y"], np.column_stack([X, X @ [1.0, -3.0] + rng.normal(size=50)]))
+        out = tmp_path / "m.json"
+        argv = ["fit", "--input", str(path), "--target", "y", "--method", "em"]
+        assert main(argv + ["--output", str(out)]) == 3
+        self._one_line(capsys, f"fastridge fit: load: {path}: header names column 'a' twice\n")
+        assert not out.exists()
+
+    def test_predict_on_a_header_naming_a_column_twice(self, train_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        fit_args = ["fit", "--input", str(train_csv), "--target", "y", "--method", "em"]
+        assert main(fit_args + ["--output", str(model)]) == 0
+        capsys.readouterr()
+        features = tmp_path / "x.csv"
+        _write_csv(features, ["a", "b", "b"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+        assert self._predict(model, features, tmp_path) == 3
+        self._one_line(capsys, f"fastridge predict: load-input: {features}: header names column 'b' twice\n")
+
+    def test_fit_target_listed_twice(self, train_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["fit", "--input", str(train_csv), "--target", "y,y", "--method", "em"]
+        assert main(argv + ["--output", str(out)]) == 3
+        self._one_line(capsys, "fastridge fit: load: target column 'y' listed twice\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["from_json", "predict"])
+    @pytest.mark.parametrize("targets", ["y", "c,y"], ids=["q1", "q2"])
+    @pytest.mark.parametrize("case", list(_SELF_DISAGREEMENTS))
+    def test_model_that_disagrees_with_itself(self, train_csv, tmp_path, capsys, case, targets, route):
+        """Each array has the right count, but the arrays contradict each
+        other; where one target's entry is changed, it is the last's."""
+        method, change, message = _SELF_DISAGREEMENTS[case]
+        ds = load_csv(train_csv, targets)
+        content = json.loads(fit(ds, method, FitConfig(grid_size=12)).to_json())
+        change(content)
+        message = message.format(last=ds.p - 1)
+        if route == "from_json":
+            with pytest.raises(DataError) as exc:
+                FitResult.from_json(json.dumps(content))
+            assert str(exc.value) == f"malformed model file: {message}"
+            return
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(content), encoding="utf-8")
+        assert self._predict(model, train_csv, tmp_path) == 3
+        self._one_line(capsys, f"fastridge predict: load-model: {model}: malformed model file: {message}\n")
 
     def test_fit_output_in_missing_directory(self, train_csv, tmp_path, capsys):
         out = tmp_path / "absent" / "model.json"

@@ -143,6 +143,23 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not found"):
             load_csv(path, "z")
 
+    @pytest.mark.parametrize("header", ["a,a,y", ' a,"a",y'], ids=["blocks", "cells"])
+    def test_header_naming_a_column_twice(self, tmp_path, header):
+        """Both header paths, the block reader's and csv.reader's, compare
+        the stripped names."""
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n1,2,3\n4,5,6\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            read_csv(path)
+        assert str(exc.value) == f"{path}: header names column 'a' twice"
+
+    @pytest.mark.parametrize("spec", ["y,y", ["b", "y", "b"]])
+    def test_target_listed_twice(self, tmp_path, spec):
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["a", "b", "y"], [[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DataError, match=f"^target column {spec[0]!r} listed twice$"):
+            load_csv(path, spec)
+
 
 def _hard_tokens() -> list[str]:
     """Number tokens that are hard to round: random doubles in the forms CSV

@@ -73,15 +73,13 @@ class TestFixedGrid:
 
 class TestGlmnetGrid:
     def test_top_value_tall_design(self):
-        """One active column with x'y = 5 at n = 10 puts the raw entry
-        point at 5 / (10 * 0.001) = 500; rescaling multiplies by
-        n * (1 - 0.001)."""
+        """One active column with x'y = 5 at n = 10 puts the per-observation
+        entry point at 5 / (10 * 0.001) = 500; the grid is on this library's
+        scale, n * (1 - 0.001) times that."""
         X = np.zeros((10, 2))
         X[0, 0] = 1.0
         y = np.zeros(10)
         y[0] = 5.0
-        raw = glmnet_grid(X, y, l=10, rescale=False)
-        assert_allclose(raw.values[0], 500.0, rtol=1e-12)
         scaled = glmnet_grid(X, y, l=10)
         assert_allclose(scaled.values[0], 10 * 0.999 * 500.0, rtol=1e-12)
 

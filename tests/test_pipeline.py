@@ -102,13 +102,6 @@ def test_fit_fills_the_method_detail(method):
         assert set(result.lambda_) <= set(result.grid.ravel())
 
 
-def test_rescale_flag_reaches_the_glmnet_grid():
-    ds = _dataset(1)
-    scaled = fit(ds, Method.LOOCV_GLMNET, FitConfig(grid_size=12))
-    raw = fit(ds, Method.LOOCV_GLMNET, FitConfig(grid_size=12, lambda_rescale=False))
-    assert scaled.grid[0, 0] == pytest.approx(30 * 0.999 * raw.grid[0, 0], rel=1e-12)
-
-
 def test_degenerate_em_is_flagged_by_solve_and_refused_by_fit(monkeypatch):
     """solve leaves the policy to its caller; fit will not build a model
     without a finite penalty."""

@@ -183,6 +183,24 @@ class TestRunComparison:
         with pytest.raises(DataError, match="repeat"):
             run_comparison(1, [Method.EM, Method.LOOCV_FIXED, Method.EM], [10], [1.0], 1, 0)
 
+    def test_p_rejected_for_setting2(self):
+        """Setting 2 sweeps p, so a fixed p would be ignored."""
+        with pytest.raises(DataError, match="p does not apply to setting 2"):
+            run_comparison(2, [Method.EM], [20], [4], 1, 0, p=5)
+
+    def test_setting1_p_defaults_to_setting1config(self):
+        """Rows without p are the rows at Setting1Config's p, 100, byte for byte."""
+        files = []
+        for extra in ({}, {"p": 100}):
+            rows = run_comparison(
+                1, [Method.EM, Method.LOOCV_FIXED], [400], [1.0], 1, 3, grid_length=10, **extra
+            )
+            fh = io.StringIO()
+            write_metrics_csv([_strip_times(r) for r in rows], fh)
+            files.append(fh.getvalue())
+        assert files[0] == files[1]
+        assert ",400,100," in files[0]
+
     def test_rows_deterministic_up_to_timings(self):
         kwargs = dict(
             setting=2,
