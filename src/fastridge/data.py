@@ -26,6 +26,13 @@ from . import __version__
 from .exceptions import DataError
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the nonempty float array ``a`` is finite. min()
+    and max() are NaN when any entry is NaN and infinite when one is, so no
+    boolean array the size of ``a`` is made."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 class Method(Enum):
     EM = "em"
     LOOCV_FIXED = "loocv-fixed"
@@ -34,7 +41,14 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Raw design matrix X (n x p) and targets Y (n x q, q >= 1)."""
+    """Raw design matrix X (n x p) and targets Y (n x q, q >= 1).
+
+    Both are held as float64 arrays in row order (C-contiguous), which
+    copies nothing for a C-ordered float64 caller: everything downstream
+    sums over rows in that order. A non-finite entry raises DataError; the
+    check reads min() and max(), which are NaN when any entry is, and
+    allocates nothing data-sized.
+    """
 
     X: np.ndarray
     Y: np.ndarray
@@ -42,8 +56,8 @@ class Dataset:
     target_names: list[str] | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
+        X = np.asarray(self.X, dtype=float, order="C")
+        Y = np.asarray(self.Y, dtype=float, order="C")
         if Y.ndim == 1:
             Y = Y[:, None]
         if X.ndim != 2 or Y.ndim != 2:
@@ -54,7 +68,7 @@ class Dataset:
             )
         if X.shape[0] < 1 or X.shape[1] < 1 or Y.shape[1] < 1:
             raise DataError("need n >= 1, p >= 1, q >= 1")
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
+        if not all_finite(X) or not all_finite(Y):
             raise DataError("non-finite entries in X or Y")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
@@ -110,8 +124,9 @@ class FitResult:
     intercepts, lambda_, y_means, target_names and the per-method detail
     hold one entry per target (EM fills tau2, sigma2 and iterations, LOOCV
     one grid and cve_curves row each); feature_names, col_means and col_sds
-    one per feature. Any other count raises DataError. So does a model that
-    disagrees with itself: lambda_[t] != 1/tau2[t] when tau2 is present;
+    one per feature. Any other count raises DataError. So do grid or
+    cve_curves rows whose lengths differ from target to target, and a model
+    that disagrees with itself: lambda_[t] != 1/tau2[t] when tau2 is present;
     grid and cve_curves rows of unequal length, or lambda_[t] other than
     the grid value at the first CVE minimum, when both are present;
     kept_columns not strictly increasing within 0..p-1; or a feature name
@@ -145,6 +160,11 @@ class FitResult:
         for name in ("intercepts", "lambda_"):
             value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             object.__setattr__(self, name, value)
+        for name in ("grid", "cve_curves"):
+            # np.asarray would refuse ragged rows without naming the array.
+            rows = getattr(self, name)
+            if isinstance(rows, (list, tuple)) and len({np.shape(row) for row in rows}) > 1:
+                raise DataError(f"{name} rows have unequal lengths")
         for name in ("sigma2", "iterations", "cve_curves", "grid", *_STANDARDIZATION):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name)))
@@ -386,7 +406,7 @@ def read_csv(path, select=None):
                 if table is not None:
                     # Row-major, as the cell-by-cell path builds it: a matmul's
                     # rounding depends on the operand's layout.
-                    return header, np.ascontiguousarray(table[:, columns]) if select else table, None
+                    return header, np.take(table, columns, axis=1) if select else table, None
         fh.seek(0)
         text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")  # drops a byte-order mark
         return _read_cells(text, path, select)
@@ -431,16 +451,20 @@ def load_csv(path, target_spec) -> Dataset:
 
     ``target_spec`` is either an iterable of column names, a comma-joined
     string of names, or ``"last k"`` selecting the trailing k columns.
-    Non-target columns become X in file order.
+    Non-target columns become X in file order. X and Y are each gathered
+    from the table once, in row order, so the Dataset holds them as they
+    are.
     """
     header, table, _ = read_csv(path)
     t_idx = _parse_target_spec(target_spec, header)
     x_idx = [j for j in range(len(header)) if j not in t_idx]
     if not x_idx:
         raise DataError("all columns selected as targets; no predictors left")
+    # np.take copies in row order; table[:, idx] would give a transposed,
+    # Fortran-ordered copy, which Dataset would copy once more.
     return Dataset(
-        X=table[:, x_idx],
-        Y=table[:, t_idx],
+        X=np.take(table, x_idx, axis=1),
+        Y=np.take(table, t_idx, axis=1),
         column_names=[header[j] for j in x_idx],
         target_names=[header[j] for j in t_idx],
     )
@@ -448,20 +472,29 @@ def load_csv(path, target_spec) -> Dataset:
 
 def standardize(d: Dataset) -> StandardizedDataset:
     """Center and scale each column of X to sample sd 1 (denominator n-1),
-    center each target; constant columns are dropped and recorded."""
+    center each target; constant columns are dropped and recorded.
+
+    X_std is the one float copy of X a fit makes: the deviations X - mean,
+    scaled in place, in row order (C-contiguous). When columns are dropped
+    it is the kept columns' copy of the deviations instead. The sums of
+    squares run over rows without squaring into a second array, in the
+    order numpy's std sums a C-ordered X of two or more columns, so for
+    p >= 2 the means, sds and X_std are bitwise what X.mean(axis=0) and
+    X.std(axis=0, ddof=1) give.
+    """
     if d.n < 2:
         raise DataError("standardize needs n >= 2")
+    # A constant column's mean need not round back, leaving a tiny sd, so
+    # constancy is judged on X itself.
+    varies = (d.X != d.X[0]).any(axis=0)
     col_means = d.X.mean(axis=0)
     dev = d.X - col_means
-    # The operations of X.std(axis=0, ddof=1), on the one deviation array.
-    col_sds = np.sqrt(np.square(dev).sum(axis=0) / (d.n - 1))
-    # A constant column's mean need not round back, leaving a tiny sd.
-    kept = np.flatnonzero((d.X != d.X[0]).any(axis=0) & (col_sds > 0.0))
+    col_sds = np.sqrt(np.einsum("ij,ij->j", dev, dev) / (d.n - 1))
+    kept = np.flatnonzero(varies & (col_sds > 0.0))
     if kept.size == 0:
         raise DataError("all predictor columns have zero variance")
-    # Fortran order, as a column gather would give: glmnet_grid's X_std' y
-    # rounds by the layout.
-    X_std = np.divide(dev if kept.size == d.p else dev[:, kept], col_sds[kept], order="F")
+    X_std = dev if kept.size == d.p else np.take(dev, kept, axis=1)
+    X_std /= col_sds[kept]
     y_means = d.Y.mean(axis=0)
     return StandardizedDataset(
         X_std=X_std,

@@ -17,6 +17,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .data import all_finite
 from .exceptions import DataError
 
 # Multiples of ulp(s_max) below which a singular value counts as zero.
@@ -59,7 +60,8 @@ class RotatedProblem:
 
     c[:, t] = s * (U' y_t); y_sq_norms[t] = ||y_t||^2. U, V, n and p are
     those of the decomposition svd. n_dropped_directions counts the p - r'
-    coefficient directions with zero singular value.
+    coefficient directions with zero singular value. U_sq = U * U is formed
+    on first read and shared by every target's LOOCV.
     """
 
     s2: np.ndarray
@@ -71,6 +73,10 @@ class RotatedProblem:
     V = property(attrgetter("svd.V"))
     n = property(attrgetter("svd.n"))
     p = property(attrgetter("svd.p"))
+
+    @cached_property
+    def U_sq(self) -> np.ndarray:
+        return self.U * self.U
 
     @property
     def rank(self) -> int:
@@ -99,6 +105,11 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     gives W. No output depends on them: every solver statistic is a square,
     or a product in which a column and its coefficient c = s * (U'y) change
     sign together.
+
+    No temporary the size of X is made: the finiteness check reads min()
+    and max(), and on the n >= p route U = X W is divided by s in place,
+    so the one n x r' array is U itself. The n < p route makes only
+    n x n arrays.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -106,7 +117,7 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     n, p = X.shape
     if n < 1 or p < 1:
         raise DataError("need n >= 1 and p >= 1")
-    if not np.all(np.isfinite(X)):
+    if not all_finite(X):
         raise DataError("non-finite entries in X")
 
     A = X if n >= p else X.T
@@ -118,9 +129,12 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     keep = s > _DROP_SAFETY * max(n, p) * np.spacing(s[0])
     s = s[keep]
     W = W[:, order][:, keep]
-    svd = CompactSvd(U=A @ W / s if n >= p else W, s=s, X=X)
-    if n >= p:
-        object.__setattr__(svd, "V", W)  # V = W is free: fill the cached property
+    if n < p:
+        return CompactSvd(U=W, s=s, X=X)
+    U = A @ W
+    U /= s
+    svd = CompactSvd(U=U, s=s, X=X)
+    object.__setattr__(svd, "V", W)  # V = W is free: fill the cached property
     return svd
 
 

@@ -3,7 +3,8 @@
 Every candidate lambda is scored with the PRESS shortcut: the full-data
 residuals and the hat-matrix diagonals give the exact LOOCV error without
 refitting, at O(n * r') per lambda. A grid is scored in chunks of at most
-rank penalties: the leverage factor U*U is formed once per call, and each
+rank penalties: the leverage factor U*U is formed once per rotated problem
+and shared by its targets, and each
 chunk costs two matrix products (one for 1 - h, one for the residuals)
 whose n x chunk results are no larger than U. Grid construction (a fixed
 log-spaced ladder and a data-driven heuristic) lives here too.
@@ -139,17 +140,17 @@ def _press_curve(
 ) -> np.ndarray:
     """CVE at every penalty of lams (positive), in order.
 
-    U*U is formed once per call; the penalties are then taken at most rank
-    at a time, so each chunk's 1 - h and e (n x chunk each, one matrix
-    product apiece) are no larger than U, whatever n or the grid length.
+    U*U is formed once per rotated problem (rp.U_sq) and read by every
+    target; the penalties are taken at most rank at a time, so each chunk's
+    1 - h and e (n x chunk each, one matrix product apiece) are no larger
+    than U, whatever n or the grid length.
     The first penalty in lams order at which some leverage saturates raises,
     counting its observations and naming the first few.
     """
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     if y.shape[0] != rp.n:
         raise DataError(f"y has length {y.shape[0]}, expected {rp.n}")
-    U, s2 = rp.U, rp.s2[:, None]
-    UU = U * U
+    U, UU, s2 = rp.U, rp.U_sq, rp.s2[:, None]
     c = target_column(rp, target)[:, None]
     complement = rp.rank == rp.n
     step = max(1, rp.rank)

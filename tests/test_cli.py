@@ -820,6 +820,31 @@ class TestErrorPaths:
         assert self._predict(model, train_csv, tmp_path) == 3
         self._one_line(capsys, f"fastridge predict: load-model: {model}: malformed model file: {message}\n")
 
+    @pytest.mark.parametrize("route", ["from_json", "predict"])
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("cve_curve",), "cve_curves rows have unequal lengths"),
+            (("grid", "cve_curve"), "grid rows have unequal lengths"),
+        ],
+        ids=["cve-row", "grid-and-cve-rows"],
+    )
+    def test_model_with_ragged_rows(self, train_csv, tmp_path, capsys, keys, message, route):
+        """One target's rows shortened in a two-target LOOCV model file: the
+        error names the array, not numpy's inhomogeneous shape."""
+        content = json.loads(fit(load_csv(train_csv, "c,y"), Method.LOOCV_FIXED, FitConfig(grid_size=12)).to_json())
+        for key in keys:
+            content[key][0].pop()
+        if route == "from_json":
+            with pytest.raises(DataError) as exc:
+                FitResult.from_json(json.dumps(content))
+            assert str(exc.value) == f"malformed model file: {message}"
+            return
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(content), encoding="utf-8")
+        assert self._predict(model, train_csv, tmp_path) == 3
+        self._one_line(capsys, f"fastridge predict: load-model: {model}: malformed model file: {message}\n")
+
     def test_fit_output_in_missing_directory(self, train_csv, tmp_path, capsys):
         out = tmp_path / "absent" / "model.json"
         rc = main(["fit", "--input", str(train_csv), "--target", "y", "--method", "em", "--output", str(out)])

@@ -47,6 +47,35 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(X=X, Y=np.ones(3))
 
+    @pytest.mark.parametrize("entry", [0, 13, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("array", ["X", "Y"])
+    def test_rejects_each_non_finite_entry(self, array, value, entry):
+        rng = np.random.default_rng(6)
+        arrays = {"X": rng.normal(size=(7, 4)), "Y": rng.normal(size=(7, 3))}
+        arrays[array].flat[entry] = value
+        with pytest.raises(DataError, match="^non-finite entries in X or Y$"):
+            Dataset(**arrays)
+
+    def test_c_ordered_input_is_held_without_a_copy(self):
+        """A C-ordered float64 X and Y are held as they are, and checking
+        them allocates nothing data-sized."""
+        rng = np.random.default_rng(7)
+        X, Y = rng.normal(size=(1200, 1000)), rng.normal(size=(1200, 2))
+        tracemalloc.start()
+        try:
+            d = Dataset(X=X, Y=Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.X is X and d.Y is Y
+        assert peak < 2**20, peak
+
+    def test_holds_arrays_in_row_order(self):
+        d = Dataset(X=np.asfortranarray(np.arange(12.0).reshape(4, 3)), Y=np.arange(4))
+        assert d.X.flags.c_contiguous and d.Y.flags.c_contiguous
+        assert d.Y.dtype == float
+
 
 class TestLoadCsv:
     def test_named_targets(self, tmp_path):
@@ -348,8 +377,9 @@ class TestStandardize:
     @pytest.mark.parametrize("constant", [None, 0.1, 7.0])
     def test_matches_numpy_mean_and_sd_exactly(self, constant):
         """X_std, col_means and col_sds are bitwise what numpy's mean and
-        std give, and X_std is Fortran-ordered: glmnet_grid's X_std' y
-        rounds by the layout."""
+        std give (with p >= 2 numpy sums a C-ordered X over rows in row
+        order too), and X_std is C-ordered with and without dropped
+        columns."""
         rng = np.random.default_rng(3)
         X = rng.normal(2.0, 3.0, size=(50, 6)) * np.exp(rng.normal(size=6))
         if constant is not None:
@@ -359,9 +389,47 @@ class TestStandardize:
         assert kept.size == (6 if constant is None else 5)
         ref = (X[:, kept] - X.mean(axis=0)[kept]) / X.std(axis=0, ddof=1)[kept]
         assert np.array_equal(s.X_std, ref)
-        assert s.X_std.flags.f_contiguous
+        assert s.X_std.flags.c_contiguous
         assert np.array_equal(s.col_means, X.mean(axis=0))
         assert np.array_equal(s.col_sds, X.std(axis=0, ddof=1))
+
+    def test_single_column_matches_numpy_to_rounding(self):
+        """numpy's std sums a single column pairwise, standardize in row
+        order, so with p = 1 the two agree to rounding only."""
+        rng = np.random.default_rng(9)
+        X = rng.normal(2.0, 3.0, size=(1000, 1))
+        s = standardize(Dataset(X=X, Y=rng.normal(size=1000)))
+        assert np.array_equal(s.col_means, X.mean(axis=0))
+        assert_allclose(s.col_sds, X.std(axis=0, ddof=1), rtol=1e-15, atol=0)
+        assert_allclose(s.X_std, (X - X.mean(axis=0)) / X.std(axis=0, ddof=1), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("constant", [None, 7.0])
+    def test_fortran_ordered_x_gives_the_bits_of_its_c_copy(self, constant):
+        rng = np.random.default_rng(10)
+        X = rng.normal(2.0, 3.0, size=(60, 7))
+        if constant is not None:
+            X[:, 3] = constant
+        y = rng.normal(size=60)
+        a = standardize(Dataset(X=np.asfortranarray(X), Y=y))
+        b = standardize(Dataset(X=np.ascontiguousarray(X), Y=y))
+        for name in ("X_std", "col_means", "col_sds", "kept_columns"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.X_std.flags.c_contiguous
+
+    def test_peak_is_one_copy_of_x(self):
+        """standardize allocates one float copy of X, scaled in place, plus
+        the n x p booleans of the constant-column check, freed before it."""
+        rng = np.random.default_rng(11)
+        X = rng.normal(2.0, 3.0, size=(2000, 300))
+        d = Dataset(X=X, Y=rng.normal(size=(2000, 2)))
+        tracemalloc.start()
+        try:
+            s = standardize(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.p_kept == 300
+        assert peak <= X.nbytes + X.nbytes // 8 + 2 * d.Y.nbytes + 64 * 1024, peak
 
     def test_all_constant_errors(self):
         with pytest.raises(DataError):

@@ -331,6 +331,23 @@ class TestChunkedScoring:
             loocv_fit(rp, y, fixed_grid(100))
         assert counts == [2, 2]
 
+    def test_targets_share_u_squared(self):
+        """U*U is formed with the first target's fit and read by the next:
+        a second target allocates only its chunk's 1 - h and e (n x rank
+        each at this grid) and their saturation flags."""
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(5000, 20))
+        Y = rng.normal(size=(5000, 2))
+        rp = rotate(compact_svd(X), Y)
+        loocv_fit(rp, Y[:, 0], fixed_grid(100), target=0)
+        tracemalloc.start()
+        try:
+            loocv_fit(rp, Y[:, 1], fixed_grid(100), target=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rp.U.nbytes, peak / rp.U.nbytes
+
     @pytest.mark.parametrize("grid_size", [400, 4000])
     def test_memory_is_bounded_per_chunk(self, grid_size):
         """At n = 20000 an n x grid work array would take 64 or 640 MB;
