@@ -23,7 +23,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .exceptions import DataError
+from .exceptions import DataError, DegenerateProblemError
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -472,7 +472,8 @@ def load_csv(path, target_spec) -> Dataset:
 
 def standardize(d: Dataset) -> StandardizedDataset:
     """Center and scale each column of X to sample sd 1 (denominator n-1),
-    center each target; constant columns are dropped and recorded.
+    center each target; constant columns are dropped and recorded, and a
+    constant target raises DegenerateProblemError.
 
     X_std is the one float copy of X a fit makes: the deviations X - mean,
     scaled in place, in row order (C-contiguous). When columns are dropped
@@ -485,7 +486,7 @@ def standardize(d: Dataset) -> StandardizedDataset:
     if d.n < 2:
         raise DataError("standardize needs n >= 2")
     # A constant column's mean need not round back, leaving a tiny sd, so
-    # constancy is judged on X itself.
+    # constancy is judged on X and Y themselves.
     varies = (d.X != d.X[0]).any(axis=0)
     col_means = d.X.mean(axis=0)
     dev = d.X - col_means
@@ -495,6 +496,11 @@ def standardize(d: Dataset) -> StandardizedDataset:
         raise DataError("all predictor columns have zero variance")
     X_std = dev if kept.size == d.p else np.take(dev, kept, axis=1)
     X_std /= col_sds[kept]
+    constant = np.flatnonzero(~(d.Y != d.Y[0]).any(axis=0))
+    if constant.size:
+        t = int(constant[0])
+        name = repr(d.target_names[t]) if d.target_names else t
+        raise DegenerateProblemError(f"target {name} is constant")
     y_means = d.Y.mean(axis=0)
     return StandardizedDataset(
         X_std=X_std,

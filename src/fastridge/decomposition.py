@@ -20,14 +20,12 @@ import numpy as np
 from .data import all_finite
 from .exceptions import DataError
 
-# Multiples of ulp(s_max) below which a singular value counts as zero.
-_DROP_SAFETY = 100.0
-
 
 @dataclass(frozen=True)
 class CompactSvd:
-    """X = U diag(s) V' restricted to the r' singular values above the drop
-    threshold; s is descending, U (n x r') and V (p x r') semi-orthonormal.
+    """X = U diag(s) V' restricted to the r' singular values whose squares
+    clear compact_svd's resolution floor; s is descending, U (n x r') and V
+    (p x r') semi-orthonormal.
 
     X, the decomposed matrix, is held by reference. When n < p, V = X' U / s
     is formed on first read.
@@ -60,8 +58,8 @@ class RotatedProblem:
 
     c[:, t] = s * (U' y_t); y_sq_norms[t] = ||y_t||^2. U, V, n and p are
     those of the decomposition svd. n_dropped_directions counts the p - r'
-    coefficient directions with zero singular value. U_sq = U * U is formed
-    on first read and shared by every target's LOOCV.
+    coefficient directions whose s^2 is below compact_svd's resolution floor.
+    U_sq = U * U is formed on first read and shared by every target's LOOCV.
     """
 
     s2: np.ndarray
@@ -97,14 +95,15 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     One route for both shapes: with A = X when n >= p and A = X' otherwise,
     A'A = W S^2 W' is eigendecomposed, and W is the factor on A's column
     side: (U, V) = (A W S^-1, W) when A = X, and U = W when A = X', with V =
-    A W S^-1 left to be formed on first read. Negative eigenvalues are
-    clamped to zero and singular values at or below
-    100 * max(n,p) * ulp(s_max) are dropped; an all-zero X yields rank zero
-    rather than an error. The factors are unique only up to a sign shared by
-    a column of U and the same column of V, and they keep the signs eigh
-    gives W. No output depends on them: every solver statistic is a square,
-    or a product in which a column and its coefficient c = s * (U'y) change
-    sign together.
+    A W S^-1 left to be formed on first read. The eigenvalues s^2 carry an
+    absolute error of about max(n,p) * eps * s_max^2, so that is the
+    resolution floor: a direction is kept only when its s^2 lies above it.
+    The kept directions are a prefix of the descending spectrum, and an
+    all-zero X yields rank zero rather than an error. The factors are
+    unique only up to a sign shared by a column of U and the same column of
+    V, and they keep the signs eigh gives W. No output depends on them:
+    every solver statistic is a square, or a product in which a column and
+    its coefficient c = s * (U'y) change sign together.
 
     No temporary the size of X is made: the finiteness check reads min()
     and max(), and on the n >= p route U = X W is divided by s in place,
@@ -122,13 +121,10 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
 
     A = X if n >= p else X.T
     evals, W = np.linalg.eigh(A.T @ A)
-    # eigh returns ascending order; a stable argsort on the negated values
-    # keeps equal eigenvalues in original-index order.
-    order = np.argsort(-evals, kind="stable")
-    s = np.sqrt(np.maximum(evals[order], 0.0))
-    keep = s > _DROP_SAFETY * max(n, p) * np.spacing(s[0])
-    s = s[keep]
-    W = W[:, order][:, keep]
+    s2 = evals[::-1]  # eigh is ascending
+    r = np.count_nonzero(s2 > max(n, p) * np.finfo(float).eps * s2[0])
+    s = np.sqrt(s2[:r])
+    W = W[:, ::-1][:, :r].copy(order="F")  # each column contiguous
     if n < p:
         return CompactSvd(U=W, s=s, X=X)
     U = A @ W

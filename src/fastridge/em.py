@@ -191,9 +191,11 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
     delta = |RSS_old - RSS| / (1 + |RSS|) < cfg.tol or the iteration cap is
     reached. The returned alpha/beta are recomputed at the final tau2.
 
-    A target that is exactly zero raises DegenerateProblemError. If ESS
-    underflows to zero during iteration the fit returns the minimum-norm
-    least-squares solution (the lambda -> 0 limit) flagged degenerate.
+    A target that is exactly zero raises DegenerateProblemError; standardize
+    refuses a constant target before that, so this covers rotated problems
+    built by hand. If ESS underflows to zero during iteration the fit
+    returns the minimum-norm least-squares solution (the lambda -> 0 limit)
+    flagged degenerate.
     """
     n, p = rp.n, rp.p
     if n < 2:
@@ -290,9 +292,10 @@ def unimodality_bound(
 
     gamma_n is min eig(X'X)/n computed from the squared singular values of
     the standardized design; it is zero whenever fewer than p singular
-    values survived (s2 comes from the compact decomposition, so missing
-    entries are exact zeros). A unique mode with tau^2 >= epsilon is
-    certified when gamma_n > 0 and epsilon > 4/(n*gamma_n).
+    values survived (s2 comes from the compact decomposition, so a missing
+    entry is a direction whose s^2 fell below compact_svd's resolution
+    floor, indistinguishable from zero). A unique mode with tau^2 >= epsilon
+    is certified when gamma_n > 0 and epsilon > 4/(n*gamma_n).
     """
     if n < 1:
         raise DataError("n must be at least 1")

@@ -190,12 +190,14 @@ def press(rp: RotatedProblem, y: np.ndarray, lam: float, target: int = 0) -> flo
     from; the residuals need all n entries, which the rotated cache alone
     does not carry. Cost O(n * r').
 
-    When every direction survived (r' = n, so U is square-orthonormal),
-    e and 1 - h are evaluated in the complement form
+    At full row rank (r' = n, so U is square-orthonormal), e and 1 - h are
+    evaluated in the complement form
     e = U (w * U'y), 1 - h = (U*U) w with w = lam/(s^2 + lam): both are then
     sums of positive-weighted terms of size O(lam), instead of differences
     of O(1) quantities that cancel to O(lam), which at small penalties
-    would cost ~log10(s_max^2/lam) digits.
+    would cost ~log10(s_max^2/lam) digits. A centered design never has full
+    row rank (its centering direction lies below compact_svd's resolution
+    floor), so a fit on standardized data always takes the 1 - h form.
     """
     if not lam > 0:  # also rejects NaN
         raise DataError("lambda must be positive")

@@ -174,11 +174,16 @@ class TestFit:
         assert rc == 3
         assert "fastridge fit" in capsys.readouterr().err
 
-    def test_constant_target_exits_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", [5.0, 0.1])
+    @pytest.mark.parametrize("method", ["em", "loocv-fixed", "loocv-glmnet"])
+    def test_constant_target_exits_4(self, tmp_path, capsys, method, value):
+        """Every method refuses a constant target alike, judged on the
+        target itself: 0.1's mean does not round back to a zero deviation,
+        and 5.0's LOOCV would otherwise fit the rounding."""
         src = tmp_path / "const.csv"
         rng = np.random.default_rng(2)
         X = rng.normal(size=(10, 2))
-        _write_csv(src, ["a", "b", "y"], np.column_stack([X, np.full(10, 3.0)]))
+        _write_csv(src, ["a", "b", "y"], np.column_stack([X, np.full(10, value)]))
         rc = main(
             [
                 "fit",
@@ -187,13 +192,13 @@ class TestFit:
                 "--target",
                 "y",
                 "--method",
-                "em",
+                method,
                 "--output",
                 str(tmp_path / "m.json"),
             ]
         )
         assert rc == 4
-        assert "fastridge fit" in capsys.readouterr().err
+        assert capsys.readouterr().err == "fastridge fit: standardize: target 'y' is constant\n"
 
     def test_last_prefixed_column_name(self, tmp_path):
         src = tmp_path / "d.csv"

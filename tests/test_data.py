@@ -21,7 +21,7 @@ from fastridge.data import (
     read_csv,
     standardize,
 )
-from fastridge.exceptions import DataError
+from fastridge.exceptions import DataError, DegenerateProblemError
 
 
 def _write_csv(path, header, rows):
@@ -434,6 +434,18 @@ class TestStandardize:
     def test_all_constant_errors(self):
         with pytest.raises(DataError):
             standardize(Dataset(X=np.ones((5, 2)), Y=np.arange(5.0)))
+
+    @pytest.mark.parametrize("names", [None, ["u", "v"]])
+    @pytest.mark.parametrize("value", [5.0, 0.1])
+    def test_constant_target_is_degenerate(self, value, names):
+        """Constancy is judged on the target itself, as for columns: 0.1's
+        mean does not round back, so its centered values are not zero."""
+        rng = np.random.default_rng(12)
+        Y = np.column_stack([rng.normal(size=8), np.full(8, value)])
+        d = Dataset(X=rng.normal(size=(8, 3)), Y=Y, target_names=names)
+        label = "1" if names is None else "'v'"
+        with pytest.raises(DegenerateProblemError, match=f"^target {label} is constant$"):
+            standardize(d)
 
     def test_single_row_errors(self):
         with pytest.raises(DataError):

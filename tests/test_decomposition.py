@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from fastridge.data import Dataset, standardize
 from fastridge.decomposition import (
     compact_svd,
     recover_beta,
@@ -17,6 +18,7 @@ from fastridge.em import em_fit, expected_sse
 from fastridge.exceptions import DataError
 from fastridge.loocv import fixed_grid, loocv_fit, press
 from fastridge.oracles import dense_ridge_solve
+from fastridge.rng import RandomStream
 
 
 def _random_matrix(seed, n, p, rank=None):
@@ -83,24 +85,65 @@ class TestCompactSvd:
 
     def test_near_rank_deficiency_stays_usable(self):
         """A random low-rank product carries Gram-route noise directions of
-        size ~sqrt(eps)*s_max; whether kept or dropped, the factorization
-        contract (reconstruction, tiny trailing values) must hold."""
+        size ~sqrt(eps)*s_max; all of them fall below the resolution floor,
+        and the factorization reconstructs X."""
         X = _random_matrix(11, 15, 6, rank=3)
         svd = compact_svd(X)
-        assert 3 <= svd.rank <= 6
-        assert np.all(svd.s[3:] < 1e-6 * svd.s[0])
+        assert svd.rank == 3
         assert_allclose(svd.U @ np.diag(svd.s) @ svd.V.T, X, atol=1e-8)
 
     def test_duplicate_column(self):
-        """The duplicated direction is either dropped or kept as a
-        numerically-zero singular value; the leading value is sqrt(2) times
-        the column norm either way."""
+        """The duplicated direction is dropped; the leading value is
+        sqrt(2) times the column norm."""
         rng = np.random.default_rng(12)
         base = rng.normal(size=(10, 1))
         X = np.hstack([base, base])
         svd = compact_svd(X)
         assert_allclose(svd.s[0], np.sqrt(2.0) * np.linalg.norm(base), rtol=1e-12)
-        assert svd.rank == 1 or svd.s[1] < 1e-7 * svd.s[0]
+        assert svd.rank == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("factor", [100.0, 0.01], ids=["above", "below"])
+    @pytest.mark.parametrize("shape", [(40, 8), (8, 40)], ids=["tall", "wide"])
+    def test_planted_direction_against_the_floor(self, shape, factor, seed):
+        """The floor is max(n,p) * eps * s_max^2 on s^2: a direction planted
+        100 times above it is kept, and to 1% of its value; one planted 100
+        times below it is dropped."""
+        n, p = shape
+        k = min(n, p)
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.normal(size=(n, k)))[0]
+        V = np.linalg.qr(rng.normal(size=(p, k)))[0]
+        s = np.linspace(3.0, 1.0, k)
+        s[-1] = np.sqrt(factor * max(n, p) * np.finfo(float).eps) * s[0]
+        svd = compact_svd((U * s) @ V.T)
+        if factor > 1:
+            assert svd.rank == k
+            assert_allclose(svd.s[-1], s[-1], rtol=1e-2)
+        else:
+            assert svd.rank == k - 1
+
+    @given(st.integers(2, 40), st.integers(1, 280), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_centered_wide_design_has_rank_n_minus_1(self, n, extra, seed):
+        """Centering leaves the ones vector in the null space of X'; its
+        eigenvalue in XX' is rounding, below the floor, so it is never
+        counted as a direction."""
+        X = _random_matrix(seed, n, n + extra)
+        X -= X.mean(axis=0)
+        assert compact_svd(X).rank == n - 1
+
+    @pytest.mark.parametrize("seed", [2, 4, 7, 10])
+    def test_standardized_wide_benchmark_shape_has_rank_n_minus_1(self, seed):
+        """The 500 x 5000 design the wide benchmark fits, standardized: the
+        seeds whose centering direction lies highest in the rounding still
+        get rank n - 1."""
+        n, p = 500, 5000
+        shift = 3.0 * RandomStream(seed, 0, 0).normals(p)
+        spread = np.exp(0.5 * RandomStream(seed, 0, 1).normals(p))
+        Z = RandomStream(seed, 0, 2).normals(n * p).reshape(n, p)
+        std = standardize(Dataset(X=Z * spread + shift, Y=np.arange(n, dtype=float)))
+        assert compact_svd(std.X_std).rank == n - 1
 
     def test_zero_matrix_has_rank_zero(self):
         svd = compact_svd(np.zeros((4, 3)))

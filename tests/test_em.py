@@ -463,6 +463,19 @@ class TestUnimodalityDiagnostic:
         assert d.epsilon_min is None
         assert not d.epsilon_exceeds_bound
 
+    def test_duplicated_column_reads_the_cut_spectrum(self):
+        """A tall standardized design with a copy of one column is rank
+        deficient: the copy's direction lies below compact_svd's floor, so
+        no unique mode is certified from rounding."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(300, 20))
+        std = standardize(Dataset(X=np.column_stack([X, X[:, 0]]), Y=rng.normal(size=300)))
+        rp = rotate(compact_svd(std.X_std), std.Y_centered)
+        d = unimodality_bound(rp.s2, rp.n, rp.p, 1.0)
+        assert rp.n_dropped_directions == 1
+        assert d.gamma_n == 0.0
+        assert d.epsilon_min is None
+
     def test_sample_size_threshold_exact(self):
         assert sample_size_threshold(1.0, 0.5, 0.1) == 1600.0
 
