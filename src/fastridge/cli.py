@@ -19,11 +19,10 @@ import csv
 import dataclasses
 import math
 import os
-import pathlib
 import sys
 
 from . import __version__
-from .data import FitResult, Method, load_csv, predict, read_csv
+from .data import FitResult, Method, load_csv, open_input, predict, read_csv
 from .em import EmConfig
 from .exceptions import DataError, DegenerateProblemError, FastridgeError
 from .pipeline import FitConfig, _stage, fit
@@ -87,13 +86,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with _stage("load-model"):
+    with _stage("load-model"), open_input(args.model) as fh:
         try:
-            text = pathlib.Path(args.model).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise DataError(f"no such file: {args.model}") from None
-        try:
-            result = FitResult.from_json(text)
+            result = FitResult.from_json(fh.read().decode("utf-8"))
         except DataError as exc:
             raise DataError(f"{args.model}: {exc}") from None
 

@@ -11,6 +11,7 @@ intercept is recovered when mapping coefficients back to the raw scale.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -373,6 +374,23 @@ def _read_blocks(fh, width: int, size: int) -> np.ndarray | None:
     return table if rows else None
 
 
+@contextlib.contextmanager
+def open_input(path):
+    """The file at ``path``, open for binary reading: one that cannot be
+    opened, or whose bytes read in the block are not UTF-8, is a DataError."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+
+
 def read_csv(path, select=None):
     """Read a CSV file with one header row into ``(header, table, texts)``.
 
@@ -385,13 +403,9 @@ def read_csv(path, select=None):
     its first row by csv.reader and float(), which accept all that float()
     accepts (such as 1_000) and name the first malformed row. On either
     path a header that names a column twice, after stripping, raises
-    DataError naming the file and the name.
+    DataError naming the file and the name, as does a file open_input refuses.
     """
-    try:
-        raw = open(path, "rb")
-    except FileNotFoundError:
-        raise DataError(f"no such file: {path}") from None
-    with raw:
+    with open_input(path) as raw:
         # The cell path reads the file again from its start, so a pipe is
         # held in memory.
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
@@ -414,33 +428,36 @@ def read_csv(path, select=None):
 
 def _read_cells(fh, path, select):
     """read_csv cell by cell from the start of the text file ``fh``:
-    csv.reader splits the rows, float() reads the selected cells."""
+    csv.reader splits the rows, float() reads the selected cells. A line it
+    cannot split, such as a field over csv.field_size_limit(), is named."""
     reader = csv.reader(fh)
     try:
         header = _header(next(reader), path)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    columns, text_column = select(header) if select else (range(len(header)), None)
-    rows, texts = [], [] if text_column is not None else None
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-            )
-        vals = []
-        for j in columns:
-            try:
-                vals.append(float(row[j]))
-            except ValueError:
+        columns, text_column = select(header) if select else (range(len(header)), None)
+        rows, texts = [], [] if text_column is not None else None
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
                 raise DataError(
-                    f"{path}: non-numeric cell {row[j]!r} at row {lineno}, "
-                    f"column {j + 1} ({header[j]})"
-                ) from None
-        rows.append(vals)
-        if texts is not None:
-            texts.append(row[text_column])
+                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+                )
+            vals = []
+            for j in columns:
+                try:
+                    vals.append(float(row[j]))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric cell {row[j]!r} at row {lineno}, "
+                        f"column {j + 1} ({header[j]})"
+                    ) from None
+            rows.append(vals)
+            if texts is not None:
+                texts.append(row[text_column])
+    except StopIteration:  # no header line
+        raise DataError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=float), texts

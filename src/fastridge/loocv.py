@@ -82,22 +82,18 @@ def fixed_grid(l: int = GRID_LENGTH) -> LambdaGrid:
 
 
 def _pin_ratio(values: np.ndarray, kappa: float) -> np.ndarray:
-    """Nudge the grid endpoints by ulps until values[-1]/values[0] rounds to
-    exactly kappa. Multiplication followed by division is not an exact
-    roundtrip in floating point, so the product alone can miss by an ulp."""
+    """Nudge the grid top values[0] up by ulps until values[-1] = top * kappa
+    divides back to exactly kappa: multiplication followed by division is
+    not an exact roundtrip in floating point. No other bottom needs trying,
+    since top * kappa rounds to the float nearest the exact product: if any
+    float divides back to kappa, that one does."""
     top = values[0]
     for _ in range(8):
         bottom = top * kappa
-        down = up = bottom
-        for _ in range(8):
-            for candidate in (down, up):
-                if candidate / top == kappa:
-                    values[0] = top
-                    values[-1] = candidate
-                    return values
-            down = math.nextafter(down, 0.0)
-            up = math.nextafter(up, math.inf)
-        # No representable bottom divides back to kappa for this top.
+        if bottom / top == kappa:
+            values[0] = top
+            values[-1] = bottom
+            return values
         top = math.nextafter(top, math.inf)
     raise DegenerateProblemError("could not pin the grid min/max ratio")
 
@@ -150,7 +146,7 @@ def _press_curve(
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     if y.shape[0] != rp.n:
         raise DataError(f"y has length {y.shape[0]}, expected {rp.n}")
-    U, UU, s2 = rp.U, rp.U_sq, rp.s2[:, None]
+    U, UU, s, s2 = rp.U, rp.U_sq, rp.svd.s[:, None], rp.s2[:, None]
     c = target_column(rp, target)[:, None]
     complement = rp.rank == rp.n
     step = max(1, rp.rank)
@@ -160,11 +156,11 @@ def _press_curve(
         if complement:
             w = lam / (s2 + lam)
             one_minus_h = UU @ w
-            e = U @ (w * (c / np.sqrt(s2)))
+            e = U @ (w * (c / s))
         else:  # in place: each n x chunk array is allocated once
             one_minus_h = UU @ (s2 / (s2 + lam))
             np.subtract(1.0, one_minus_h, out=one_minus_h)
-            e = U @ (np.sqrt(s2) * (c / (s2 + lam)))
+            e = U @ (s * (c / (s2 + lam)))
             np.subtract(y, e, out=e)
         saturated = one_minus_h <= 1.0 - _LEVERAGE_CEILING
         if saturated.any():

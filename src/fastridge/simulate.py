@@ -1,11 +1,11 @@
 """Synthetic benchmark settings, accuracy metrics, and the sweep harness.
 
 Two data-generating settings are provided: sparse Bernoulli designs
-(setting 1) and correlated Gaussian designs with a Wishart-drawn covariance
-(setting 2); the timing bench draws dense standard-normal designs (setting
-3). One replication loop serves both drivers: it fits each requested method
-on the same standardized, rotated problem per replication, so preprocessing
-is timed once and the per-method cost is the main loop alone.
+(setting 1) and Gaussian designs X = Z A' correlated by a Wishart draw's
+Bartlett factor A (setting 2); the timing bench draws dense standard-normal
+designs (setting 3). One replication loop serves both drivers: it fits each
+requested method on the same standardized, rotated problem per replication,
+so preprocessing is timed once and the per-method cost is the main loop alone.
 run_comparison returns its rows, recording a failure as a failed row, and
 bench_comparison summarises the same rows as medians per (method, n, p),
 aborting at the first failure instead.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import Dataset, Method, destandardize, standardize
 from .decomposition import compact_svd, rotate
-from .exceptions import DataError, DegenerateProblemError, FastridgeError
+from .exceptions import DataError, FastridgeError
 from .loocv import GRID_LENGTH
 from .pipeline import FitConfig, solve
 from .rng import RandomStream, derive_seed
@@ -74,8 +74,9 @@ class Setting1Config:
 
 @dataclass(frozen=True)
 class Setting2Config:
-    """Correlated Gaussian design: Sigma ~ Wishart(I_p, p) once per
-    replication, rows of X ~ N(0, Sigma), y = X beta0 + sqrt(0.25) * eps."""
+    """Correlated Gaussian design: X = Z A' with Z standard normal and A the
+    Bartlett factor of Sigma = A A' ~ Wishart(I_p, p), drawn once per
+    replication, so rows of X ~ N(0, Sigma); y = X beta0 + sqrt(0.25) * eps."""
 
     n: int
     p: int
@@ -123,8 +124,8 @@ def gen_bernoulli_sparse(cfg: Setting1Config):
     return X, X @ beta0 + cfg.sigma * eps, beta0
 
 
-def _bartlett_wishart(stream: RandomStream, p: int) -> np.ndarray:
-    """One Wishart(I_p, p) draw as Sigma = A A' with A lower-triangular.
+def _bartlett_factor(stream: RandomStream, p: int) -> np.ndarray:
+    """The lower-triangular Bartlett factor A of a Wishart(I_p, p) draw A A'.
 
     Consumption order (documented for reproducibility): first one block of
     p(p-1)/2 normals filling the strict lower triangle row by row, then for
@@ -135,28 +136,18 @@ def _bartlett_wishart(stream: RandomStream, p: int) -> np.ndarray:
     A[np.tril_indices(p, -1)] = stream.normals(p * (p - 1) // 2)
     for i in range(p):
         A[i, i] = math.sqrt(stream.chi_square(p - i))
-    return A @ A.T
+    return A
 
 
 def gen_gaussian_wishart(cfg: Setting2Config):
     """Draw (X, y, beta0) for setting 2, fully determined by cfg.seed.
 
-    The covariance factor is recomputed from Sigma by Cholesky; if that
-    fails on a numerically indefinite draw, 1e-10 * I jitter is added and
-    the factorization retried at most 3 times.
+    X = Z A' with A the Bartlett factor, the Cholesky factor of the Wishart
+    covariance A A' (Smith & Hocking 1972, AS 53), so A A' is never formed.
     """
-    sigma_mat = _bartlett_wishart(RandomStream(cfg.seed, 2, _PURPOSE_COV), cfg.p)
-    L = None
-    for _ in range(4):
-        try:
-            L = np.linalg.cholesky(sigma_mat)
-            break
-        except np.linalg.LinAlgError:
-            sigma_mat = sigma_mat + 1e-10 * np.eye(cfg.p)
-    if L is None:
-        raise DegenerateProblemError("covariance draw is not positive definite")
+    A = _bartlett_factor(RandomStream(cfg.seed, 2, _PURPOSE_COV), cfg.p)
     Z = RandomStream(cfg.seed, 2, _PURPOSE_X).normals(cfg.n * cfg.p).reshape(cfg.n, cfg.p)
-    X = Z @ L.T
+    X = Z @ A.T
     beta0 = RandomStream(cfg.seed, 2, _PURPOSE_BETA).normals(cfg.p)
     eps = RandomStream(cfg.seed, 2, _PURPOSE_NOISE).normals(cfg.n)
     return X, X @ beta0 + math.sqrt(_NOISE_VAR) * eps, beta0

@@ -857,6 +857,62 @@ class TestErrorPaths:
         self._one_line(capsys, f"fastridge fit: write: cannot write {out}: ")
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read {path}: Is a directory"),
+            (b"a\xff,y\n1,2\n3,4\n5,7\n", "{path}: not UTF-8 text"),
+            (b"a,y\n1,2\n3,\xff4\n5,7\n", "{path}: not UTF-8 text"),
+            (b'a,y\n1,2\n"' + b"1" * 131073 + b'",4\n5,7\n', "{path}: line 3: field larger than field limit (131072)"),
+            (b"", "{path}: empty file"),
+            (b"a,y\n", "{path}: no data rows"),
+        ],
+        ids=["directory", "header-not-utf8", "row-not-utf8", "cell-over-limit", "empty", "header-only"],
+    )
+    def test_fit_on_an_unreadable_input(self, tmp_path, capsys, content, message):
+        path = tmp_path / "d.csv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        out = tmp_path / "m.json"
+        argv = ["fit", "--input", str(path), "--target", "y", "--method", "em", "--output", str(out)]
+        assert main(argv) == 3
+        expected = "fastridge fit: load: " + message.format(path=path) + "\n"
+        assert self._one_line(capsys, "fastridge fit: load: ") == expected
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "cannot read {path}: Is a directory"), (b'{"method": "em"\xff}', "{path}: not UTF-8 text")],
+        ids=["directory", "not-utf8"],
+    )
+    def test_predict_with_an_unreadable_model(self, train_csv, tmp_path, capsys, content, message):
+        model = tmp_path / "model.json"
+        if content is None:
+            model.mkdir()
+        else:
+            model.write_bytes(content)
+        assert self._predict(model, train_csv, tmp_path) == 3
+        self._one_line(capsys, "fastridge predict: load-model: " + message.format(path=model) + "\n")
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("a,y", "all columns selected as targets; no predictors left"),
+            ("last 0", "'last 0' out of range for 2 columns"),
+            ("last 3", "'last 3' out of range for 2 columns"),
+            (",", "empty target spec"),
+        ],
+    )
+    def test_fit_target_that_leaves_no_fit(self, tmp_path, capsys, target, message):
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["a", "y"], [[1, 2], [3, 5], [4, 1]])
+        out = tmp_path / "m.json"
+        argv = ["fit", "--input", str(path), "--target", target, "--method", "em", "--output", str(out)]
+        assert main(argv) == 3
+        self._one_line(capsys, f"fastridge fit: load: {message}\n")
+
+    @pytest.mark.parametrize(
         "cell, message",
         [
             ("true", "non-numeric cell 'true' at row 3, column 1 (a)"),

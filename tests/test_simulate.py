@@ -22,7 +22,7 @@ from fastridge.simulate import (
     MetricsRow,
     Setting1Config,
     Setting2Config,
-    _bartlett_wishart,
+    _bartlett_factor,
     bench_comparison,
     gen_bernoulli_sparse,
     gen_gaussian_wishart,
@@ -102,7 +102,7 @@ class TestGenGaussianWishart:
         variance of the design converges to that exact draw."""
         cfg = Setting2Config(n=100000, p=1, seed=21)
         X, _, _ = gen_gaussian_wishart(cfg)
-        sigma_draw = _bartlett_wishart(RandomStream(cfg.seed, 2, 4), 1)[0, 0]
+        sigma_draw = _bartlett_factor(RandomStream(cfg.seed, 2, 4), 1)[0, 0] ** 2
         assert_allclose(X.var(), sigma_draw, rtol=0.05)
 
     def test_wishart_mean_is_p_on_diagonal(self):
@@ -113,11 +113,22 @@ class TestGenGaussianWishart:
         total = np.zeros((p, p))
         draws = 10000
         for _ in range(draws):
-            total += _bartlett_wishart(stream, p)
+            A = _bartlett_factor(stream, p)
+            total += A @ A.T
         mean = total / draws
         assert_allclose(np.diag(mean), np.full(p, float(p)), rtol=0.05)
         off = mean - np.diag(np.diag(mean))
         assert np.max(np.abs(off)) < 0.05 * p
+
+    def test_design_is_normals_times_the_factor(self):
+        """X is the design substream's normals times A' for the Bartlett
+        factor A of the covariance substream, bit for bit."""
+        cfg = Setting2Config(n=40, p=7, seed=5)
+        X, _, _ = gen_gaussian_wishart(cfg)
+        A = _bartlett_factor(RandomStream(5, 2, 4), 7)
+        Z = RandomStream(5, 2, 1).normals(40 * 7).reshape(40, 7)
+        assert np.array_equal(np.tril(A), A)
+        assert np.array_equal(X, Z @ A.T)
 
     def test_noise_scale(self):
         """The noise is sqrt(0.25) times the noise substream's normals."""
