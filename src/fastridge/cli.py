@@ -8,8 +8,8 @@ rejects a flag its --setting does not read. Each subcommand names its
 handler through set_defaults. The FASTRIDGE_SEED environment variable
 overrides --seed for every command that accepts one. Model files are
 written and read by FitResult.to_json and FitResult.from_json, which checks
-every array against the coefficients' shape and the arrays against each
-other.
+every array's entries and its count against the coefficients' shape, and
+the arrays against each other.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -121,18 +121,18 @@ class StandardizedDataset:
 class FitResult:
     """A fitted model on the raw data scale: what a model file holds.
 
-    beta_raw is p x q: one row per feature, one column per target.
-    intercepts, lambda_, y_means, target_names and the per-method detail
-    hold one entry per target (EM fills tau2, sigma2 and iterations, LOOCV
-    one grid and cve_curves row each); feature_names, col_means and col_sds
-    one per feature. Any other count raises DataError. So do grid or
-    cve_curves rows whose lengths differ from target to target, and a model
-    that disagrees with itself: lambda_[t] != 1/tau2[t] when tau2 is present;
-    grid and cve_curves rows of unequal length, or lambda_[t] other than
-    the grid value at the first CVE minimum, when both are present;
-    kept_columns not strictly increasing within 0..p-1; or a feature name
-    given twice. Which rule made a LOOCV grid follows from the method, so
-    the model file's "grid_kind" is written from it and not stored.
+    beta_raw is p x q: one row per feature, one column per target (a flat
+    list in the file for one target). Each model-file array is a row of
+    ``_ARRAYS``, which says what its entries are (finite numbers, integers or
+    strings) and what it counts: one entry per target (intercepts, lambda_,
+    y_means, target_names, EM's tau2, sigma2 and iterations, LOOCV's grid
+    and cve_curves rows) or per feature (feature_names, col_means, col_sds).
+    Fields without a default are required. Ragged rows, entries of another
+    kind or another count raise DataError naming the field, as does a model
+    that disagrees with itself: lambda_ != 1/tau2; grid and cve_curves rows
+    of unequal length, or lambda_ other than the grid value at the first CVE
+    minimum; kept_columns not strictly increasing within 0..p-1; or a
+    feature name given twice. "grid_kind" is written from the method.
     """
 
     beta_raw: np.ndarray
@@ -152,112 +152,112 @@ class FitResult:
     target_names: list[str] | None = None
 
     def __post_init__(self):
-        beta = np.asarray(self.beta_raw, dtype=float)
-        if beta.ndim == 1:
-            beta = beta[:, None]
+        beta = _entries("beta_raw", self.beta_raw, float)
+        beta = beta[:, None] if beta.ndim == 1 else beta
         if beta.ndim != 2:
             raise DataError("beta_raw must be 1-D or 2-D")
         object.__setattr__(self, "beta_raw", beta)
-        for name in ("intercepts", "lambda_"):
-            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, value)
-        for name in ("grid", "cve_curves"):
-            # np.asarray would refuse ragged rows without naming the array.
-            rows = getattr(self, name)
-            if isinstance(rows, (list, tuple)) and len({np.shape(row) for row in rows}) > 1:
-                raise DataError(f"{name} rows have unequal lengths")
-        for name in ("sigma2", "iterations", "cve_curves", "grid", *_STANDARDIZATION):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name)))
-        if self.tau2 is not None:
-            object.__setattr__(self, "tau2", np.atleast_1d(np.asarray(self.tau2, dtype=float)))
         p, q = beta.shape
-        for names, count, unit in ((_PER_TARGET, q, "target"), (_PER_FEATURE, p, "feature")):
-            for name in names:
-                value = getattr(self, name)
-                if value is not None and np.shape(value)[:1] != (count,):
-                    got = f"has length {len(value)}" if np.ndim(value) else "is a scalar"
-                    raise DataError(f"{name} {got}; expected {count}, one per {unit}")
+        counts = {"feature": p, "target": q}
+        required = {f.name for f in fields(self) if f.default is MISSING}
+        for name, _, _, kind, per, ndim in _ARRAYS[1:]:
+            value = getattr(self, name)
+            if value is None:
+                if name in required:
+                    raise DataError(f"{name} is missing")
+                continue
+            value = _entries(name, value, kind)
+            if per and value.shape[:1] != (counts[per],):
+                got = f"has length {len(value)}" if value.ndim else "is a scalar"
+                raise DataError(f"{name} {got}; expected {counts[per]}, one per {per}")
+            if value.ndim != ndim:
+                raise DataError(f"{name} is {value.ndim}-D; expected {ndim}-D")
+            object.__setattr__(self, name, value.tolist() if kind is str else value)
         if self.tau2 is not None and np.any(np.abs(self.lambda_ * self.tau2 - 1.0) > 1e-12):
             raise DataError("lambda must equal 1/tau2")
         if self.grid is not None and self.cve_curves is not None:
-            grid = np.asarray(self.grid, dtype=float)
-            cve = np.asarray(self.cve_curves, dtype=float)
-            if grid.ndim != 2 or grid.shape != cve.shape:
+            if self.grid.shape != self.cve_curves.shape:
                 raise DataError("grid and cve_curves rows must have equal lengths")
             # argmin takes the first minimum, as loocv_fit does
-            if np.any(self.lambda_ != grid[np.arange(q), np.argmin(cve, axis=1)]):
+            if np.any(self.lambda_ != self.grid[np.arange(q), np.argmin(self.cve_curves, axis=1)]):
                 raise DataError("lambda must be the grid value at the CVE minimum")
         kept = self.kept_columns
-        if kept is not None and not (
-            kept.ndim == 1
-            and np.issubdtype(kept.dtype, np.integer)
-            and np.all(np.diff(kept) > 0)
-            and np.all((kept >= 0) & (kept < p))
-        ):
+        if kept is not None and not (np.all(np.diff(kept) > 0) and np.all((kept >= 0) & (kept < p))):
             raise DataError(f"kept_columns must be strictly increasing within 0..{p - 1}")
-        if self.feature_names is not None:
-            if (name := _repeated(self.feature_names)) is not None:
-                raise DataError(f"feature_names lists {name!r} twice")
+        if self.feature_names is not None and (name := _repeated(self.feature_names)) is not None:
+            raise DataError(f"feature_names lists {name!r} twice")
 
     def to_json(self) -> str:
-        """The model file: JSON with sorted keys, repr-exact floats and no
-        timestamps, so equal fits give byte-identical files. Coefficients
-        are a flat list for one target; fields that are None are left out."""
-        beta = self.beta_raw[:, 0] if self.beta_raw.shape[1] == 1 else self.beta_raw
-        model = {
-            "method": self.method.value,
-            "library_version": __version__,
-            "coefficients": beta,
-            "intercepts": self.intercepts,
-            "lambda": self.lambda_,
-        }
-        model.update((key, getattr(self, name)) for name, key in _OPTIONAL_KEYS.items())
+        """The model file: JSON with sorted keys, repr-exact finite floats (no
+        NaN or Infinity) and no timestamps, so equal fits give byte-identical
+        files. Fields that are None are left out."""
+        model = {"method": self.method.value, "library_version": __version__}
         if self.grid is not None and self.method is not Method.EM:
             model["grid_kind"] = self.method.value.removeprefix("loocv-")
-        if self.col_means is not None:
-            model["standardization"] = {name: getattr(self, name) for name in _STANDARDIZATION}
-        model = {key: value for key, value in model.items() if value is not None}
+        for name, place, key, *_ in _ARRAYS:
+            value = getattr(self, name)
+            value = value[:, 0] if name == "beta_raw" and value.shape[1] == 1 else value
+            if value is not None:
+                (model.setdefault(place, {}) if place else model)[key] = value
         # Arrays become lists of Python scalars, which json writes repr-exact.
-        return json.dumps(model, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+        return json.dumps(model, sort_keys=True, indent=2, allow_nan=False, default=np.ndarray.tolist) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> FitResult:
-        """Parse a model file written by to_json. Only coefficients,
-        intercepts, lambda and method are required, and "grid_kind" is not
-        read; a file that is not JSON, lacks them or holds arrays whose
-        lengths disagree with its coefficients raises DataError."""
+        """Parse a model file written by to_json: each row of ``_ARRAYS`` from
+        its place, no other key ("grid_kind" included). DataError if it is not
+        a JSON object, nor its standardization, or FitResult refuses it."""
         try:
             model = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON: {exc}") from None
+        if not isinstance(model, dict) or not isinstance(std := model.get("standardization", {}), dict):
+            raise DataError("malformed model file: the model and its standardization must be objects")
+        arrays = {name: (std if place else model).get(key) for name, place, key, *_ in _ARRAYS}
         try:
-            return cls(
-                beta_raw=np.asarray(model["coefficients"], dtype=float),
-                intercepts=np.asarray(model["intercepts"], dtype=float),
-                lambda_=np.asarray(model["lambda"], dtype=float),
-                method=Method(model["method"]),
-                **{name: model[key] for name, key in _OPTIONAL_KEYS.items() if key in model},
-                **model.get("standardization", {}),
-            )
+            return cls(method=Method(model["method"]), **arrays)
         except (KeyError, ValueError, TypeError) as exc:
             raise DataError(f"malformed model file: {exc}") from None
 
 
-# Optional FitResult fields and their keys in the model file.
-_OPTIONAL_KEYS = dict(
-    tau2="tau2", sigma2="sigma2", iterations="iterations", grid="grid",
-    cve_curves="cve_curve", feature_names="feature_names", target_names="target_names",
+# Every array of the model file: its FitResult field, place (None: the top
+# level) and key, its entries' kind, what its first axis counts (None:
+# nothing) and its dimensions. The coefficients' shape gives the counts.
+_ARRAYS = (
+    ("beta_raw", None, "coefficients", float, "feature", 2),
+    ("intercepts", None, "intercepts", float, "target", 1),
+    ("lambda_", None, "lambda", float, "target", 1),
+    ("tau2", None, "tau2", float, "target", 1),
+    ("sigma2", None, "sigma2", float, "target", 1),
+    ("iterations", None, "iterations", int, "target", 1),
+    ("grid", None, "grid", float, "target", 2),
+    ("cve_curves", None, "cve_curve", float, "target", 2),
+    ("y_means", "standardization", "y_means", float, "target", 1),
+    ("target_names", None, "target_names", str, "target", 1),
+    ("feature_names", None, "feature_names", str, "feature", 1),
+    ("col_means", "standardization", "col_means", float, "feature", 1),
+    ("col_sds", "standardization", "col_sds", float, "feature", 1),
+    ("kept_columns", "standardization", "kept_columns", int, None, 1),
 )
-# The standardization statistics, nested under their own key in the file.
-_STANDARDIZATION = ("col_means", "col_sds", "kept_columns", "y_means")
-# FitResult fields with one entry per target (coefficient column) and per
-# feature (coefficient row), when present.
-_PER_TARGET = (
-    "intercepts", "lambda_", "tau2", "sigma2", "iterations", "grid", "cve_curves",
-    "y_means", "target_names",
-)
-_PER_FEATURE = ("feature_names", "col_means", "col_sds")
+
+
+def _entries(name: str, value, kind: type) -> np.ndarray:
+    """``value`` as an array of ``kind``: float (finite, from any numeric dtype
+    but bool), int, or str (an object array: numpy would turn [1, "a"] into
+    strings). Anything else, ragged rows included, is a DataError naming it."""
+    try:
+        a = np.asarray(value, dtype=object if kind is str else None)
+    except ValueError:  # numpy's "inhomogeneous shape", which names no array
+        raise DataError(f"{name} rows have unequal lengths") from None
+    if kind is str:
+        ok = all(isinstance(entry, str) for entry in a.flat)
+    elif ok := a.size == 0 or a.dtype.kind in ("iuf" if kind is float else "i"):
+        a = a.astype(kind, copy=False)
+        ok = kind is int or a.size == 0 or all_finite(a)
+    if not ok:
+        words = {float: "finite numbers", int: "integers", str: "strings"}[kind]
+        raise DataError(f"{name} entries must be {words}")
+    return a
 
 
 def _repeated(names) -> str | None:

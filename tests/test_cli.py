@@ -754,8 +754,64 @@ class TestErrorPaths:
                 '{"method":"em","coefficients":1.0,"intercepts":[0.0],"lambda":[1.0]}',
                 "beta_raw must be 1-D or 2-D",
             ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],"sigma2":["x"]}',
+                "sigma2 entries must be finite numbers",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],"iterations":[1.5]}',
+                "iterations entries must be integers",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],'
+                '"standardization":{"col_means":["0.5","1.5"]}}',
+                "col_means entries must be finite numbers",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],'
+                '"standardization":{"y_means":[null]}}',
+                "y_means entries must be finite numbers",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0,3.0],"intercepts":[0.0],"lambda":[1.0],'
+                '"feature_names":[1,"a","b"]}',
+                "feature_names entries must be strings",
+            ),
+            (
+                '{"method":"em","coefficients":[Infinity,2.0],"intercepts":[0.0],"lambda":[1.0]}',
+                "beta_raw entries must be finite numbers",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":null,"lambda":[1.0]}',
+                "intercepts is missing",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":0.0,"lambda":[1.0]}',
+                "intercepts is a scalar; expected 1, one per target",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":1.0}',
+                "lambda_ is a scalar; expected 1, one per target",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],"tau2":1.0}',
+                "tau2 is a scalar; expected 1, one per target",
+            ),
+            (
+                '{"method":"em","coefficients":[[1.0,2.0],[3.0]],"intercepts":[0.0,0.0],"lambda":[1.0,1.0]}',
+                "beta_raw rows have unequal lengths",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[[0.0,5.0]],"lambda":[1.0]}',
+                "intercepts is 2-D; expected 1-D",
+            ),
         ],
-        ids=["two-intercepts", "three-lambdas", "scalar-sigma2", "scalar-coefficients"],
+        ids=[
+            "two-intercepts", "three-lambdas", "scalar-sigma2", "scalar-coefficients",
+            "text-sigma2", "fractional-iterations", "text-col-means", "null-y-mean",
+            "number-feature-name", "infinite-coefficient", "null-intercepts", "scalar-intercepts",
+            "scalar-lambda", "scalar-tau2", "ragged-coefficients", "intercepts-row",
+        ],
     )
     def test_predict_hand_written_model_with_miscounted_array(
         self, tmp_path, capsys, text, message

@@ -9,7 +9,7 @@ import pytest
 
 import fastridge.decomposition as decomposition
 import fastridge.em as em_module
-from fastridge.data import Dataset, FitResult, Method, standardize
+from fastridge.data import Dataset, FitResult, Method, predict, standardize
 from fastridge.decomposition import compact_svd, rotate
 from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.pipeline import FitConfig, fit, solve
@@ -48,6 +48,41 @@ def test_model_file_roundtrip_is_bitwise(method, q):
     for f in dataclasses.fields(FitResult):
         assert _same(getattr(result, f.name), getattr(back, f.name)), f.name
     assert back.to_json() == result.to_json()
+
+
+# Wrong values put in place of a model file's values, one at a time.
+_MUTATIONS = [
+    None, True, 0, 1.5, "x", [], [None], [True, False], [1, "a"], [[1.0, 2.0], [3.0]],
+    math.inf, [math.inf, 1.0], {},
+]
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("method", list(Method))
+def test_mutated_model_file_loads_whole_or_is_refused(method, q):
+    """Every top-level and standardization value, and the standardization
+    itself, replaced in turn by each mutation: the file either loads,
+    round-trips bitwise and predicts finite values, or raises DataError."""
+    ds = _dataset(q)
+    model = json.loads(fit(ds, method, FitConfig(grid_size=12)).to_json())
+    std = model["standardization"]
+    loaded = 0
+    for holder, key in [(model, key) for key in model] + [(std, key) for key in std]:
+        for value in _MUTATIONS:
+            kept, holder[key] = holder[key], value
+            text = json.dumps(model)
+            holder[key] = kept
+            try:
+                result = FitResult.from_json(text)
+            except DataError:
+                continue
+            loaded += 1
+            back = FitResult.from_json(result.to_json())
+            for f in dataclasses.fields(FitResult):
+                assert _same(getattr(result, f.name), getattr(back, f.name)), (key, value, f.name)
+            assert back.to_json() == result.to_json()
+            assert np.isfinite(predict(result, ds.X)).all(), (key, value)
+    assert loaded > 0  # an optional array dropped, say, still loads
 
 
 # Model-file arrays with one entry per target, then per feature, each with a

@@ -13,11 +13,15 @@ in the same alternation, for the per-layer metrics.
 For every end-to-end metric the file holds, per workload, each side's
 median and quartiles, the parent's interquartile range, the pairs the
 change won (ties count for neither) and whether a gain may be claimed:
-the change wins at least nine tenths of the pairs and the medians differ,
+the change wins at least nine tenths of the pairs, the medians differ,
 in the metric's better direction, by more than the parent's interquartile
-range. The better direction and the bounds are read from the parent's
-BENCHMARK.json; a metric whose change median is worse than the parent's
-by more than its bound is marked as a regression. Per-layer metrics are
+range, and the change's share of failed operations on the workload is no
+larger than the parent's. The better direction and the bounds are read
+from the parent's BENCHMARK.json; a metric whose change median is worse
+than the parent's by more than its bound is marked as a regression, and
+one whose parent interquartile range exceeds the bound relative to its
+median is marked "unresolved" (the runs spread too widely to tell) unless
+every change run beats every parent run. Per-layer metrics are
 given as each side's values from the traced runs and their medians. Every
 run's JSON result line is kept.
 """
@@ -68,9 +72,22 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
-def compare(parent: list[float], change: list[float], lower_is_better: bool, bound: float | None) -> dict:
+def failed_share(runs: list[dict]) -> float:
+    """The share of the runs' operations that failed."""
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
+def compare(
+    parent: list[float],
+    change: list[float],
+    lower_is_better: bool,
+    bound: float | None,
+    failed_shares: tuple[float, float] = (0.0, 0.0),
+) -> dict:
     """Quartiles, pairs won and the claim and regression verdicts of one
-    metric on paired samples (parent[i], change[i])."""
+    metric on paired samples (parent[i], change[i]); ``failed_shares`` are
+    the parent's and the change's shares of failed operations."""
     sign = 1.0 if lower_is_better else -1.0
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
@@ -83,11 +100,18 @@ def compare(parent: list[float], change: list[float], lower_is_better: bool, bou
         "change_better_pairs": wins,
         "pairs": len(parent),
         "median_change_vs_parent": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
-        "claim_met": wins >= math.ceil(0.9 * len(parent)) and gain > iqr,
+        "claim_met": (
+            wins >= math.ceil(0.9 * len(parent)) and gain > iqr and failed_shares[1] <= failed_shares[0]
+        ),
     }
     if bound is not None:
         out["bound"] = bound
-        out["regression"] = bool(pq[1]) and -gain / abs(pq[1]) > bound
+        # every change run beats every parent run
+        separated = max(sign * c for c in change) < min(sign * p for p in parent)
+        if pq[1] and iqr / abs(pq[1]) > bound and not separated:
+            out["regression"] = "unresolved"
+        else:
+            out["regression"] = bool(pq[1]) and -gain / abs(pq[1]) > bound
     return out
 
 
@@ -128,10 +152,11 @@ def main(argv=None) -> int:
     for w in args.workload:
         sides = runs[w]
         end_to_end = {}
+        shares = tuple(failed_share(sides[s]) for s in ("parent", "change"))
         for name in sides["parent"][0]["metrics"]:
             m = declared[name]
             values = [[r["metrics"][name] for r in sides[s]] for s in ("parent", "change")]
-            end_to_end[name] = compare(*values, m["better"] == "lower", m.get("bound"))
+            end_to_end[name] = compare(*values, m["better"] == "lower", m.get("bound"), shares)
         per_layer = {}
         for name in (traced[w]["parent"] or [{"metrics": {}}])[0]["metrics"]:
             values = {s: [r["metrics"][name] for r in traced[w][s]] for s in ("parent", "change")}
@@ -143,6 +168,7 @@ def main(argv=None) -> int:
             }
         summary[w] = {
             "failed_ops": {s: [r["failed"] for r in sides[s]] for s in sides},
+            "failed_share": dict(zip(("parent", "change"), shares)),
             "attempted_ops": {s: [r["attempted"] for r in sides[s]] for s in sides},
             "end_to_end": end_to_end,
             "per_layer": per_layer,
@@ -162,8 +188,10 @@ def main(argv=None) -> int:
         "method": (
             f"{args.pairs} untraced pairs per workload on seeds {args.seed0}..{args.seed0 + args.pairs - 1}, "
             f"then {args.traced} traced pairs on the following seeds; the parent runs first on even pairs. "
-            "claim_met: the change wins at least 9/10 of the pairs and the medians differ in its favour "
-            "by more than the parent's interquartile range."
+            "claim_met: the change wins at least 9/10 of the pairs, the medians differ in its favour "
+            "by more than the parent's interquartile range, and its share of failed operations is no "
+            "larger than the parent's. regression is 'unresolved' when the parent's interquartile range "
+            "exceeds the bound relative to its median and not every change run beats every parent run."
         ),
         "summary": summary,
         "runs": {"untraced": runs, "traced": traced},
