@@ -122,17 +122,19 @@ class FitResult:
     """A fitted model on the raw data scale: what a model file holds.
 
     beta_raw is p x q: one row per feature, one column per target (a flat
-    list in the file for one target). Each model-file array is a row of
-    ``_ARRAYS``, which says what its entries are (finite numbers, integers or
-    strings) and what it counts: one entry per target (intercepts, lambda_,
-    y_means, target_names, EM's tau2, sigma2 and iterations, LOOCV's grid
-    and cve_curves rows) or per feature (feature_names, col_means, col_sds).
-    Fields without a default are required. Ragged rows, entries of another
-    kind or another count raise DataError naming the field, as does a model
-    that disagrees with itself: lambda_ != 1/tau2; grid and cve_curves rows
-    of unequal length, or lambda_ other than the grid value at the first CVE
-    minimum; kept_columns not strictly increasing within 0..p-1; or a
-    feature name given twice. "grid_kind" is written from the method.
+    list in the file for one target). method is a Method or its value.
+    Each model-file array is a row of ``_ARRAYS``, which says what its
+    entries are (finite numbers, integers or strings, and for penalties,
+    scales, CVE and iteration counts their sign) and what it counts: one
+    entry per target (intercepts, lambda_, y_means, target_names, EM's tau2,
+    sigma2 and iterations, LOOCV's grid and cve_curves rows) or per feature
+    (feature_names, col_means, col_sds). Fields without a default are
+    required. Another method, ragged rows, entries of another kind, sign or
+    count raise DataError naming the field, as does a model that disagrees
+    with itself: lambda_ != 1/tau2; grid and cve_curves rows of unequal
+    length, or lambda_ other than the grid value at the first CVE minimum;
+    kept_columns not strictly increasing within 0..p-1; or a feature or
+    target name given twice. "grid_kind" is written from the method.
     """
 
     beta_raw: np.ndarray
@@ -152,6 +154,11 @@ class FitResult:
     target_names: list[str] | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "method", Method(self.method))
+        except ValueError:
+            choices = ", ".join(m.value for m in Method)
+            raise DataError(f"method must be one of {choices}; got {self.method!r}") from None
         beta = _entries("beta_raw", self.beta_raw, float)
         beta = beta[:, None] if beta.ndim == 1 else beta
         if beta.ndim != 2:
@@ -160,13 +167,13 @@ class FitResult:
         p, q = beta.shape
         counts = {"feature": p, "target": q}
         required = {f.name for f in fields(self) if f.default is MISSING}
-        for name, _, _, kind, per, ndim in _ARRAYS[1:]:
+        for name, _, _, kind, sign, per, ndim in _ARRAYS[1:]:
             value = getattr(self, name)
             if value is None:
                 if name in required:
                     raise DataError(f"{name} is missing")
                 continue
-            value = _entries(name, value, kind)
+            value = _entries(name, value, kind, sign)
             if per and value.shape[:1] != (counts[per],):
                 got = f"has length {len(value)}" if value.ndim else "is a scalar"
                 raise DataError(f"{name} {got}; expected {counts[per]}, one per {per}")
@@ -184,8 +191,9 @@ class FitResult:
         kept = self.kept_columns
         if kept is not None and not (np.all(np.diff(kept) > 0) and np.all((kept >= 0) & (kept < p))):
             raise DataError(f"kept_columns must be strictly increasing within 0..{p - 1}")
-        if self.feature_names is not None and (name := _repeated(self.feature_names)) is not None:
-            raise DataError(f"feature_names lists {name!r} twice")
+        for field in ("feature_names", "target_names"):
+            if (names := getattr(self, field)) is not None and (name := _repeated(names)) is not None:
+                raise DataError(f"{field} lists {name!r} twice")
 
     def to_json(self) -> str:
         """The model file: JSON with sorted keys, repr-exact finite floats (no
@@ -215,36 +223,41 @@ class FitResult:
             raise DataError("malformed model file: the model and its standardization must be objects")
         arrays = {name: (std if place else model).get(key) for name, place, key, *_ in _ARRAYS}
         try:
-            return cls(method=Method(model["method"]), **arrays)
-        except (KeyError, ValueError, TypeError) as exc:
+            return cls(method=model.get("method"), **arrays)
+        except (ValueError, TypeError) as exc:
             raise DataError(f"malformed model file: {exc}") from None
 
 
 # Every array of the model file: its FitResult field, place (None: the top
-# level) and key, its entries' kind, what its first axis counts (None:
-# nothing) and its dimensions. The coefficients' shape gives the counts.
+# level) and key, its entries' kind and sign (a key of _SIGNS, or None: any),
+# what its first axis counts (None: nothing) and its dimensions. The
+# coefficients' shape gives the counts.
 _ARRAYS = (
-    ("beta_raw", None, "coefficients", float, "feature", 2),
-    ("intercepts", None, "intercepts", float, "target", 1),
-    ("lambda_", None, "lambda", float, "target", 1),
-    ("tau2", None, "tau2", float, "target", 1),
-    ("sigma2", None, "sigma2", float, "target", 1),
-    ("iterations", None, "iterations", int, "target", 1),
-    ("grid", None, "grid", float, "target", 2),
-    ("cve_curves", None, "cve_curve", float, "target", 2),
-    ("y_means", "standardization", "y_means", float, "target", 1),
-    ("target_names", None, "target_names", str, "target", 1),
-    ("feature_names", None, "feature_names", str, "feature", 1),
-    ("col_means", "standardization", "col_means", float, "feature", 1),
-    ("col_sds", "standardization", "col_sds", float, "feature", 1),
-    ("kept_columns", "standardization", "kept_columns", int, None, 1),
+    ("beta_raw", None, "coefficients", float, None, "feature", 2),
+    ("intercepts", None, "intercepts", float, None, "target", 1),
+    ("lambda_", None, "lambda", float, "positive", "target", 1),
+    ("tau2", None, "tau2", float, "positive", "target", 1),
+    ("sigma2", None, "sigma2", float, "positive", "target", 1),
+    ("iterations", None, "iterations", int, "positive", "target", 1),
+    ("grid", None, "grid", float, "positive", "target", 2),
+    ("cve_curves", None, "cve_curve", float, "nonnegative", "target", 2),
+    ("y_means", "standardization", "y_means", float, None, "target", 1),
+    ("target_names", None, "target_names", str, None, "target", 1),
+    ("feature_names", None, "feature_names", str, None, "feature", 1),
+    ("col_means", "standardization", "col_means", float, None, "feature", 1),
+    ("col_sds", "standardization", "col_sds", float, "nonnegative", "feature", 1),
+    ("kept_columns", "standardization", "kept_columns", int, None, None, 1),
 )
 
+# What a signed row's entries must be: every one compares true with 0.
+_SIGNS = {"positive": np.greater, "nonnegative": np.greater_equal}
 
-def _entries(name: str, value, kind: type) -> np.ndarray:
+
+def _entries(name: str, value, kind: type, sign: str | None = None) -> np.ndarray:
     """``value`` as an array of ``kind``: float (finite, from any numeric dtype
     but bool), int, or str (an object array: numpy would turn [1, "a"] into
-    strings). Anything else, ragged rows included, is a DataError naming it."""
+    strings), each entry of the given sign. Anything else, ragged rows
+    included, is a DataError naming it."""
     try:
         a = np.asarray(value, dtype=object if kind is str else None)
     except ValueError:  # numpy's "inhomogeneous shape", which names no array
@@ -257,6 +270,8 @@ def _entries(name: str, value, kind: type) -> np.ndarray:
     if not ok:
         words = {float: "finite numbers", int: "integers", str: "strings"}[kind]
         raise DataError(f"{name} entries must be {words}")
+    if sign is not None and not np.all(_SIGNS[sign](a, 0)):
+        raise DataError(f"{name} entries must be {sign}")
     return a
 
 

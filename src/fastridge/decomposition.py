@@ -2,18 +2,17 @@
 
 The decomposition is always obtained from a symmetric eigendecomposition of
 X'X (n >= p) or XX' (n < p), never a general SVD, so the preprocessing cost
-is O(max(n,p) * min(n,p)^2). Both solvers share the resulting cache: squared
-singular values s^2, rotated targets c = s * (U'y), and the factor U. When
-n < p, V is formed only on first read and the map back goes through X, so
-the decomposition keeps a reference to X, which must not be modified while
-the decomposition is in use.
+is O(max(n,p) * min(n,p)^2). The rotated problem both solvers read is that
+decomposition plus its targets, in one type: the factor U, squared singular
+values s^2 and rotated targets c = s * (U'y). When n < p, V is formed only
+on first read and the map back goes through X, so the decomposition keeps a
+reference to X, which must not be modified while it is in use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -28,7 +27,9 @@ class CompactSvd:
     (p x r') semi-orthonormal.
 
     X, the decomposed matrix, is held by reference. When n < p, V = X' U / s
-    is formed on first read.
+    is formed on first read, as are s2 = s**2 and U_sq = U * U, the leverage
+    factor LOOCV shares across targets. n_dropped_directions counts the
+    p - r' coefficient directions whose s^2 is below the resolution floor.
     """
 
     U: np.ndarray
@@ -38,6 +39,14 @@ class CompactSvd:
     @cached_property
     def V(self) -> np.ndarray:
         return self.X.T @ self.U / self.s
+
+    @cached_property
+    def s2(self) -> np.ndarray:
+        return self.s**2
+
+    @cached_property
+    def U_sq(self) -> np.ndarray:
+        return self.U * self.U
 
     @property
     def n(self) -> int:
@@ -51,38 +60,21 @@ class CompactSvd:
     def rank(self) -> int:
         return self.s.shape[0]
 
-
-@dataclass(frozen=True)
-class RotatedProblem:
-    """The r'-dimensional equivalent ridge problem plus what LOOCV needs.
-
-    c[:, t] = s * (U' y_t); y_sq_norms[t] = ||y_t||^2. U, V, n and p are
-    those of the decomposition svd. n_dropped_directions counts the p - r'
-    coefficient directions whose s^2 is below compact_svd's resolution floor.
-    U_sq = U * U is formed on first read and shared by every target's LOOCV.
-    """
-
-    s2: np.ndarray
-    c: np.ndarray
-    y_sq_norms: np.ndarray
-    svd: CompactSvd
-
-    U = property(attrgetter("svd.U"))
-    V = property(attrgetter("svd.V"))
-    n = property(attrgetter("svd.n"))
-    p = property(attrgetter("svd.p"))
-
-    @cached_property
-    def U_sq(self) -> np.ndarray:
-        return self.U * self.U
-
-    @property
-    def rank(self) -> int:
-        return self.s2.shape[0]
-
     @property
     def n_dropped_directions(self) -> int:
         return self.p - self.rank
+
+
+@dataclass(frozen=True)
+class RotatedProblem(CompactSvd):
+    """A decomposition plus its targets: the r'-dimensional equivalent ridge
+    problem both solvers read.
+
+    c[:, t] = s * (U' y_t); y_sq_norms[t] = ||y_t||^2.
+    """
+
+    c: np.ndarray
+    y_sq_norms: np.ndarray
 
     @property
     def q(self) -> int:
@@ -135,15 +127,21 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
 
 
 def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
-    """Build the rotated problem: c_t = s * (U' y_t), y_sq_norms[t] = y_t'y_t."""
+    """Build the rotated problem on svd's own arrays: c_t = s * (U' y_t),
+    y_sq_norms[t] = y_t'y_t; what svd has formed (V, s2, U_sq) is handed over."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
     if Y.shape[0] != svd.n:
         raise DataError(f"Y has {Y.shape[0]} rows, expected {svd.n}")
+    if not all_finite(Y):
+        raise DataError("non-finite entries in Y")
     c = svd.s[:, None] * (svd.U.T @ Y)
     y_sq_norms = np.einsum("ij,ij->j", Y, Y)
-    return RotatedProblem(s2=svd.s**2, c=c, y_sq_norms=y_sq_norms, svd=svd)
+    rp = RotatedProblem(U=svd.U, s=svd.s, X=svd.X, c=c, y_sq_norms=y_sq_norms)
+    for name, value in vars(svd).items():  # keeps rp's own c and y_sq_norms
+        vars(rp).setdefault(name, value)
+    return rp
 
 
 def target_column(rp: RotatedProblem, target: int) -> np.ndarray:
@@ -165,10 +163,9 @@ def rotated_ridge_solution(rp: RotatedProblem, lam: float, target: int = 0) -> n
 def recover_beta(rp: RotatedProblem, alpha: np.ndarray) -> np.ndarray:
     """Map a rotated solution back: beta = V @ alpha (O(p r')) when n >= p,
     and beta = X' (U (alpha / s)) (O(n p)) when n < p, which leaves V unread."""
-    svd = rp.svd
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[0] != svd.rank:
-        raise DataError(f"alpha has length {alpha.shape[0]}, expected {svd.rank}")
-    if svd.n < svd.p:
-        return svd.X.T @ (svd.U @ (alpha.T / svd.s).T)
-    return svd.V @ alpha
+    if alpha.shape[0] != rp.rank:
+        raise DataError(f"alpha has length {alpha.shape[0]}, expected {rp.rank}")
+    if rp.n < rp.p:
+        return rp.X.T @ (rp.U @ (alpha.T / rp.s).T)
+    return rp.V @ alpha

@@ -146,7 +146,7 @@ def _press_curve(
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     if y.shape[0] != rp.n:
         raise DataError(f"y has length {y.shape[0]}, expected {rp.n}")
-    U, UU, s, s2 = rp.U, rp.U_sq, rp.svd.s[:, None], rp.s2[:, None]
+    U, UU, s, s2 = rp.U, rp.U_sq, rp.s[:, None], rp.s2[:, None]
     c = target_column(rp, target)[:, None]
     complement = rp.rank == rp.n
     step = max(1, rp.rank)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -64,12 +65,9 @@ class Setting1Config:
     p: int = 100
 
     def __post_init__(self):
-        if self.n < 1 or self.p < 1:
-            raise DataError("need n >= 1 and p >= 1")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+        _check_sizes(self.n, self.p, self.seed)
+        if not (isinstance(self.sigma, numbers.Real) and math.isfinite(self.sigma) and self.sigma >= 0):
             raise DataError("sigma must be nonnegative and finite")
-        if self.seed < 0:
-            raise DataError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,19 @@ class Setting2Config:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1 or self.p < 1:
-            raise DataError("need n >= 1 and p >= 1")
-        if self.seed < 0:
-            raise DataError("seed must be nonnegative")
+        _check_sizes(self.n, self.p, self.seed)
+
+
+def _check_sizes(n, p, seed) -> None:
+    """The size-and-seed rule of every draw: n >= 1 and p >= 1 are integers,
+    and so is seed >= 0."""
+    for name, value in (("n", n), ("p", p), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):
+            raise DataError(f"{name} must be an integer, not {value!r}")
+    if n < 1 or p < 1:
+        raise DataError("need n >= 1 and p >= 1")
+    if seed < 0:
+        raise DataError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -188,22 +195,31 @@ def _failed_row(method, n, p, sigma, t_pre, rep_seed):
     return MetricsRow(method, n, p, sigma, nan, nan, nan, None, t_pre, 0, rep_seed, failed=True)
 
 
+def _cell_config(setting, n, swept, p, seed):
+    """The config of one cell's draw under seed, which checks n, p, sigma and
+    the seed; the bench's dense draw (setting 3) has no config and takes
+    the same size-and-seed rule."""
+    if setting == 1:
+        return Setting1Config(n=n, sigma=swept, seed=seed, p=Setting1Config.p if p is None else p)
+    if setting == 2:
+        return Setting2Config(n=n, p=swept, seed=seed)
+    _check_sizes(n, swept, seed)
+    return None
+
+
 def _draw(setting, n, swept, p, rep_seed):
     """One replication's (X, y, beta0), then its p and noise-sd columns."""
+    cfg = _cell_config(setting, n, swept, p, rep_seed)
     if setting == 1:
-        p = Setting1Config.p if p is None else p
-        cfg = Setting1Config(n=n, sigma=swept, seed=rep_seed, p=p)
         return (*gen_bernoulli_sparse(cfg), cfg.p, float(cfg.sigma))
     if setting == 2:
-        cfg = Setting2Config(n=n, p=swept, seed=rep_seed)
         return (*gen_gaussian_wishart(cfg), cfg.p, math.sqrt(_NOISE_VAR))
     return (*_gen_bench_data(rep_seed, n, swept), swept, 1.0)
 
 
-def _replications(setting, methods, n_list, swept_list, reps, seed, p, grid_length, keep_failures):
-    """The replication loop behind run_comparison (keep_failures=True, see
-    there for the rows) and bench_comparison (keep_failures=False: the first
-    library error propagates unchanged)."""
+def _sweep(setting, methods, n_list, swept_list, reps, seed, p, grid_length):
+    """Check a whole sweep before anything is drawn, every cell under the
+    master seed included; return its FitConfig and its (n, swept) cells."""
     if not methods:
         raise DataError("methods must be nonempty")
     if len(set(methods)) < len(methods):
@@ -212,8 +228,16 @@ def _replications(setting, methods, n_list, swept_list, reps, seed, p, grid_leng
         raise DataError("sweep lists must be nonempty")
     if reps < 1:
         raise DataError("reps must be at least 1")
-    config = FitConfig(grid_size=grid_length)
     cells = [(n, swept) for n in n_list for swept in swept_list]
+    for n, swept in cells:
+        _cell_config(setting, n, swept, p, seed)
+    return FitConfig(grid_size=grid_length), cells
+
+
+def _replications(setting, methods, cells, reps, seed, p, config, keep_failures):
+    """The replication loop behind run_comparison (keep_failures=True, see
+    there for the rows) and bench_comparison (keep_failures=False: the first
+    library error propagates unchanged), over cells checked by _sweep."""
     rows = []
     for (cell_index, (n, swept)), rep in itertools.product(enumerate(cells), range(reps)):
         rep_seed = derive_seed(seed, setting, cell_index, rep)
@@ -287,9 +311,8 @@ def run_comparison(
         raise DataError("setting must be 1 or 2")
     if setting == 2 and p is not None:
         raise DataError("p does not apply to setting 2, which sweeps it")
-    return _replications(
-        setting, methods, n_list, sigma_or_p_list, reps, seed, p, grid_length, keep_failures=True
-    )
+    config, cells = _sweep(setting, methods, n_list, sigma_or_p_list, reps, seed, p, grid_length)
+    return _replications(setting, methods, cells, reps, seed, p, config, keep_failures=True)
 
 
 @dataclass(frozen=True)
@@ -331,12 +354,9 @@ def bench_comparison(
     charged to it: after a few seconds idle, threaded BLAS calls can run
     over ten times slower for about a second, longer than one replication.
     """
-    _replications(
-        3, methods, n_list[:1], p_list[:1], reps, seed, None, grid_length, keep_failures=False
-    )
-    rows = _replications(
-        3, methods, n_list, p_list, reps, seed, None, grid_length, keep_failures=False
-    )
+    config, cells = _sweep(3, methods, n_list, p_list, reps, seed, None, grid_length)
+    _replications(3, methods, cells[:1], reps, seed, None, config, keep_failures=False)
+    rows = _replications(3, methods, cells, reps, seed, None, config, keep_failures=False)
     k = len(methods)
     out = []
     for start in range(0, len(rows), reps * k):

@@ -805,12 +805,66 @@ class TestErrorPaths:
                 '{"method":"em","coefficients":[1.0,2.0],"intercepts":[[0.0,5.0]],"lambda":[1.0]}',
                 "intercepts is 2-D; expected 1-D",
             ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0,3.0],"intercepts":[0.0],"lambda":[-1.0],'
+                '"tau2":[-1.0],"standardization":{"col_sds":[0.0,-1.0,0.0]}}',
+                "lambda_ entries must be positive",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],"tau2":[-1.0]}',
+                "tau2 entries must be positive",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],'
+                '"standardization":{"col_sds":[1.0,-1.0]}}',
+                "col_sds entries must be nonnegative",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],"sigma2":[-1.0]}',
+                "sigma2 entries must be positive",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],"iterations":[-3]}',
+                "iterations entries must be positive",
+            ),
+            (
+                '{"method":"loocv-fixed","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[-1.0],'
+                '"grid":[[-1.0,-2.0]],"cve_curve":[[1.0,2.0]]}',
+                "lambda_ entries must be positive",
+            ),
+            (
+                '{"method":"loocv-fixed","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0],'
+                '"grid":[[1.0,-2.0]],"cve_curve":[[1.0,2.0]]}',
+                "grid entries must be positive",
+            ),
+            (
+                '{"method":"loocv-fixed","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[2.0],'
+                '"grid":[[2.0,1.0]],"cve_curve":[[-1.0,2.0]]}',
+                "cve_curves entries must be nonnegative",
+            ),
+            (
+                '{"method":"EM","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0]}',
+                "method must be one of em, loocv-fixed, loocv-glmnet; got 'EM'",
+            ),
+            (
+                '{"coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[1.0]}',
+                "method must be one of em, loocv-fixed, loocv-glmnet; got None",
+            ),
+            (
+                '{"method":"em","coefficients":[[1.0,2.0],[3.0,4.0]],"intercepts":[0.0,0.0],'
+                '"lambda":[1.0,1.0],"target_names":["y","y"]}',
+                "target_names lists 'y' twice",
+            ),
         ],
         ids=[
             "two-intercepts", "three-lambdas", "scalar-sigma2", "scalar-coefficients",
             "text-sigma2", "fractional-iterations", "text-col-means", "null-y-mean",
             "number-feature-name", "infinite-coefficient", "null-intercepts", "scalar-intercepts",
             "scalar-lambda", "scalar-tau2", "ragged-coefficients", "intercepts-row",
+            "negative-penalty-and-scale", "negative-tau2", "negative-col-sd", "negative-sigma2",
+            "negative-iterations", "negative-grid-row", "negative-grid-entry", "negative-cve",
+            "method-by-member-name",
+            "no-method", "target-name-twice",
         ],
     )
     def test_predict_hand_written_model_with_miscounted_array(

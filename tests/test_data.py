@@ -1,5 +1,6 @@
 """Dataset loading, standardization, and raw-scale mapping."""
 
+import json
 import os
 import random
 import tracemalloc
@@ -504,6 +505,17 @@ class TestDestandardizeAndPredict:
 
 
 class TestFitResult:
+    @pytest.mark.parametrize("method", [Method.EM, "em"])
+    def test_method_is_a_member_or_its_value(self, method):
+        f = FitResult(np.ones(2), [0.0], [1.0], method)
+        assert f.method is Method.EM
+        assert json.loads(f.to_json())["method"] == "em"
+
+    @pytest.mark.parametrize("method", ["EM", "lasso", None, 1, ["em"]])
+    def test_any_other_method_is_refused(self, method):
+        with pytest.raises(DataError, match="^method must be one of em, loocv-fixed, loocv-glmnet; got "):
+            FitResult(np.ones(2), [0.0], [1.0], method)
+
     def test_lambda_tau2_consistency_enforced(self):
         with pytest.raises(DataError):
             FitResult(

@@ -235,6 +235,31 @@ class TestRotate:
         with pytest.raises(DataError):
             rotate(svd, np.ones(4))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_rejects_non_finite_targets(self, q, value):
+        Y = _random_matrix(25, 8, q)
+        Y[3, q - 1] = value
+        with pytest.raises(DataError, match="^non-finite entries in Y$"):
+            rotate(compact_svd(_random_matrix(26, 8, 5)), Y[:, 0] if q == 1 else Y)
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9)], ids=["tall", "wide"])
+    def test_problem_is_the_decomposition_plus_targets(self, shape):
+        """rotate copies no array and hands over what the decomposition has
+        formed (the tall route's V = W); s2 is s**2 bitwise; rotating a
+        rotated problem again keeps only the new targets."""
+        svd = compact_svd(_random_matrix(24, *shape))
+        Y = _random_matrix(27, shape[0], 2)
+        rp = rotate(svd, Y)
+        assert rp.U is svd.U and rp.s is svd.s and rp.X is svd.X
+        assert ("V" in vars(rp)) == (shape[0] >= shape[1])
+        if "V" in vars(rp):
+            assert rp.V is svd.V
+        assert rp.s2.tobytes() == (rp.s**2).tobytes()
+        again = rotate(rp, Y[:, 1])
+        assert again.s2 is rp.s2
+        assert again.c.tobytes() == rotate(svd, Y[:, 1]).c.tobytes()
+
 
 class TestRotatedRidgeSolution:
     @given(
@@ -288,12 +313,14 @@ class TestRotatedRidgeSolution:
 
     def test_wide_recover_beta_matches_v(self):
         """When n < p beta is mapped back through X, without V, and agrees
-        with V alpha."""
+        with V alpha; neither solver's fit forms V either."""
         X = _random_matrix(17, 12, 60)
         rp = rotate(compact_svd(X), np.random.default_rng(18).normal(size=12))
         alpha = rotated_ridge_solution(rp, 0.3)
         beta = recover_beta(rp, alpha)
-        assert "V" not in vars(rp.svd)
+        em_fit(rp)
+        loocv_fit(rp, np.random.default_rng(18).normal(size=12), fixed_grid(5))
+        assert "V" not in vars(rp)
         assert_allclose(beta, rp.V @ alpha, rtol=1e-13, atol=0)
 
     def test_recover_beta_length_check(self):

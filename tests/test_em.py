@@ -114,10 +114,11 @@ class TestExpectedSse:
 
     def test_rounding_negative_clamped_to_zero(self):
         rp = RotatedProblem(
-            s2=np.array([1.0]),
+            U=np.ones((1, 1)),
+            s=np.array([1.0]),
+            X=np.ones((1, 1)),
             c=np.array([[1.0]]),
             y_sq_norms=np.array([1.0 - 1e-12]),
-            svd=compact_svd(np.ones((1, 1))),
         )
         ess, rss = expected_sse(rp, np.array([1.0]), 1.0, 0.0)
         assert rss == 0.0
@@ -125,10 +126,11 @@ class TestExpectedSse:
 
     def test_inconsistent_inputs_error(self):
         rp = RotatedProblem(
-            s2=np.array([1.0]),
+            U=np.ones((1, 1)),
+            s=np.array([1.0]),
+            X=np.ones((1, 1)),
             c=np.array([[1.0]]),
             y_sq_norms=np.array([0.5]),
-            svd=compact_svd(np.ones((1, 1))),
         )
         with pytest.raises(DataError, match="negative residual"):
             expected_sse(rp, np.array([1.0]), 1.0, 0.0)

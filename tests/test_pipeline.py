@@ -120,6 +120,13 @@ def test_model_file_with_a_miscounted_array_is_refused(key, method, q, extra):
         FitResult.from_json(json.dumps(model))
 
 
+def test_fit_refuses_a_target_name_given_twice():
+    """predict could not tell the two prediction columns apart."""
+    d = _dataset(2)
+    with pytest.raises(DataError, match="^target_names lists 'y' twice$"):
+        fit(Dataset(d.X, d.Y, d.column_names, ["y", "y"]), Method.EM)
+
+
 @pytest.mark.parametrize("method", list(Method))
 def test_fit_fills_the_method_detail(method):
     result = fit(_dataset(2), method, FitConfig(grid_size=12))

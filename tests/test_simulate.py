@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fastridge import simulate
 from fastridge.data import Dataset, Method, destandardize, standardize
 from fastridge.decomposition import compact_svd, rotate
 from fastridge.em import em_fit
@@ -43,6 +44,8 @@ class TestConfigs:
                 Setting1Config(n=5, sigma=sigma, seed=0)
         with pytest.raises(DataError):
             Setting1Config(n=5, sigma=1.0, seed=-1)
+        with pytest.raises(DataError):
+            Setting1Config(n=5, sigma="1", seed=0)
         Setting1Config(n=5, sigma=0.0, seed=0)  # noiseless is legitimate
 
     def test_setting2_validation(self):
@@ -50,6 +53,9 @@ class TestConfigs:
             Setting2Config(n=5, p=0, seed=0)
         with pytest.raises(DataError):
             Setting2Config(n=5, p=2, seed=-1)
+        for n, p, seed in ((5.0, 2, 0), (5, 2.5, 0), (5, 2, 1.0)):
+            with pytest.raises(DataError, match="must be an integer"):
+                Setting2Config(n=n, p=p, seed=seed)
 
 
 class TestGenBernoulliSparse:
@@ -172,8 +178,18 @@ def _strip_times(row):
     return dataclasses.replace(row, t_preprocess_ns=0, t_mainloop_ns=0)
 
 
+def _refuse_any_fit(monkeypatch):
+    """Make a sweep fail loudly, not with DataError, if it fits anything."""
+
+    def fitted(d):
+        raise AssertionError("a cell was fitted before the sweep was refused")
+
+    monkeypatch.setattr(simulate, "standardize", fitted)
+
+
 class TestRunComparison:
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        _refuse_any_fit(monkeypatch)
         with pytest.raises(DataError):
             run_comparison(3, [Method.EM], [10], [1.0], 1, 0)
         with pytest.raises(DataError):
@@ -182,6 +198,19 @@ class TestRunComparison:
             run_comparison(1, [Method.EM], [], [1.0], 1, 0)
         with pytest.raises(DataError):
             run_comparison(1, [Method.EM], [10], [1.0], 0, 0)
+        # Every cell and the seed are checked before the first draw.
+        with pytest.raises(DataError, match="^need n >= 1 and p >= 1$"):
+            run_comparison(1, [Method.EM, Method.LOOCV_FIXED], [2000, 0], [1.0], 5, 0)
+        with pytest.raises(DataError, match="^sigma must be nonnegative and finite$"):
+            run_comparison(1, [Method.EM], [10], [1.0, -1.0], 1, 0)
+        with pytest.raises(DataError, match="^n must be an integer, not 3.5$"):
+            run_comparison(1, [Method.EM], [10, 3.5], [1.0], 1, 0)
+        with pytest.raises(DataError, match="^p must be an integer, not 2.5$"):
+            run_comparison(1, [Method.EM], [10], [1.0], 1, 0, p=2.5)
+        with pytest.raises(DataError, match="^p must be an integer, not 2.5$"):
+            run_comparison(2, [Method.EM], [10], [2.5], 1, 0)
+        with pytest.raises(DataError, match="^seed must be nonnegative$"):
+            run_comparison(2, [Method.EM], [10], [2], 1, -1)
 
     def test_grid_length_below_two_rejected(self):
         """A one-point grid cannot be scored; the sweep refuses it instead of
@@ -384,13 +413,21 @@ class TestBenchComparison:
         assert em1.unit_count == em2.unit_count >= 1.0
         assert cv1.t_mainloop_ns >= cv1.t_per_unit_ns
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        _refuse_any_fit(monkeypatch)
         with pytest.raises(DataError):
             bench_comparison([], [10], [2], 1, 0)
         with pytest.raises(DataError):
             bench_comparison([Method.EM], [], [2], 1, 0)
         with pytest.raises(DataError):
             bench_comparison([Method.EM], [10], [2], 0, 0)
+        # Every cell and the seed are checked before the untimed first cell.
+        with pytest.raises(DataError, match="^need n >= 1 and p >= 1$"):
+            bench_comparison([Method.EM], [20, 0], [3], 1, 0)
+        with pytest.raises(DataError, match="^p must be an integer, not 3.5$"):
+            bench_comparison([Method.EM], [20], [3.5], 1, 0)
+        with pytest.raises(DataError, match="^seed must be nonnegative$"):
+            bench_comparison([Method.EM], [20], [3], 1, -1)
 
     def test_repeated_method_rejected(self):
         """A repeated method would pool both copies' samples into one list."""

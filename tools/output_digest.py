@@ -1,0 +1,130 @@
+"""SHA-256 of every output a behaviour-preserving change must leave byte-identical.
+
+    python3 tools/output_digest.py > digest.txt
+
+Takes no flags and prints one "name sha256" line per output, in a fixed
+order, using the fastridge in the src/ directory next to this file:
+
+* fit/...      pipeline.fit model files (to_json) for every method on seeded
+               normal designs of 300x40, 80x600, 1000x200 and 30x4, two
+               targets and one constant column each, seeds 0-2;
+* cli/...      the model file of `fastridge fit` and the predictions file
+               of `fastridge predict` on the benchmark's cli-multi inputs
+               (every method) and wide inputs (both LOOCV grids), seeds 1-2,
+               built by benchmark/workloads.make_inputs;
+* simulate/... `fastridge simulate` CSVs of both settings, each sweep with
+               a p > n cell;
+* bench        `fastridge bench` CSV with its timing columns dropped.
+
+It reads only the public API and the CLI, so the same file can be run from
+a copy placed in another checkout. Run it on both trees and diff the output.
+Takes about a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
+
+import numpy as np  # noqa: E402
+
+from fastridge import cli, pipeline  # noqa: E402
+from fastridge.data import Dataset, Method  # noqa: E402
+import workloads  # noqa: E402
+
+FIT_SHAPES = ((300, 40), (80, 600), (1000, 200), (30, 4))
+CLI_RUNS = (
+    ("cli-multi", ("em", "loocv-fixed", "loocv-glmnet")),
+    ("wide", ("loocv-fixed", "loocv-glmnet")),
+)
+SIMULATE_RUNS = (
+    ("bernoulli", ["--n-list", "60,400", "--sigma-list", "0.5,2", "--p", "100"]),
+    ("gaussian", ["--n-list", "30,200", "--p-list", "10,50"]),
+)
+BENCH_TIMINGS = {"t_preprocess_ns", "t_mainloop_ns", "t_per_unit_ns"}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _digest(fh.read())
+
+
+def _cli(*argv: str) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"fastridge {argv[0]} exited {code}: {err.getvalue().strip()}")
+
+
+def fit_digests():
+    for n, p in FIT_SHAPES:
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p) + rng.normal(size=p)
+            X[:, 1] = 2.5
+            Y = X @ rng.normal(size=(p, 2)) / np.sqrt(p) + rng.normal(size=(n, 2))
+            for method in Method:
+                model = pipeline.fit(Dataset(X, Y), method).to_json()
+                yield f"fit/{method.value}/{n}x{p}/seed{seed}", _digest(model.encode())
+
+
+def cli_digests(tmp: str):
+    for name, methods in CLI_RUNS:
+        w = workloads.WORKLOADS[name]
+        for seed in (1, 2):
+            inputs = workloads.make_inputs(w, seed)
+            train, features = os.path.join(tmp, "train.csv"), os.path.join(tmp, "features.csv")
+            x_names = [f"x{j}" for j in range(w.p)]
+            workloads.write_csv(train, x_names + [f"y{t}" for t in range(w.q)], np.hstack([inputs.X, inputs.Y]))
+            workloads.write_csv(features, x_names, inputs.X_new)
+            del inputs
+            model, out = os.path.join(tmp, "model.json"), os.path.join(tmp, "predictions.csv")
+            for method in methods:
+                _cli("fit", "--input", train, "--target", f"last {w.q}", "--method", method, "--output", model)
+                _cli("predict", "--model", model, "--input", features, "--output", out)
+                yield f"cli/fit/{name}/{method}/seed{seed}", _file_digest(model)
+                yield f"cli/predict/{name}/{method}/seed{seed}", _file_digest(out)
+
+
+def simulate_digests(tmp: str):
+    out = os.path.join(tmp, "simulate.csv")
+    for setting, flags in SIMULATE_RUNS:
+        _cli("simulate", "--setting", setting, *flags, "--reps", "2", "--seed", "7",
+             "--methods", "em,loocv-fixed,loocv-glmnet", "--output", out)
+        yield f"simulate/{setting}", _file_digest(out)
+
+
+def bench_digest(tmp: str):
+    out = os.path.join(tmp, "bench.csv")
+    _cli("bench", "--n-list", "50,200", "--p-list", "10,80", "--reps", "2", "--seed", "3",
+         "--methods", "em,loocv-fixed,loocv-glmnet", "--output", out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    keep = [j for j, column in enumerate(rows[0]) if column not in BENCH_TIMINGS]
+    text = "\n".join(",".join(row[j] for j in keep) for row in rows) + "\n"
+    yield "bench", _digest(text.encode())
+
+
+def main() -> None:
+    os.environ.pop("FASTRIDGE_SEED", None)  # it would override every --seed
+    with tempfile.TemporaryDirectory() as tmp:
+        for part in (fit_digests(), cli_digests(tmp), simulate_digests(tmp), bench_digest(tmp)):
+            for name, digest in part:
+                print(name, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()
