@@ -93,15 +93,19 @@ def cmd_predict(args) -> int:
             raise DataError(f"{args.model}: {exc}") from None
 
     def columns(header):
-        """Feature columns by the model's names when all are present,
-        otherwise every column but the id column, in order."""
+        """Feature columns by the model's names when the header names any of
+        them (then it must name all), otherwise every column but the id
+        column, in order."""
         id_idx = None
         if args.id_column is not None:
             if args.id_column not in header:
                 raise DataError(f"id column {args.id_column!r} not in input header")
             id_idx = header.index(args.id_column)
-        names = result.feature_names
-        if names and all(name in header for name in names):
+        names = result.feature_names or []
+        if any(name in header for name in names):
+            for name in names:
+                if name not in header:
+                    raise DataError(f"model feature {name!r} not in input header")
             return [header.index(name) for name in names], id_idx
         cols = [j for j in range(len(header)) if j != id_idx]
         p = result.beta_raw.shape[0]

@@ -48,7 +48,8 @@ class Dataset:
     copies nothing for a C-ordered float64 caller: everything downstream
     sums over rows in that order. A non-finite entry raises DataError; the
     check reads min() and max(), which are NaN when any entry is, and
-    allocates nothing data-sized.
+    allocates nothing data-sized. Names, when given, are one per column of
+    X (column_names) or Y (target_names), none of them twice, or DataError.
     """
 
     X: np.ndarray
@@ -71,6 +72,13 @@ class Dataset:
             raise DataError("need n >= 1, p >= 1, q >= 1")
         if not all_finite(X) or not all_finite(Y):
             raise DataError("non-finite entries in X or Y")
+        for field, count in (("column_names", X.shape[1]), ("target_names", Y.shape[1])):
+            if (names := getattr(self, field)) is None:
+                continue
+            if len(names) != count:
+                raise DataError(f"{field} has {len(names)} names for {count} columns")
+            if (name := _repeated(names)) is not None:
+                raise DataError(f"{field} lists {name!r} twice")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -547,8 +555,9 @@ def standardize(d: Dataset) -> StandardizedDataset:
 def destandardize(beta_std: np.ndarray, s: StandardizedDataset):
     """Map coefficients fit on X_std back to the raw scale.
 
-    Returns ``(beta_raw, intercepts)`` with beta_raw of shape (p, q);
-    dropped columns get coefficient 0 and the intercept absorbs the
+    beta_std holds one column per target (a 1-D array is one column), or
+    DataError. Returns ``(beta_raw, intercepts)`` with beta_raw of shape
+    (p, q); dropped columns get coefficient 0 and the intercept absorbs the
     column means: intercept = y_mean - sum_j beta_raw[j] * col_means[j].
     """
     beta_std = np.asarray(beta_std, dtype=float)
@@ -558,10 +567,13 @@ def destandardize(beta_std: np.ndarray, s: StandardizedDataset):
         raise DataError(
             f"beta_std has {beta_std.shape[0]} rows, expected {s.p_kept}"
         )
-    q = beta_std.shape[1]
-    beta_raw = np.zeros((s.p_original, q))
+    if beta_std.shape[1] != s.q:
+        raise DataError(
+            f"beta_std has {beta_std.shape[1]} columns, expected {s.q}, one per target"
+        )
+    beta_raw = np.zeros((s.p_original, s.q))
     beta_raw[s.kept_columns] = beta_std / s.col_sds[s.kept_columns, None]
-    intercepts = s.y_means[:q] - s.col_means @ beta_raw
+    intercepts = s.y_means - s.col_means @ beta_raw
     return beta_raw, intercepts
 
 

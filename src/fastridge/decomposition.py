@@ -128,7 +128,8 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
 
 def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
     """Build the rotated problem on svd's own arrays: c_t = s * (U' y_t),
-    y_sq_norms[t] = y_t'y_t; what svd has formed (V, s2, U_sq) is handed over."""
+    y_sq_norms[t] = y_t'y_t; what svd has formed (V, s2, U_sq) is handed over.
+    A non-finite target, or one whose y_t'y_t overflows, raises DataError."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
@@ -136,8 +137,11 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
         raise DataError(f"Y has {Y.shape[0]} rows, expected {svd.n}")
     if not all_finite(Y):
         raise DataError("non-finite entries in Y")
-    c = svd.s[:, None] * (svd.U.T @ Y)
     y_sq_norms = np.einsum("ij,ij->j", Y, Y)
+    if not all_finite(y_sq_norms):
+        t = int(np.flatnonzero(~np.isfinite(y_sq_norms))[0])
+        raise DataError(f"target {t}: squared norm overflows")
+    c = svd.s[:, None] * (svd.U.T @ Y)
     rp = RotatedProblem(U=svd.U, s=svd.s, X=svd.X, c=c, y_sq_norms=y_sq_norms)
     for name, value in vars(svd).items():  # keeps rp's own c and y_sq_norms
         vars(rp).setdefault(name, value)

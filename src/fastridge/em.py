@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import RotatedProblem, recover_beta, rotated_ridge_solution, target_column
+from .decomposition import RotatedProblem, recover_beta, target_column
 from .exceptions import DataError, DegenerateProblemError
 
 # |RSS| below this fraction of ||y||^2 counts as rounding noise and is
@@ -47,10 +47,11 @@ class EmConfig:
 class EmFit:
     """Converged (or abandoned) EM estimate for a single target.
 
-    beta = V @ alpha, and the property lambda_ = 1/tau2 is the implied ridge
-    penalty. When degenerate is True the expected SSE underflowed to zero,
-    alpha/beta hold the minimum-norm least-squares limit, tau2 is +inf and
-    lambda_ is 0.
+    beta = V @ alpha with alpha = c / (s^2 + 1/tau2), and the property
+    lambda_ = 1/tau2 is the implied ridge penalty. tau2 = +inf is the
+    collapse em_fit reports when the EM statistics leave the positive
+    reals: degenerate is then true (it is math.isinf(tau2), not stored),
+    lambda_ is 0 and alpha/beta are the minimum-norm least-squares limit.
     """
 
     alpha: np.ndarray
@@ -60,11 +61,14 @@ class EmFit:
     k: int
     converged: bool
     delta_final: float
-    degenerate: bool = False
 
     @property
     def lambda_(self) -> float:
         return 1.0 / self.tau2
+
+    @property
+    def degenerate(self) -> bool:
+        return math.isinf(self.tau2)
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,18 @@ class UnimodalityDiagnostic:
 
     gamma_n is the smallest eigenvalue of X'X/n (zero whenever the compact
     rank falls short of p). epsilon_min = 4/(n*gamma_n) is the smallest
-    exclusion radius the bound certifies; None when gamma_n = 0. The flag
-    records whether the requested epsilon exceeds epsilon_min.
+    exclusion radius the bound certifies; None when gamma_n = 0. The
+    property epsilon_exceeds_bound says whether the requested epsilon
+    exceeds epsilon_min (false when there is none).
     """
 
     gamma_n: float
     epsilon_min: float | None
     epsilon: float
-    epsilon_exceeds_bound: bool
+
+    @property
+    def epsilon_exceeds_bound(self) -> bool:
+        return self.epsilon_min is not None and self.epsilon > self.epsilon_min
 
 
 # The E-step without input checks, shared with the em_fit loop, which
@@ -153,10 +161,22 @@ def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:
         sigma2_hat = (tau2_hat ESS + ESN) / ((n+p+2) tau2_hat)
 
     Both outputs are strictly positive whenever ESS > 0 and ESN > 0.
+    tau2_hat is unchanged and sigma2_hat scales when ESS and ESN are scaled
+    together, so where g overflows both are divided by one power of two
+    (exact) and sigma2_hat is scaled back. Only that path rescales: float
+    ** 2 is not exactly scale-invariant, so rescaling always would move the
+    last bits of ordinary fits.
     """
     if not (ess > 0 and esn > 0):
         raise DegenerateProblemError("m_step requires ESS > 0 and ESN > 0")
-    g = (4.0 * n + 4.0) * esn * (3.0 + p) * ess + ((1.0 - n) * esn + (p + 1.0) * ess) ** 2
+    try:
+        g = (4.0 * n + 4.0) * esn * (3.0 + p) * ess + ((1.0 - n) * esn + (p + 1.0) * ess) ** 2
+    except OverflowError:  # float ** raises where * returns inf
+        g = math.inf
+    if math.isinf(g):
+        e = math.frexp(max(ess, esn))[1]  # the larger scaled into [0.5, 1), g finite
+        tau2_hat, sigma2_hat = m_step(math.ldexp(ess, -e), math.ldexp(esn, -e), n, p)
+        return tau2_hat, math.ldexp(sigma2_hat, e)
     tau2_hat = ((n - 1.0) * esn - (1.0 + p) * ess + math.sqrt(g)) / ((6.0 + 2.0 * p) * ess)
     sigma2_hat = (tau2_hat * ess + esn) / ((n + p + 2.0) * tau2_hat)
     return tau2_hat, sigma2_hat
@@ -193,9 +213,11 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
 
     A target that is exactly zero raises DegenerateProblemError; standardize
     refuses a constant target before that, so this covers rotated problems
-    built by hand. If ESS underflows to zero during iteration the fit
-    returns the minimum-norm least-squares solution (the lambda -> 0 limit)
-    flagged degenerate.
+    built by hand. If the statistics collapse during iteration (ESS or ESN
+    underflows to zero, or the update leaves the positive reals) the penalty
+    has no finite optimum: the loop stops there with tau2 = +inf, so the fit
+    is degenerate, unconverged with delta_final NaN, and alpha/beta are the
+    minimum-norm least-squares solution (the lambda -> 0 limit).
     """
     n, p = rp.n, rp.p
     if n < 2:
@@ -206,21 +228,6 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
     y2 = float(rp.y_sq_norms[target])
     if y2 == 0.0:
         raise DegenerateProblemError("target has zero variance after centering")
-
-    def min_norm_fallback(sigma2: float, k: int) -> EmFit:
-        # Perfect-fit collapse: the penalty has no finite optimum, so
-        # return the lambda -> 0 limit and flag it.
-        alpha = c / s2
-        return EmFit(
-            alpha=alpha,
-            beta=recover_beta(rp, alpha),
-            tau2=math.inf,
-            sigma2=sigma2,
-            k=k,
-            converged=False,
-            delta_final=math.nan,
-            degenerate=True,
-        )
 
     tau2 = 1.0
     sigma2 = y2 / n
@@ -233,19 +240,22 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
         alpha = c * inv
         esn = _esn(rp, alpha, inv, tau2, sigma2)
         ess, rss = _ess(rp, alpha, c, y2, inv, sigma2)
-        try:
-            tau2, sigma2 = m_step(ess, esn, n, p)
-        except DegenerateProblemError:
-            return min_norm_fallback(sigma2, k + 1)
-        if not (math.isfinite(tau2) and tau2 > 0 and math.isfinite(sigma2)):
-            # tau2 can overflow to inf one step before ESS underflows.
-            return min_norm_fallback(sigma2 if math.isfinite(sigma2) else 0.0, k + 1)
         k += 1
+        try:
+            tau2_new, sigma2_new = m_step(ess, esn, n, p)
+        except DegenerateProblemError:
+            tau2_new, sigma2_new = math.inf, sigma2
+        if not (math.isfinite(tau2_new) and tau2_new > 0 and math.isfinite(sigma2_new)):
+            # Collapse; tau2 can overflow to inf one step before ESS underflows.
+            tau2, delta = math.inf, math.nan
+            sigma2 = sigma2_new if math.isfinite(sigma2_new) else 0.0
+            break
+        tau2, sigma2 = tau2_new, sigma2_new
         delta = abs(rss_old - rss) / (1.0 + abs(rss))
         if delta < cfg.tol:
             break
 
-    alpha = rotated_ridge_solution(rp, 1.0 / tau2, target)
+    alpha = c / (s2 + 1.0 / tau2)  # at tau2 = inf, the minimum-norm c / s2
     return EmFit(
         alpha=alpha,
         beta=recover_beta(rp, alpha),
@@ -302,21 +312,9 @@ def unimodality_bound(
     if not epsilon > 0:
         raise DataError("epsilon must be positive")
     s2 = np.asarray(s2, dtype=float).ravel()
-    if s2.shape[0] < p:
-        gamma_n = 0.0
-    else:
-        gamma_n = float(np.min(s2)) / n
-    if gamma_n > 0:
-        epsilon_min = 4.0 / (n * gamma_n)
-        return UnimodalityDiagnostic(
-            gamma_n=gamma_n,
-            epsilon_min=epsilon_min,
-            epsilon=epsilon,
-            epsilon_exceeds_bound=epsilon > epsilon_min,
-        )
-    return UnimodalityDiagnostic(
-        gamma_n=0.0, epsilon_min=None, epsilon=epsilon, epsilon_exceeds_bound=False
-    )
+    gamma_n = float(np.min(s2)) / n if s2.shape[0] >= p else 0.0
+    epsilon_min = 4.0 / (n * gamma_n) if gamma_n > 0 else None
+    return UnimodalityDiagnostic(gamma_n=gamma_n, epsilon_min=epsilon_min, epsilon=epsilon)
 
 
 def sample_size_threshold(c: float, alpha: float, epsilon: float) -> float:

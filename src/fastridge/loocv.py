@@ -62,12 +62,17 @@ class LambdaGrid:
 
 @dataclass(frozen=True)
 class LoocvFit:
-    """Scored grid plus the winning penalty and its coefficient vector."""
+    """Scored grid (cve[i] at grid.values[i]) and the coefficient vector at
+    the winning penalty, the property lambda_star: the grid value at the
+    first CVE minimum, so ties go to the largest, as in model files."""
 
     grid: LambdaGrid
     cve: np.ndarray
-    lambda_star: float
     beta: np.ndarray
+
+    @property
+    def lambda_star(self) -> float:
+        return float(self.grid.values[np.argmin(self.cve)])
 
 
 def fixed_grid(l: int = GRID_LENGTH) -> LambdaGrid:
@@ -209,7 +214,6 @@ def loocv_fit(
     the descending grid, so the selection is deterministic.
     """
     cve = _press_curve(rp, y, grid.values, target)
-    best = int(np.argmin(cve))  # argmin takes the first, hence largest, lambda
-    lambda_star = float(grid.values[best])
+    lambda_star = float(grid.values[np.argmin(cve)])  # the first, hence largest, lambda
     alpha = rotated_ridge_solution(rp, lambda_star, target)
-    return LoocvFit(grid=grid, cve=cve, lambda_star=lambda_star, beta=recover_beta(rp, alpha))
+    return LoocvFit(grid=grid, cve=cve, beta=recover_beta(rp, alpha))

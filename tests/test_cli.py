@@ -62,6 +62,16 @@ class TestFit:
         assert std["kept_columns"] == [0, 1, 2]
         assert "grid" not in model
 
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_large_magnitude_target(self, tmp_path, method):
+        """Targets near 1e80 square to about 1e160, where EM's M-step
+        would overflow without its rescaled path; every method fits them."""
+        path, out = tmp_path / "train.csv", tmp_path / "m.json"
+        rows = [[1.0, 0.5, 1e80], [2.0, -1.0, -2e80], [0.0, 3.0, 3e80], [-1.0, 1.0, 1e80], [4.0, 2.0, -1e80]]
+        _write_csv(path, ["a", "b", "y"], rows)
+        assert main(["fit", "--input", str(path), "--target", "y", "--method", method, "--output", str(out)]) == 0
+        assert FitResult.from_json(out.read_text()).lambda_[0] > 0
+
     def test_loocv_model_schema(self, train_csv, tmp_path):
         out = tmp_path / "model.json"
         rc = main(
@@ -883,6 +893,27 @@ class TestErrorPaths:
         capsys.readouterr()
         assert self._predict(model, train_csv, tmp_path, "--id-column", "row") == 3
         self._one_line(capsys, "fastridge predict: load-input: id column 'row' not in input header")
+
+    def test_predict_on_a_header_naming_some_features(self, train_csv, tmp_path, capsys):
+        """A header that names any model feature is matched by name, so it must
+        name all: by position, these columns would swap a and b."""
+        model = tmp_path / "model.json"
+        fit_args = ["fit", "--input", str(train_csv), "--target", "y", "--method", "em"]
+        assert main(fit_args + ["--output", str(model)]) == 0
+        capsys.readouterr()
+        features = tmp_path / "x.csv"
+        _write_csv(features, ["b", "a", "d"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert self._predict(model, features, tmp_path) == 3
+        self._one_line(capsys, "fastridge predict: load-input: model feature 'c' not in input header\n")
+
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_fit_a_target_whose_squared_norm_overflows(self, tmp_path, capsys, method):
+        path, out = tmp_path / "train.csv", tmp_path / "m.json"
+        rows = [[1.0, 0.5, 1e160], [2.0, -1.0, -2e160], [0.0, 3.0, 3e160], [-1.0, 1.0, 1e160], [4.0, 2.0, -1e160]]
+        _write_csv(path, ["a", "b", "y"], rows)
+        assert main(["fit", "--input", str(path), "--target", "y", "--method", method, "--output", str(out)]) == 3
+        self._one_line(capsys, "fastridge fit: decompose: target 0: squared norm overflows\n")
+        assert not out.exists()
 
     def test_fit_on_a_header_naming_a_column_twice(self, tmp_path, capsys):
         """Two columns named a would be saved as feature names that predict

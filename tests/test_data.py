@@ -492,6 +492,12 @@ class TestDestandardizeAndPredict:
         beta_raw, _ = destandardize(np.array([1.0, 2.0]), s)
         assert beta_raw[2, 0] == 0.0
 
+    def test_one_coefficient_column_per_target(self):
+        rng = np.random.default_rng(4)
+        s = standardize(Dataset(X=rng.normal(size=(20, 3)), Y=rng.normal(size=(20, 2))))
+        with pytest.raises(DataError, match="^beta_std has 1 columns, expected 2, one per target$"):
+            destandardize(np.ones(3), s)
+
     def test_predict_rejects_wrong_width(self):
         result = FitResult(
             beta_raw=np.ones(3),

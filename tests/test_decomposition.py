@@ -235,12 +235,15 @@ class TestRotate:
         with pytest.raises(DataError):
             rotate(svd, np.ones(4))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "+inf", "-inf", "square-overflows"]
+    )
     @pytest.mark.parametrize("q", [1, 2])
     def test_rejects_non_finite_targets(self, q, value):
         Y = _random_matrix(25, 8, q)
         Y[3, q - 1] = value
-        with pytest.raises(DataError, match="^non-finite entries in Y$"):
+        message = f"target {q - 1}: squared norm overflows" if np.isfinite(value) else "non-finite entries in Y"
+        with pytest.raises(DataError, match=f"^{message}$"):
             rotate(compact_svd(_random_matrix(26, 8, 5)), Y[:, 0] if q == 1 else Y)
 
     @pytest.mark.parametrize("shape", [(9, 4), (4, 9)], ids=["tall", "wide"])

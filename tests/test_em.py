@@ -1,6 +1,7 @@
 """EM hyperparameter estimation: E-step statistics, closed-form M-step,
 the full loop, the p-means special case, and the unimodality diagnostic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from fastridge.data import Dataset, standardize
 from fastridge.decomposition import RotatedProblem, compact_svd, rotate, rotated_ridge_solution
 from fastridge.em import (
     EmConfig,
+    UnimodalityDiagnostic,
     em_fit,
     expected_squared_norm,
     expected_sse,
@@ -324,7 +326,8 @@ class TestEmFit:
         assert fit.lambda_ == 0.0
         assert math.isinf(fit.tau2)
         assert math.isnan(fit.delta_final)
-        assert_allclose(fit.alpha, rp.c[:, 0] / rp.s2, rtol=1e-14)
+        assert fit.k == 1
+        assert np.array_equal(fit.alpha, rp.c[:, 0] / rp.s2)
         ls = np.linalg.lstsq(X, y, rcond=None)[0]
         assert_allclose(fit.beta, ls, rtol=1e-8)
 
@@ -339,6 +342,31 @@ class TestEmFit:
         fit = em_fit(rp, EmConfig())
         assert fit.degenerate
         assert fit.lambda_ == 0.0
+        assert fit.k == 1
+        assert np.array_equal(fit.alpha, rp.c[:, 0] / rp.s2)
+
+    def test_degenerate_is_an_infinite_tau2(self):
+        """degenerate is read from tau2, so a fit cannot contradict it."""
+        X, y = _random_problem(23, 12, 3)
+        fit = em_fit(_rotated(X, y))
+        assert not fit.degenerate
+        assert dataclasses.replace(fit, tau2=math.inf).degenerate
+        with pytest.raises(TypeError):
+            dataclasses.replace(fit, degenerate=True)
+
+    def test_targets_whose_m_step_overflows_fit_like_small_ones(self):
+        """At y * 2^500 forming the M-step's g overflows; the fit then agrees
+        with the one at y * 2^200 on lambda and k, and sigma2 scales by 4^300."""
+        X, y = _random_problem(2, 50, 4)
+        fits = []
+        for j in (200, 500):
+            std = standardize(Dataset(X=X, Y=math.ldexp(1.0, j) * y))
+            fits.append(em_fit(rotate(compact_svd(std.X_std), std.Y_centered)))
+        small, large = fits
+        assert large.converged and not large.degenerate
+        assert large.lambda_ == small.lambda_
+        assert large.k == small.k
+        assert large.sigma2 == math.ldexp(small.sigma2, 600)
 
     def test_monotone_descent_of_objective(self):
         """The objective evaluated at successive parameter iterates, with
@@ -458,12 +486,15 @@ class TestUnimodalityDiagnostic:
         assert d.gamma_n == 0.5
         assert d.epsilon_min == 0.08
         assert d.epsilon_exceeds_bound
+        assert UnimodalityDiagnostic(0.5, 0.08, 0.1).epsilon_exceeds_bound
+        assert not UnimodalityDiagnostic(0.5, 0.08, 0.08).epsilon_exceeds_bound
 
     def test_rank_deficient_is_inapplicable(self):
         d = unimodality_bound(np.array([3.0]), 10, 4, 0.5)
         assert d.gamma_n == 0.0
         assert d.epsilon_min is None
         assert not d.epsilon_exceeds_bound
+        assert not UnimodalityDiagnostic(0.0, None, 0.5).epsilon_exceeds_bound
 
     def test_duplicated_column_reads_the_cut_spectrum(self):
         """A tall standardized design with a copy of one column is rank

@@ -11,6 +11,7 @@ from fastridge.decomposition import compact_svd, rotate, rotated_ridge_solution
 from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.loocv import (
     LambdaGrid,
+    LoocvFit,
     fixed_grid,
     glmnet_grid,
     loocv_fit,
@@ -194,6 +195,13 @@ class TestLoocvFit:
         fit = loocv_fit(rp, y, grid)
         assert np.all(fit.cve == 0.0)
         assert fit.lambda_star == grid.values[0] == 1e10
+
+    def test_penalty_is_the_grid_value_at_the_first_minimum(self):
+        """lambda_star is read from the scored grid, ties to the largest."""
+        grid = LambdaGrid(values=np.array([8.0, 4.0, 2.0, 1.0]))
+        fits = [LoocvFit(grid=grid, cve=np.array(cve), beta=np.zeros(2))
+                for cve in ([3.0, 1.0, 1.0, 2.0], [3.0, 2.0, 2.0, 0.5], [1.0, 1.0, 1.0, 1.0])]
+        assert [fit.lambda_star for fit in fits] == [4.0, 1.0, 8.0]
 
     def test_single_candidate_grid(self):
         rng = np.random.default_rng(7)

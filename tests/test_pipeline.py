@@ -120,11 +120,31 @@ def test_model_file_with_a_miscounted_array_is_refused(key, method, q, extra):
         FitResult.from_json(json.dumps(model))
 
 
-def test_fit_refuses_a_target_name_given_twice():
-    """predict could not tell the two prediction columns apart."""
+@pytest.mark.parametrize(
+    "column_names, target_names, message",
+    [
+        (["a", "b", "c", "d"], ["y", "y"], "target_names lists 'y' twice"),
+        (["a"], ["y0", "y1"], "column_names has 1 names for 4 columns"),
+        (["a", "b", "a", "d"], ["y0", "y1"], "column_names lists 'a' twice"),
+    ],
+    ids=["target-twice", "one-name-for-four-columns", "column-twice"],
+)
+def test_fit_refuses_a_target_name_given_twice(monkeypatch, column_names, target_names, message):
+    """predict could not tell the two prediction columns apart, nor match a
+    feature by a name that is missing or repeated: the Dataset refuses the
+    names before any target is solved."""
+    solved = []
+    real_em_fit = em_module.em_fit
+
+    def recorded(rp, cfg, target):
+        solved.append(target)
+        return real_em_fit(rp, cfg, target)
+
+    monkeypatch.setattr(em_module, "em_fit", recorded)
     d = _dataset(2)
-    with pytest.raises(DataError, match="^target_names lists 'y' twice$"):
-        fit(Dataset(d.X, d.Y, d.column_names, ["y", "y"]), Method.EM)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        fit(Dataset(d.X, d.Y, column_names, target_names), Method.EM)
+    assert solved == []
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -170,7 +190,7 @@ def test_fit_stops_at_the_first_degenerate_target(monkeypatch):
     def first_collapses(rp, cfg=None, target=0):
         solved.append(target)
         if target == 0:
-            return dataclasses.replace(real_em_fit(rp, cfg, target), degenerate=True)
+            return dataclasses.replace(real_em_fit(rp, cfg, target), tau2=math.inf)
         raise AssertionError("solved a target after a degenerate one")
 
     monkeypatch.setattr(em_module, "em_fit", first_collapses)

@@ -14,11 +14,16 @@ order, using the fastridge in the src/ directory next to this file:
                built by benchmark/workloads.make_inputs;
 * simulate/... `fastridge simulate` CSVs of both settings, each sweep with
                a p > n cell;
-* bench        `fastridge bench` CSV with its timing columns dropped.
+* bench        `fastridge bench` CSV with its timing columns dropped;
+* results/...  the solver results no model file records, on the fit/...
+               designs and every target: each EmFit field (degenerate and
+               lambda_ read as attributes), loocv_fit's grid, CVE curve,
+               lambda_star and beta on both grids, and unimodality_bound's
+               gamma_n, epsilon_min and epsilon_exceeds_bound at epsilon 0.1.
 
 It reads only the public API and the CLI, so the same file can be run from
 a copy placed in another checkout. Run it on both trees and diff the output.
-Takes about a minute on two cores.
+Takes about half a minute on two cores.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
 import numpy as np  # noqa: E402
 
-from fastridge import cli, pipeline  # noqa: E402
-from fastridge.data import Dataset, Method  # noqa: E402
+from fastridge import cli, decomposition, em, loocv, pipeline  # noqa: E402
+from fastridge.data import Dataset, Method, standardize  # noqa: E402
 import workloads  # noqa: E402
 
 FIT_SHAPES = ((300, 40), (80, 600), (1000, 200), (30, 4))
@@ -50,6 +55,11 @@ SIMULATE_RUNS = (
     ("gaussian", ["--n-list", "30,200", "--p-list", "10,50"]),
 )
 BENCH_TIMINGS = {"t_preprocess_ns", "t_mainloop_ns", "t_per_unit_ns"}
+# Read by name, so the same listing runs against a tree whose results store
+# a field that another derives.
+EM_FIELDS = ("alpha", "beta", "tau2", "sigma2", "k", "converged", "delta_final", "degenerate", "lambda_")
+LOOCV_FIELDS = ("cve", "lambda_star", "beta")
+UNIMODALITY_FIELDS = ("gamma_n", "epsilon_min", "epsilon_exceeds_bound")
 
 
 def _digest(data: bytes) -> str:
@@ -69,16 +79,43 @@ def _cli(*argv: str) -> None:
         raise SystemExit(f"fastridge {argv[0]} exited {code}: {err.getvalue().strip()}")
 
 
-def fit_digests():
+def _fit_datasets():
+    """(name, Dataset) per FIT_SHAPES design and seed 0-2."""
     for n, p in FIT_SHAPES:
         for seed in range(3):
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p) + rng.normal(size=p)
             X[:, 1] = 2.5
             Y = X @ rng.normal(size=(p, 2)) / np.sqrt(p) + rng.normal(size=(n, 2))
-            for method in Method:
-                model = pipeline.fit(Dataset(X, Y), method).to_json()
-                yield f"fit/{method.value}/{n}x{p}/seed{seed}", _digest(model.encode())
+            yield f"{n}x{p}/seed{seed}", Dataset(X, Y)
+
+
+def _fields_digest(result, names, **more) -> str:
+    """Digest of the repr of each named attribute of result, then of each
+    value in more, arrays as lists of Python scalars."""
+    values = {**{name: getattr(result, name) for name in names}, **more}
+    return _digest("\n".join(f"{k}={np.asarray(v).tolist()!r}" for k, v in values.items()).encode())
+
+
+def fit_digests():
+    for name, ds in _fit_datasets():
+        for method in Method:
+            model = pipeline.fit(ds, method).to_json()
+            yield f"fit/{method.value}/{name}", _digest(model.encode())
+
+
+def result_digests():
+    for name, ds in _fit_datasets():
+        std = standardize(ds)
+        rp = decomposition.rotate(decomposition.compact_svd(std.X_std), std.Y_centered)
+        d = em.unimodality_bound(rp.s2, rp.n, rp.p, 0.1)
+        yield f"results/unimodality/{name}", _fields_digest(d, UNIMODALITY_FIELDS)
+        for t in range(rp.q):
+            y_t = std.Y_centered[:, t]
+            yield f"results/em/{name}/t{t}", _fields_digest(em.em_fit(rp, target=t), EM_FIELDS)
+            for kind, grid in (("fixed", loocv.fixed_grid()), ("glmnet", loocv.glmnet_grid(std.X_std, y_t))):
+                f = loocv.loocv_fit(rp, y_t, grid, target=t)
+                yield f"results/loocv-{kind}/{name}/t{t}", _fields_digest(f, LOOCV_FIELDS, grid=f.grid.values)
 
 
 def cli_digests(tmp: str):
@@ -121,7 +158,8 @@ def bench_digest(tmp: str):
 def main() -> None:
     os.environ.pop("FASTRIDGE_SEED", None)  # it would override every --seed
     with tempfile.TemporaryDirectory() as tmp:
-        for part in (fit_digests(), cli_digests(tmp), simulate_digests(tmp), bench_digest(tmp)):
+        parts = (fit_digests(), cli_digests(tmp), simulate_digests(tmp), bench_digest(tmp), result_digests())
+        for part in parts:
             for name, digest in part:
                 print(name, digest, flush=True)
 
