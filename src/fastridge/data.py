@@ -288,6 +288,12 @@ def _repeated(names) -> str | None:
     return next((name for name, count in Counter(names).items() if count > 1), None)
 
 
+def target_label(names, t: int) -> str:
+    """How an error names target t: the repr of its name when the targets
+    have names, else its index."""
+    return repr(names[t]) if names else str(t)
+
+
 def _parse_target_spec(target_spec, header: list[str]) -> list[int]:
     """Resolve a target spec (names, comma-joined names, or 'last k') to
     column indices within ``header``. Only ``last`` and ``last <k>`` select
@@ -512,8 +518,10 @@ def load_csv(path, target_spec) -> Dataset:
 
 def standardize(d: Dataset) -> StandardizedDataset:
     """Center and scale each column of X to sample sd 1 (denominator n-1),
-    center each target; constant columns are dropped and recorded, and a
-    constant target raises DegenerateProblemError.
+    center each target; constant columns are dropped and recorded, a
+    constant target raises DegenerateProblemError, and a target whose
+    centered squared norm overflows raises DataError, each naming the
+    target by target_label.
 
     X_std is the one float copy of X a fit makes: the deviations X - mean,
     scaled in place, in row order (C-contiguous). When columns are dropped
@@ -538,13 +546,15 @@ def standardize(d: Dataset) -> StandardizedDataset:
     X_std /= col_sds[kept]
     constant = np.flatnonzero(~(d.Y != d.Y[0]).any(axis=0))
     if constant.size:
-        t = int(constant[0])
-        name = repr(d.target_names[t]) if d.target_names else t
-        raise DegenerateProblemError(f"target {name} is constant")
+        raise DegenerateProblemError(f"target {target_label(d.target_names, constant[0])} is constant")
     y_means = d.Y.mean(axis=0)
+    Y_centered = d.Y - y_means
+    overflows = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->j", Y_centered, Y_centered)))
+    if overflows.size:
+        raise DataError(f"target {target_label(d.target_names, overflows[0])}: squared norm overflows")
     return StandardizedDataset(
         X_std=X_std,
-        Y_centered=d.Y - y_means,
+        Y_centered=Y_centered,
         col_means=col_means,
         col_sds=col_sds,
         y_means=y_means,

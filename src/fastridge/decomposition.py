@@ -4,7 +4,8 @@ The decomposition is always obtained from a symmetric eigendecomposition of
 X'X (n >= p) or XX' (n < p), never a general SVD, so the preprocessing cost
 is O(max(n,p) * min(n,p)^2). The rotated problem both solvers read is that
 decomposition plus its targets, in one type: the factor U, squared singular
-values s^2 and rotated targets c = s * (U'y). When n < p, V is formed only
+values s^2, rotated targets c = s * (U'y) and each target's energy outside
+span(U), R0 = ||(I - UU')y||^2. When n < p, V is formed only
 on first read and the map back goes through X, so the decomposition keeps a
 reference to X, which must not be modified while it is in use.
 """
@@ -68,17 +69,25 @@ class CompactSvd:
 @dataclass(frozen=True)
 class RotatedProblem(CompactSvd):
     """A decomposition plus its targets: the r'-dimensional equivalent ridge
-    problem both solvers read.
+    problem both solvers read. Each target y_t is split once, into its
+    coordinates z_t = U' y_t inside span(U) and its energy outside it:
 
-    c[:, t] = s * (U' y_t); y_sq_norms[t] = ||y_t||^2.
+    c[:, t] = s * z_t; residual_sq_norms[t] = R0_t = ||y_t - U z_t||^2.
+
+    The property y_sq_norms = R0 + ||c/s||^2 is ||y||^2, so ||y||^2 >= ||z||^2
+    holds by construction.
     """
 
     c: np.ndarray
-    y_sq_norms: np.ndarray
+    residual_sq_norms: np.ndarray
 
     @property
     def q(self) -> int:
         return self.c.shape[1]
+
+    @cached_property
+    def y_sq_norms(self) -> np.ndarray:
+        return self.residual_sq_norms + np.einsum("ij,ij->j", self.c, self.c / self.s2[:, None])
 
 
 def compact_svd(X: np.ndarray) -> CompactSvd:
@@ -127,9 +136,12 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
 
 
 def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
-    """Build the rotated problem on svd's own arrays: c_t = s * (U' y_t),
-    y_sq_norms[t] = y_t'y_t; what svd has formed (V, s2, U_sq) is handed over.
-    A non-finite target, or one whose y_t'y_t overflows, raises DataError."""
+    """Build the rotated problem on svd's own arrays: with z_t = U' y_t,
+    c_t = s * z_t and R0_t = ||y_t - U z_t||^2, summed from the residual
+    itself (one n x q temporary), so it does not cancel where y_t lies
+    almost inside span(U); what svd has formed (V, s2, U_sq) is handed over.
+    A non-finite target, or one whose y_sq_norms overflows, raises
+    DataError."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
@@ -137,14 +149,16 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
         raise DataError(f"Y has {Y.shape[0]} rows, expected {svd.n}")
     if not all_finite(Y):
         raise DataError("non-finite entries in Y")
-    y_sq_norms = np.einsum("ij,ij->j", Y, Y)
-    if not all_finite(y_sq_norms):
-        t = int(np.flatnonzero(~np.isfinite(y_sq_norms))[0])
-        raise DataError(f"target {t}: squared norm overflows")
-    c = svd.s[:, None] * (svd.U.T @ Y)
-    rp = RotatedProblem(U=svd.U, s=svd.s, X=svd.X, c=c, y_sq_norms=y_sq_norms)
-    for name, value in vars(svd).items():  # keeps rp's own c and y_sq_norms
-        vars(rp).setdefault(name, value)
+    z = svd.U.T @ Y
+    r = svd.U @ z
+    np.subtract(Y, r, out=r)  # r = Y - U z in place
+    r0 = np.einsum("ij,ij->j", r, r)
+    rp = RotatedProblem(U=svd.U, s=svd.s, X=svd.X, c=svd.s[:, None] * z, residual_sq_norms=r0)
+    # Hand over what svd has formed (V, s2, U_sq), not a rotated svd's targets.
+    for name in vars(svd).keys() & vars(CompactSvd).keys():
+        vars(rp)[name] = vars(svd)[name]
+    if not all_finite(rp.y_sq_norms):
+        raise DataError(f"target {np.flatnonzero(~np.isfinite(rp.y_sq_norms))[0]}: squared norm overflows")
     return rp
 
 

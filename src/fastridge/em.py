@@ -3,8 +3,10 @@
 The model is y | beta ~ N(X beta, sigma^2 I), beta ~ N(0, sigma^2 tau^2 I),
 with a half-Cauchy prior on tau (the beta-prime shape parameters are fixed
 at a = b = 1/2 and not exposed). The E-step statistics ESS and ESN reduce to
-O(r') sums over the rotated problem, and the M-step minimizer is closed
-form, so one iteration costs O(r') independent of n and p.
+O(r') sums over the rotated problem, plus R0 = ||(I - UU')y||^2, the one
+number of y outside span(U) that rotate keeps per target, and the M-step
+minimizer is closed form, so one iteration costs O(r') independent of n
+and p.
 
 Also houses the closed-form machinery for the p-means special case and the
 posterior-unimodality diagnostic.
@@ -13,6 +15,7 @@ posterior-unimodality diagnostic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +23,14 @@ import numpy as np
 from .decomposition import RotatedProblem, recover_beta, target_column
 from .exceptions import DataError, DegenerateProblemError
 
-# |RSS| below this fraction of ||y||^2 counts as rounding noise and is
-# clamped to zero; anything more negative is a caller error.
-_RSS_CLAMP_REL = 1e-10
-
 
 @dataclass(frozen=True)
 class EmConfig:
     """Convergence control for em_fit.
 
-    tol is compared against the relative RSS change
-    delta = |RSS_old - RSS| / (1 + |RSS|).
+    tol, positive and finite, is compared against the relative RSS change
+    delta = |RSS_old - RSS| / (1 + RSS) (RSS is a sum of squares, so
+    |RSS| is RSS); max_iterations is an integer of at least 1.
     """
 
     tol: float = 1e-8
@@ -39,6 +39,8 @@ class EmConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DataError("tol must be positive and finite")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise DataError(f"max_iterations must be an integer, not {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise DataError("max_iterations must be at least 1")
 
@@ -92,17 +94,15 @@ class UnimodalityDiagnostic:
 
 
 # The E-step without input checks, shared with the em_fit loop, which
-# computes inv = 1/(s_j^2 + 1/tau2) once per iteration.
+# computes inv = 1/(s_j^2 + 1/tau2) once per iteration; z = c/s and r0 = R0
+# are the target's split by rotate.
 def _esn(rp: RotatedProblem, alpha, inv, tau2: float, sigma2: float) -> float:
     return float(alpha @ alpha) + sigma2 * (float(np.sum(inv)) + tau2 * rp.n_dropped_directions)
 
 
-def _ess(rp: RotatedProblem, alpha, c, y2: float, inv, sigma2: float) -> tuple[float, float]:
-    rss = y2 - 2.0 * float(alpha @ c) + float((alpha * alpha) @ rp.s2)
-    if rss < 0:
-        if rss < -_RSS_CLAMP_REL * y2:
-            raise DataError(f"negative residual sum of squares ({rss!r})")
-        rss = 0.0
+def _ess(rp: RotatedProblem, alpha, z, r0: float, inv, sigma2: float) -> tuple[float, float]:
+    d = z - rp.s * alpha
+    rss = r0 + float(d @ d)
     return rss + sigma2 * float(rp.s2 @ inv), rss
 
 
@@ -135,21 +135,20 @@ def expected_sse(
 ) -> tuple[float, float]:
     """Posterior-expected sum of squared errors, and the plug-in RSS.
 
-    RSS = ||y||^2 - 2 alpha'c + ||s * alpha||^2
+    RSS = R0 + ||c/s - s * alpha||^2
     ESS = RSS + sigma2 * sum_j s_j^2/(s_j^2 + 1/tau2)
 
-    RSS is mathematically nonnegative; tiny negatives (within
-    1e-10 * ||y||^2) are rounding and clamped to zero, larger ones mean
-    alpha does not belong to this problem and raise.
+    RSS is ||y - U diag(s) alpha||^2 for any alpha, split by rotate into the
+    energy R0 outside span(U) and a sum of squares over the spectrum, so it
+    is never negative.
     """
     if not tau2 > 0:
         raise DataError("tau2 must be positive")
     if not sigma2 >= 0:
         raise DataError("sigma2 must be nonnegative")
     alpha = np.asarray(alpha, dtype=float)
-    c = target_column(rp, target)
-    y2 = float(rp.y_sq_norms[target])
-    return _ess(rp, alpha, c, y2, 1.0 / (rp.s2 + 1.0 / tau2), sigma2)
+    z, r0 = target_column(rp, target) / rp.s, float(rp.residual_sq_norms[target])
+    return _ess(rp, alpha, z, r0, 1.0 / (rp.s2 + 1.0 / tau2), sigma2)
 
 
 def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:
@@ -207,8 +206,9 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
     Initialization: tau2 = 1, sigma2 = ||y||^2 / n (the target
     is assumed centered, so this is the mean squared deviation). Each
     iteration refreshes alpha at lambda = 1/tau2, computes (ESN, RSS, ESS),
-    applies the closed-form M-step, and stops once
-    delta = |RSS_old - RSS| / (1 + |RSS|) < cfg.tol or the iteration cap is
+    with RSS = R0 + ||c/s - s * alpha||^2 as in expected_sse, applies the
+    closed-form M-step, and stops once
+    delta = |RSS_old - RSS| / (1 + RSS) < cfg.tol or the iteration cap is
     reached. The returned alpha/beta are recomputed at the final tau2.
 
     A target that is exactly zero raises DegenerateProblemError; standardize
@@ -224,6 +224,7 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
         raise DataError("em_fit requires n >= 2")
 
     c = target_column(rp, target)
+    z, r0 = c / rp.s, float(rp.residual_sq_norms[target])
     s2 = rp.s2
     y2 = float(rp.y_sq_norms[target])
     if y2 == 0.0:
@@ -239,7 +240,7 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
         inv = 1.0 / (s2 + 1.0 / tau2)
         alpha = c * inv
         esn = _esn(rp, alpha, inv, tau2, sigma2)
-        ess, rss = _ess(rp, alpha, c, y2, inv, sigma2)
+        ess, rss = _ess(rp, alpha, z, r0, inv, sigma2)
         k += 1
         try:
             tau2_new, sigma2_new = m_step(ess, esn, n, p)
@@ -251,7 +252,7 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
             sigma2 = sigma2_new if math.isfinite(sigma2_new) else 0.0
             break
         tau2, sigma2 = tau2_new, sigma2_new
-        delta = abs(rss_old - rss) / (1.0 + abs(rss))
+        delta = abs(rss_old - rss) / (1.0 + rss)
         if delta < cfg.tol:
             break
 

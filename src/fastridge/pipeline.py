@@ -7,6 +7,7 @@ module's function, such as a tracer, sees every call.
 from __future__ import annotations
 
 import contextlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,15 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """LOOCV grid length (default loocv.GRID_LENGTH) and EM convergence control."""
+    """LOOCV grid length, an integer of at least 2 (default
+    loocv.GRID_LENGTH), and EM convergence control."""
 
     grid_size: int = loocv.GRID_LENGTH
     em: em.EmConfig = em.EmConfig()
 
     def __post_init__(self):
+        if not isinstance(self.grid_size, numbers.Integral):
+            raise DataError(f"grid_size must be an integer, not {self.grid_size!r}")
         if self.grid_size < 2:
             raise DataError("grid_size must be at least 2")
 
@@ -71,8 +75,9 @@ def fit(dataset: data.Dataset, method: Method, config: FitConfig = FitConfig()) 
     with _stage("solve"):
         for t, f in enumerate(solve(std, rp, method, config)):
             if getattr(f, "degenerate", False):
+                name = data.target_label(dataset.target_names, t)
                 raise DegenerateProblemError(
-                    f"target {t}: expected SSE underflowed; no finite "
+                    f"target {name}: expected SSE underflowed; no finite "
                     "penalty exists for this data"
                 )
             fits.append(f)

@@ -908,11 +908,24 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("method", [m.value for m in Method])
     def test_fit_a_target_whose_squared_norm_overflows(self, tmp_path, capsys, method):
+        """standardize refuses the target by its name, as it does a constant one."""
         path, out = tmp_path / "train.csv", tmp_path / "m.json"
         rows = [[1.0, 0.5, 1e160], [2.0, -1.0, -2e160], [0.0, 3.0, 3e160], [-1.0, 1.0, 1e160], [4.0, 2.0, -1e160]]
         _write_csv(path, ["a", "b", "y"], rows)
         assert main(["fit", "--input", str(path), "--target", "y", "--method", method, "--output", str(out)]) == 3
-        self._one_line(capsys, "fastridge fit: decompose: target 0: squared norm overflows\n")
+        self._one_line(capsys, "fastridge fit: standardize: target 'y': squared norm overflows\n")
+        assert not out.exists()
+
+    def test_fit_names_the_target_whose_em_fit_collapses(self, tmp_path, capsys):
+        """At y * 1e-100 EM's statistics underflow; the refusal names the
+        target column as standardize does."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(50, 4))
+        y = (X @ [1.0, -2.0, 0.5, 0.0] + rng.normal(size=50)) * 1e-100
+        path, out = tmp_path / "train.csv", tmp_path / "m.json"
+        _write_csv(path, ["a", "b", "c", "d", "resp"], np.column_stack([X, y]))
+        assert main(["fit", "--input", str(path), "--target", "resp", "--method", "em", "--output", str(out)]) == 4
+        self._one_line(capsys, "fastridge fit: solve: target 'resp': expected SSE underflowed")
         assert not out.exists()
 
     def test_fit_on_a_header_naming_a_column_twice(self, tmp_path, capsys):

@@ -448,6 +448,16 @@ class TestStandardize:
         with pytest.raises(DegenerateProblemError, match=f"^target {label} is constant$"):
             standardize(d)
 
+    @pytest.mark.parametrize("names", [None, ["u", "v"]])
+    def test_target_whose_squared_norm_overflows(self, names):
+        """Named as a constant target is: by its name when it has one."""
+        rng = np.random.default_rng(13)
+        Y = np.column_stack([rng.normal(size=8), rng.normal(size=8) * 1e160])
+        d = Dataset(X=rng.normal(size=(8, 3)), Y=Y, target_names=names)
+        label = "1" if names is None else "'v'"
+        with pytest.raises(DataError, match=f"^target {label}: squared norm overflows$"):
+            standardize(d)
+
     def test_single_row_errors(self):
         with pytest.raises(DataError):
             standardize(Dataset(X=np.array([[1.0, 2.0]]), Y=np.array([1.0])))

@@ -225,6 +225,36 @@ class TestRotate:
         assert rp.q == 3
         assert_allclose(rp.y_sq_norms, np.sum(Y * Y, axis=0), rtol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(50, 5), (200, 40), (30, 29), (400, 1)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_residual_energy_is_the_least_squares_rss(self, shape, seed):
+        """On tall uncentered designs R0 = ||(I - UU')y||^2 is the residual
+        sum of squares of the least-squares fit."""
+        rng = np.random.default_rng(seed)
+        n, p = shape
+        X = rng.normal(size=(n, p)) + rng.normal(size=p)
+        Y = X @ rng.normal(size=(p, 2)) + rng.normal(size=(n, 2)) + 3.0
+        rp = rotate(compact_svd(X), Y)
+        resid = Y - X @ np.linalg.lstsq(X, Y, rcond=None)[0]
+        assert_allclose(rp.residual_sq_norms, np.einsum("ij,ij->j", resid, resid), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(40, 200), (60, 300), (20, 1000)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_standardized_wide_target_lies_in_span(self, shape, seed):
+        """A centered target of a standardized wide design lies in span(U)
+        (rank n - 1), and R0, summed from the residual itself, is rounding
+        far below the ||y||^2 * eps a difference of norms would leave."""
+        rng = np.random.default_rng(seed)
+        n, p = shape
+        X = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p) + rng.normal(size=p)
+        Y = X[:, :3] @ rng.normal(size=(3, 2)) + rng.normal(size=(n, 2)) + 5.0
+        std = standardize(Dataset(X, Y))
+        rp = rotate(compact_svd(std.X_std), std.Y_centered)
+        assert rp.rank == n - 1
+        assert np.all((rp.residual_sq_norms >= 0) & (rp.residual_sq_norms <= 1e-27 * rp.y_sq_norms))
+        Yc = std.Y_centered
+        assert_allclose(rp.y_sq_norms, np.einsum("ij,ij->j", Yc, Yc), rtol=1e-12)
+
     def test_dropped_direction_count(self):
         X = _random_matrix(23, 5, 8)
         rp = rotate(compact_svd(X), np.ones(5))
@@ -262,6 +292,7 @@ class TestRotate:
         again = rotate(rp, Y[:, 1])
         assert again.s2 is rp.s2
         assert again.c.tobytes() == rotate(svd, Y[:, 1]).c.tobytes()
+        assert_allclose(again.y_sq_norms, [Y[:, 1] @ Y[:, 1]], rtol=1e-12)
 
 
 class TestRotatedRidgeSolution:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fastridge.data import Dataset, standardize
-from fastridge.decomposition import RotatedProblem, compact_svd, rotate, rotated_ridge_solution
+from fastridge.decomposition import compact_svd, rotate, rotated_ridge_solution
 from fastridge.em import (
     EmConfig,
     UnimodalityDiagnostic,
@@ -114,36 +114,15 @@ class TestExpectedSse:
         ls_resid = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
         assert_allclose(rss, float(ls_resid @ ls_resid), rtol=1e-6, atol=1e-10)
 
-    def test_rounding_negative_clamped_to_zero(self):
-        rp = RotatedProblem(
-            U=np.ones((1, 1)),
-            s=np.array([1.0]),
-            X=np.ones((1, 1)),
-            c=np.array([[1.0]]),
-            y_sq_norms=np.array([1.0 - 1e-12]),
-        )
-        ess, rss = expected_sse(rp, np.array([1.0]), 1.0, 0.0)
-        assert rss == 0.0
-        assert ess == 0.0
-
-    def test_inconsistent_inputs_error(self):
-        rp = RotatedProblem(
-            U=np.ones((1, 1)),
-            s=np.array([1.0]),
-            X=np.ones((1, 1)),
-            c=np.array([[1.0]]),
-            y_sq_norms=np.array([0.5]),
-        )
-        with pytest.raises(DataError, match="negative residual"):
-            expected_sse(rp, np.array([1.0]), 1.0, 0.0)
-
 
 class TestSvdDenseEquivalence:
     @given(st.integers(2, 30), st.integers(1, 30), st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_esn_ess_match_dense_formulas(self, n, p, seed):
         """The O(r') rotated statistics equal the explicit p x p posterior
-        computation, tall and wide designs alike."""
+        computation, tall and wide designs alike. RSS = R0 + ||c/s - s alpha||^2
+        is the dense ||y - U diag(s) alpha||^2 for every alpha, also a random
+        one and one solved on another problem."""
         X, y = _random_problem(seed, n, p)
         rng = np.random.default_rng(seed + 7)
         tau2 = float(rng.uniform(0.05, 20.0))
@@ -155,6 +134,15 @@ class TestSvdDenseEquivalence:
         ess_ref, esn_ref, _ = dense_em_statistics(X, y, tau2, sigma2)
         assert_allclose(esn_fast, esn_ref, rtol=1e-8)
         assert_allclose(ess_fast, ess_ref, rtol=1e-8)
+        other = _rotated(*_random_problem(seed + 1, n, p))
+        alphas = [alpha, rng.normal(size=rp.rank) * rng.uniform(0.1, 10.0)]
+        if other.rank == rp.rank:
+            alphas.append(other.c[:, 0] / (other.s2 + 1.0 / tau2))
+        for a in alphas:
+            _, rss = expected_sse(rp, a, tau2, sigma2)
+            dense = y - rp.U @ (rp.s * a)
+            assert rss >= 0.0
+            assert_allclose(rss, float(dense @ dense), rtol=1e-10, atol=1e-13 * float(y @ y))
 
 
 class TestMStep:
@@ -420,6 +408,10 @@ class TestEmFit:
                 EmConfig(tol=tol)
         with pytest.raises(DataError):
             EmConfig(max_iterations=0)
+        for count in (2.5, 3.0, "3"):
+            with pytest.raises(DataError, match="^max_iterations must be an integer, not "):
+                EmConfig(max_iterations=count)
+        assert EmConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
 class TestMultipleMeans:

@@ -40,6 +40,13 @@ def test_config_rejects_a_grid_shorter_than_two(grid_size):
         FitConfig(grid_size=grid_size)
 
 
+@pytest.mark.parametrize("grid_size", [2.5, 12.0, "12"])
+def test_config_rejects_a_grid_size_that_is_not_an_integer(grid_size):
+    """A count is an integer, as simulate's n, p and seed are."""
+    with pytest.raises(DataError, match="^grid_size must be an integer, not "):
+        FitConfig(grid_size=grid_size)
+
+
 @pytest.mark.parametrize("q", [1, 2])
 @pytest.mark.parametrize("method", list(Method))
 def test_model_file_roundtrip_is_bitwise(method, q):
@@ -177,7 +184,7 @@ def test_degenerate_em_is_flagged_by_solve_and_refused_by_fit(monkeypatch):
     rp = rotate(compact_svd(std.X_std), std.Y_centered)
     (flagged,) = solve(std, rp, Method.EM)
     assert flagged.degenerate and flagged.lambda_ == 0.0 and math.isinf(flagged.tau2)
-    with pytest.raises(DegenerateProblemError, match="target 0"):
+    with pytest.raises(DegenerateProblemError, match="target 'y0'"):
         fit(ds, Method.EM)
 
 
@@ -194,7 +201,7 @@ def test_fit_stops_at_the_first_degenerate_target(monkeypatch):
         raise AssertionError("solved a target after a degenerate one")
 
     monkeypatch.setattr(em_module, "em_fit", first_collapses)
-    with pytest.raises(DegenerateProblemError, match=r"^solve: target 0: "):
+    with pytest.raises(DegenerateProblemError, match=r"^solve: target 'y0': "):
         fit(_dataset(2), Method.EM)
     assert solved == [0]
 

@@ -201,6 +201,8 @@ class TestRunComparison:
         # Every cell and the seed are checked before the first draw.
         with pytest.raises(DataError, match="^need n >= 1 and p >= 1$"):
             run_comparison(1, [Method.EM, Method.LOOCV_FIXED], [2000, 0], [1.0], 5, 0)
+        with pytest.raises(DataError, match="^grid_size must be an integer, not 2.5$"):
+            run_comparison(1, [Method.LOOCV_FIXED], [10], [1.0], 1, 0, grid_length=2.5)
         with pytest.raises(DataError, match="^sigma must be nonnegative and finite$"):
             run_comparison(1, [Method.EM], [10], [1.0, -1.0], 1, 0)
         with pytest.raises(DataError, match="^n must be an integer, not 3.5$"):

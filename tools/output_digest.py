@@ -1,4 +1,5 @@
-"""SHA-256 of every output a behaviour-preserving change must leave byte-identical.
+"""SHA-256 of every output a behaviour-preserving change must leave byte-identical,
+then the penalties of every fitted model.
 
     python3 tools/output_digest.py > digest.txt
 
@@ -21,6 +22,11 @@ order, using the fastridge in the src/ directory next to this file:
                lambda_star and beta on both grids, and unimodality_bound's
                gamma_n, epsilon_min and epsilon_exceeds_bound at epsilon 0.1.
 
+After the hash lines it prints one "penalties NAME lambda=[...]" line per
+fit/... and cli/fit/... model, with the penalty of each target in repr and,
+for EM, also "k=[...] tau2=[...]". Where a hash moved, a diff of these lines
+shows which penalties moved and by how much.
+
 It reads only the public API and the CLI, so the same file can be run from
 a copy placed in another checkout. Run it on both trees and diff the output.
 Takes about half a minute on two cores.
@@ -42,7 +48,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 import numpy as np  # noqa: E402
 
 from fastridge import cli, decomposition, em, loocv, pipeline  # noqa: E402
-from fastridge.data import Dataset, Method, standardize  # noqa: E402
+from fastridge.data import Dataset, FitResult, Method, standardize  # noqa: E402
 import workloads  # noqa: E402
 
 FIT_SHAPES = ((300, 40), (80, 600), (1000, 200), (30, 4))
@@ -97,11 +103,21 @@ def _fields_digest(result, names, **more) -> str:
     return _digest("\n".join(f"{k}={np.asarray(v).tolist()!r}" for k, v in values.items()).encode())
 
 
-def fit_digests():
+def _penalties(name: str, model: str) -> str:
+    """The penalties line of one model file."""
+    f = FitResult.from_json(model)
+    values = {"lambda": f.lambda_}
+    if f.method is Method.EM:
+        values.update(k=f.iterations, tau2=f.tau2)
+    return " ".join([f"penalties {name}"] + [f"{k}={v.tolist()!r}" for k, v in values.items()])
+
+
+def fit_digests(penalties: list):
     for name, ds in _fit_datasets():
         for method in Method:
-            model = pipeline.fit(ds, method).to_json()
-            yield f"fit/{method.value}/{name}", _digest(model.encode())
+            key, model = f"fit/{method.value}/{name}", pipeline.fit(ds, method).to_json()
+            yield key, _digest(model.encode())
+            penalties.append(_penalties(key, model))
 
 
 def result_digests():
@@ -118,7 +134,7 @@ def result_digests():
                 yield f"results/loocv-{kind}/{name}/t{t}", _fields_digest(f, LOOCV_FIELDS, grid=f.grid.values)
 
 
-def cli_digests(tmp: str):
+def cli_digests(tmp: str, penalties: list):
     for name, methods in CLI_RUNS:
         w = workloads.WORKLOADS[name]
         for seed in (1, 2):
@@ -132,7 +148,10 @@ def cli_digests(tmp: str):
             for method in methods:
                 _cli("fit", "--input", train, "--target", f"last {w.q}", "--method", method, "--output", model)
                 _cli("predict", "--model", model, "--input", features, "--output", out)
-                yield f"cli/fit/{name}/{method}/seed{seed}", _file_digest(model)
+                key = f"cli/fit/{name}/{method}/seed{seed}"
+                yield key, _file_digest(model)
+                with open(model, encoding="utf-8") as fh:
+                    penalties.append(_penalties(key, fh.read()))
                 yield f"cli/predict/{name}/{method}/seed{seed}", _file_digest(out)
 
 
@@ -157,11 +176,19 @@ def bench_digest(tmp: str):
 
 def main() -> None:
     os.environ.pop("FASTRIDGE_SEED", None)  # it would override every --seed
+    penalties = []
     with tempfile.TemporaryDirectory() as tmp:
-        parts = (fit_digests(), cli_digests(tmp), simulate_digests(tmp), bench_digest(tmp), result_digests())
+        parts = (
+            fit_digests(penalties),
+            cli_digests(tmp, penalties),
+            simulate_digests(tmp),
+            bench_digest(tmp),
+            result_digests(),
+        )
         for part in parts:
             for name, digest in part:
                 print(name, digest, flush=True)
+    print("\n".join(penalties))
 
 
 if __name__ == "__main__":
