@@ -1,8 +1,8 @@
 """Compact SVD via the smaller Gram matrix, and the rotated ridge problem.
 
 The decomposition is always obtained from a symmetric eigendecomposition of
-X'X (n >= p) or XX' (n < p), never a general SVD of X, so the preprocessing
-cost is O(max(n,p) * min(n,p)^2). The rotated problem both solvers read is that
+X'X (n >= p) or XX' (n < p), never a general SVD, so the preprocessing cost
+is O(max(n,p) * min(n,p)^2). The rotated problem both solvers read is that
 decomposition plus its targets, in one type: the factor U, squared singular
 values s^2, rotated targets c = s * (U'y) and each target's energy outside
 span(U), R0 = ||(I - UU')y||^2. When n < p, V is formed only
@@ -20,11 +20,6 @@ import numpy as np
 from .data import all_finite
 from .exceptions import DataError
 
-# Past this value of eps * (s_max / s_min)^2, about the orthonormality the
-# Gram route's A W / s loses on its smallest directions, compact_svd refines
-# the factors through a QR of A W.
-_ORTHONORMALITY_LOSS = 1e-10
-
 
 @dataclass(frozen=True)
 class CompactSvd:
@@ -33,9 +28,8 @@ class CompactSvd:
     (p x r') semi-orthonormal.
 
     X, the decomposed matrix, is held by reference. When n < p, V = X' U / s
-    is formed on first read unless compact_svd refined the factors. So are
-    s2 = s**2 and U_sq = U * U, the leverage factor LOOCV shares across
-    targets. n_dropped_directions counts the
+    is formed on first read, as are s2 = s**2 and U_sq = U * U, the leverage
+    factor LOOCV shares across targets. n_dropped_directions counts the
     p - r' coefficient directions whose s^2 is below the resolution floor.
     """
 
@@ -106,27 +100,16 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     absolute error of about max(n,p) * eps * s_max^2, so that is the
     resolution floor: a direction is kept only when its s^2 lies above it.
     The kept directions are a prefix of the descending spectrum, and an
-    all-zero X yields rank zero rather than an error.
+    all-zero X yields rank zero rather than an error. The factors are
+    unique only up to a sign shared by a column of U and the same column of
+    V, and they keep the signs eigh gives W. No output depends on them:
+    every solver statistic is a square, or a product in which a column and
+    its coefficient c = s * (U'y) change sign together.
 
-    A W S^-1 is orthonormal only to about eps * (s_max / s_min)^2, as the
-    rounding of A'A reaches its smallest directions divided by s_min^2
-    (1.2e-5 on an 8 x 8 Gaussian X with s_max / s_min = 5.3e5). Past
-    _ORTHONORMALITY_LOSS the factors are refined from A itself: with
-    A W = Q R (QR) and R = P diag(s) Z' (SVD of the r' x r' triangle), the
-    column-side factor is Q P and the other W Z, both orthonormal to
-    rounding, and s is re-cut at the floor. V is then formed with U on both
-    routes.
-
-    The factors are unique only up to a sign shared by a column of U and
-    the same column of V, and they keep the signs eigh (or the refining
-    SVD) gives. No output depends on them: every solver statistic is a
-    square, or a product in which a column and its coefficient
-    c = s * (U'y) change sign together.
-
-    Unrefined, no temporary the size of X is made: the finiteness check
-    reads min() and max(), and on the n >= p route U = X W is divided by s
-    in place, so the one n x r' array is U itself. The n < p route makes
-    only n x n arrays. The refinement makes a few arrays of A W's size.
+    No temporary the size of X is made: the finiteness check reads min()
+    and max(), and on the n >= p route U = X W is divided by s in place,
+    so the one n x r' array is U itself. The n < p route makes only
+    n x n arrays.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -140,20 +123,9 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     A = X if n >= p else X.T
     evals, W = np.linalg.eigh(A.T @ A)
     s2 = evals[::-1]  # eigh is ascending
-    eps = np.finfo(float).eps
-    floor = max(n, p) * eps * s2[0]
-    r = np.count_nonzero(s2 > floor)
+    r = np.count_nonzero(s2 > max(n, p) * np.finfo(float).eps * s2[0])
     s = np.sqrt(s2[:r])
     W = W[:, ::-1][:, :r].copy(order="F")  # each column contiguous
-    if r and eps * s2[0] > _ORTHONORMALITY_LOSS * s2[r - 1]:
-        Q, R = np.linalg.qr(A @ W)
-        P, s, Zt = np.linalg.svd(R)
-        r = np.count_nonzero(s * s > floor)
-        side, s, W = Q @ P[:, :r], s[:r], W @ Zt[:r].T  # A = side diag(s) W'
-        U, V = (side, W) if n >= p else (W, side)
-        svd = CompactSvd(U=U, s=s, X=X)
-        object.__setattr__(svd, "V", V)
-        return svd
     if n < p:
         return CompactSvd(U=W, s=s, X=X)
     U = A @ W

@@ -39,7 +39,6 @@ class TestCompactSvd:
         assert_allclose(svd.s, ref, rtol=1e-8)
 
     @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 10**6))
-    @example(n=8, p=8, seed=5858)  # s_max / s_min = 5.3e5
     @settings(max_examples=40, deadline=None)
     def test_reconstruction_and_orthonormality(self, n, p, seed):
         X = _random_matrix(seed, n, p)
@@ -69,27 +68,6 @@ class TestCompactSvd:
         assert np.array_equal(a.s, b.s)
         assert np.array_equal(np.abs(a.U), np.abs(b.V))
         assert np.array_equal(np.abs(a.V), np.abs(b.U))
-
-    @pytest.mark.parametrize("ratio", [1e-3, 1e-5, 1e-6])
-    @pytest.mark.parametrize("shape", [(40, 8), (8, 40)], ids=["tall", "wide"])
-    def test_ill_conditioned_factors_are_refined(self, shape, ratio):
-        """Past the orthonormality bound the factors are refined from X: U
-        and V are orthonormal to rounding, and s matches LAPACK's, where A W
-        / s alone would be off by about eps * (s_max / s_min)^2."""
-        n, p = shape
-        k = min(n, p)
-        rng = np.random.default_rng(5)
-        U = np.linalg.qr(rng.normal(size=(n, k)))[0]
-        V = np.linalg.qr(rng.normal(size=(p, k)))[0]
-        s = np.geomspace(3.0, 3.0 * ratio, k)
-        X = (U * s) @ V.T
-        svd = compact_svd(X)
-        assert svd.rank == k
-        assert "V" in vars(svd)
-        assert_allclose(svd.U.T @ svd.U, np.eye(k), atol=1e-13)
-        assert_allclose(svd.V.T @ svd.V, np.eye(k), atol=1e-13)
-        assert_allclose(svd.U @ np.diag(svd.s) @ svd.V.T, X, atol=1e-13)
-        assert_allclose(svd.s, np.linalg.svd(X, compute_uv=False), rtol=1e-9)
 
     def test_descending_order(self):
         svd = compact_svd(_random_matrix(7, 20, 6))
