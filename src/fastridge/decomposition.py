@@ -100,7 +100,10 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     absolute error of about max(n,p) * eps * s_max^2, so that is the
     resolution floor: a direction is kept only when its s^2 lies above it.
     The kept directions are a prefix of the descending spectrum, and an
-    all-zero X yields rank zero rather than an error. The factors are
+    all-zero X yields rank zero rather than an error. The factor formed as
+    A W S^-1 is orthonormal only to about eps * (s_max / s_min)^2, since the
+    rounding of A'A reaches its smallest directions divided by s_min^2;
+    W is orthonormal to rounding. The factors are
     unique only up to a sign shared by a column of U and the same column of
     V, and they keep the signs eigh gives W. No output depends on them:
     every solver statistic is a square, or a product in which a column and
@@ -155,8 +158,7 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
     r0 = np.einsum("ij,ij->j", r, r)
     rp = RotatedProblem(U=svd.U, s=svd.s, X=svd.X, c=svd.s[:, None] * z, residual_sq_norms=r0)
     # Hand over what svd has formed (V, s2, U_sq), not a rotated svd's targets.
-    for name in vars(svd).keys() & vars(CompactSvd).keys():
-        vars(rp)[name] = vars(svd)[name]
+    vars(rp).update({name: vars(svd)[name] for name in vars(svd).keys() & vars(CompactSvd).keys()})
     if not all_finite(rp.y_sq_norms):
         raise DataError(f"target {np.flatnonzero(~np.isfinite(rp.y_sq_norms))[0]}: squared norm overflows")
     return rp

@@ -93,9 +93,16 @@ class UnimodalityDiagnostic:
         return self.epsilon_min is not None and self.epsilon > self.epsilon_min
 
 
+def _split(rp: RotatedProblem, target: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """One target as rotate split it: c, its coordinates z = c/s inside
+    span(U) and R0, its energy outside."""
+    c = target_column(rp, target)
+    return c, c / rp.s, float(rp.residual_sq_norms[target])
+
+
 # The E-step without input checks, shared with the em_fit loop, which
-# computes inv = 1/(s_j^2 + 1/tau2) once per iteration; z = c/s and r0 = R0
-# are the target's split by rotate.
+# computes inv = 1/(s_j^2 + 1/tau2) once per iteration; z and r0 come from
+# _split.
 def _esn(rp: RotatedProblem, alpha, inv, tau2: float, sigma2: float) -> float:
     return float(alpha @ alpha) + sigma2 * (float(np.sum(inv)) + tau2 * rp.n_dropped_directions)
 
@@ -147,7 +154,7 @@ def expected_sse(
     if not sigma2 >= 0:
         raise DataError("sigma2 must be nonnegative")
     alpha = np.asarray(alpha, dtype=float)
-    z, r0 = target_column(rp, target) / rp.s, float(rp.residual_sq_norms[target])
+    _, z, r0 = _split(rp, target)
     return _ess(rp, alpha, z, r0, 1.0 / (rp.s2 + 1.0 / tau2), sigma2)
 
 
@@ -223,9 +230,7 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
     if n < 2:
         raise DataError("em_fit requires n >= 2")
 
-    c = target_column(rp, target)
-    z, r0 = c / rp.s, float(rp.residual_sq_norms[target])
-    s2 = rp.s2
+    c, z, r0 = _split(rp, target)
     y2 = float(rp.y_sq_norms[target])
     if y2 == 0.0:
         raise DegenerateProblemError("target has zero variance after centering")
@@ -237,7 +242,7 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
     k = 0
     while k < cfg.max_iterations:
         rss_old = rss
-        inv = 1.0 / (s2 + 1.0 / tau2)
+        inv = 1.0 / (rp.s2 + 1.0 / tau2)
         alpha = c * inv
         esn = _esn(rp, alpha, inv, tau2, sigma2)
         ess, rss = _ess(rp, alpha, z, r0, inv, sigma2)
@@ -256,7 +261,7 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
         if delta < cfg.tol:
             break
 
-    alpha = c / (s2 + 1.0 / tau2)  # at tau2 = inf, the minimum-norm c / s2
+    alpha = c / (rp.s2 + 1.0 / tau2)  # at tau2 = inf, the minimum-norm c / s2
     return EmFit(
         alpha=alpha,
         beta=recover_beta(rp, alpha),
