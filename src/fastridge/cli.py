@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=_tol,
         default=EmConfig.tol,
-        help="EM convergence threshold (default %(default)s)",
+        help="EM stops once RSS moves by less than this times ||y||^2 (default %(default)s)",
     )
     fit.add_argument(
         "--max-iter",

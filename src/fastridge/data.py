@@ -520,8 +520,9 @@ def standardize(d: Dataset) -> StandardizedDataset:
     """Center and scale each column of X to sample sd 1 (denominator n-1),
     center each target; constant columns are dropped and recorded, a
     constant target raises DegenerateProblemError, and a target whose
-    centered squared norm overflows raises DataError, each naming the
-    target by target_label.
+    centered squared norm lies outside [smallest normal double, overflow)
+    raises DataError ("underflows" or "overflows"), each naming the target
+    by target_label.
 
     X_std is the one float copy of X a fit makes: the deviations X - mean,
     scaled in place, in row order (C-contiguous). When columns are dropped
@@ -549,9 +550,12 @@ def standardize(d: Dataset) -> StandardizedDataset:
         raise DegenerateProblemError(f"target {target_label(d.target_names, constant[0])} is constant")
     y_means = d.Y.mean(axis=0)
     Y_centered = d.Y - y_means
-    overflows = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->j", Y_centered, Y_centered)))
-    if overflows.size:
-        raise DataError(f"target {target_label(d.target_names, overflows[0])}: squared norm overflows")
+    sq_norms = np.einsum("ij,ij->j", Y_centered, Y_centered)
+    outside = np.flatnonzero(~((sq_norms >= np.finfo(float).tiny) & (sq_norms < np.inf)))
+    if outside.size:
+        t = outside[0]
+        way = "overflows" if sq_norms[t] == np.inf else "underflows"
+        raise DataError(f"target {target_label(d.target_names, t)}: squared norm {way}")
     return StandardizedDataset(
         X_std=X_std,
         Y_centered=Y_centered,

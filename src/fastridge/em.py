@@ -28,9 +28,10 @@ from .exceptions import DataError, DegenerateProblemError
 class EmConfig:
     """Convergence control for em_fit.
 
-    tol, positive and finite, is compared against the relative RSS change
-    delta = |RSS_old - RSS| / (1 + RSS) (RSS is a sum of squares, so
-    |RSS| is RSS); max_iterations is an integer of at least 1.
+    tol, positive and finite, is compared against the RSS change relative
+    to the target's squared norm, delta = |RSS_old - RSS| / ||y||^2, which
+    does not depend on the units of y; max_iterations is an integer of at
+    least 1.
     """
 
     tol: float = 1e-8
@@ -161,31 +162,27 @@ def expected_sse(
 def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:
     """Exact joint minimizer of the EM objective over (tau2, sigma2).
 
-    With g = (4n+4) ESN (3+p) ESS + ((1-n) ESN + (p+1) ESS)^2:
+    With rho = ESN/ESS, tau2_hat is the positive root of
+    (p+3) t^2 + b t - c = 0, b = (p+1) - (n-1) rho, c = (n+1) rho:
 
-        tau2_hat   = ((n-1) ESN - (1+p) ESS + sqrt(g)) / ((6+2p) ESS)
-        sigma2_hat = (tau2_hat ESS + ESN) / ((n+p+2) tau2_hat)
+        tau2_hat   = 2c / (b + root)            if b > 0
+                   = (root - b) / (2(p+3))      otherwise,
+        root       = sqrt(b^2 + 4(p+3) c)
+        sigma2_hat = ESS (tau2_hat + rho) / ((n+p+2) tau2_hat)
 
-    Both outputs are strictly positive whenever ESS > 0 and ESN > 0.
-    tau2_hat is unchanged and sigma2_hat scales when ESS and ESN are scaled
-    together, so where g overflows both are divided by one power of two
-    (exact) and sigma2_hat is scaled back. Only that path rescales: float
-    ** 2 is not exactly scale-invariant, so rescaling always would move the
-    last bits of ordinary fits.
+    Each branch adds terms of one sign, so neither cancels. tau2_hat depends
+    on ESS and ESN only through rho, and sigma2_hat is ESS times a function
+    of rho: scaling both statistics by a power of two leaves tau2_hat
+    bitwise and scales sigma2_hat by it exactly. Both outputs are positive
+    and finite whenever rho is, up to the range of a double.
     """
-    if not (ess > 0 and esn > 0):
-        raise DegenerateProblemError("m_step requires ESS > 0 and ESN > 0")
-    try:
-        g = (4.0 * n + 4.0) * esn * (3.0 + p) * ess + ((1.0 - n) * esn + (p + 1.0) * ess) ** 2
-    except OverflowError:  # float ** raises where * returns inf
-        g = math.inf
-    if math.isinf(g):
-        e = math.frexp(max(ess, esn))[1]  # the larger scaled into [0.5, 1), g finite
-        tau2_hat, sigma2_hat = m_step(math.ldexp(ess, -e), math.ldexp(esn, -e), n, p)
-        return tau2_hat, math.ldexp(sigma2_hat, e)
-    tau2_hat = ((n - 1.0) * esn - (1.0 + p) * ess + math.sqrt(g)) / ((6.0 + 2.0 * p) * ess)
-    sigma2_hat = (tau2_hat * ess + esn) / ((n + p + 2.0) * tau2_hat)
-    return tau2_hat, sigma2_hat
+    if not (ess > 0 and 0 < esn / ess < math.inf):
+        raise DegenerateProblemError("m_step requires ESS > 0 and ESN > 0, and a finite ESN/ESS")
+    rho = esn / ess
+    b, c = (p + 1.0) - (n - 1.0) * rho, (n + 1.0) * rho
+    root = math.hypot(b, 2.0 * math.sqrt((p + 3.0) * c))
+    tau2_hat = 2.0 * c / (b + root) if b > 0 else (root - b) / (2.0 * (p + 3.0))
+    return tau2_hat, ess * ((tau2_hat + rho) / ((n + p + 2.0) * tau2_hat))
 
 
 def q_function(tau2: float, sigma2: float, ess: float, esn: float, n: int, p: int) -> float:
@@ -215,8 +212,10 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
     iteration refreshes alpha at lambda = 1/tau2, computes (ESN, RSS, ESS),
     with RSS = R0 + ||c/s - s * alpha||^2 as in expected_sse, applies the
     closed-form M-step, and stops once
-    delta = |RSS_old - RSS| / (1 + RSS) < cfg.tol or the iteration cap is
+    delta = |RSS_old - RSS| / ||y||^2 < cfg.tol or the iteration cap is
     reached. The returned alpha/beta are recomputed at the final tau2.
+    Every step is homogeneous in y: a*y gives the same tau2 and k, a*beta
+    and a^2*sigma2, bitwise when a is a power of two.
 
     A target that is exactly zero raises DegenerateProblemError; standardize
     refuses a constant target before that, so this covers rotated problems
@@ -257,7 +256,7 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
             sigma2 = sigma2_new if math.isfinite(sigma2_new) else 0.0
             break
         tau2, sigma2 = tau2_new, sigma2_new
-        delta = abs(rss_old - rss) / (1.0 + rss)
+        delta = abs(rss_old - rss) / y2
         if delta < cfg.tol:
             break
 

@@ -111,12 +111,16 @@ def glmnet_grid(
     """Data-driven grid in the style of coordinate-descent lasso solvers.
 
     The grid is built on the per-observation penalty scale, from
-    lambda_g_max = max_j |x_j'y| / (n * 0.001) (the elastic-net entry point
-    at mixing weight 0.001) down to kappa * lambda_g_max, with kappa = 1e-4
-    when n >= p and 1e-2 otherwise, and returned on this library's scale,
-    lambda = n * (1 - 0.001) * lambda_g: a value's per-observation
-    counterpart is lambda / (0.999 n). The min/max ratio of the returned
-    grid equals kappa exactly.
+    lambda_g_max = max_j |x_j'y| / (n * 0.001 * sqrt(y'y/n)) (the
+    elastic-net entry point at mixing weight 0.001 for y scaled to unit
+    variance, 1/n formula, as glmnet scales it) down to kappa * lambda_g_max,
+    with kappa = 1e-4 when n >= p and 1e-2 otherwise, and returned on this
+    library's scale, lambda = n * (1 - 0.001) * lambda_g: a value's
+    per-observation counterpart is lambda / (0.999 n). The min/max ratio of
+    the returned grid equals kappa exactly. The grid does not depend on the
+    units of y: it is computed from y / max|y|, where neither x'y nor y'y
+    under- or overflows, and is bitwise the same for y and y times a power
+    of two.
     """
     if l < 2:
         raise DataError("glmnet_grid requires l >= 2")
@@ -125,9 +129,11 @@ def glmnet_grid(
     if X_std.ndim != 2 or X_std.shape[0] != y.shape[0]:
         raise DataError("X_std and y_centered have incompatible shapes")
     n, p = X_std.shape
-    lam_g_max = float(np.max(np.abs(X_std.T @ y))) / (n * 0.001)
-    if lam_g_max <= 0:
+    u = y / (np.max(np.abs(y), initial=0.0) or 1.0)  # a zero y stays zero
+    xu = float(np.max(np.abs(X_std.T @ u)))
+    if not xu > 0:
         raise DataError("y_centered is orthogonal to every column; grid top is 0")
+    lam_g_max = xu / (n * 0.001 * math.sqrt(float(u @ u) / n))
     kappa = 1e-4 if n >= p else 1e-2
     top = n * (1.0 - 0.001) * lam_g_max
     values = np.logspace(math.log10(top), math.log10(top * kappa), l)

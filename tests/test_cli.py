@@ -8,7 +8,7 @@ import pytest
 
 from fastridge.cli import main
 from fastridge.data import FitResult, Method, load_csv, predict
-from fastridge.exceptions import DataError
+from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.pipeline import FitConfig, fit
 
 
@@ -64,8 +64,8 @@ class TestFit:
 
     @pytest.mark.parametrize("method", [m.value for m in Method])
     def test_large_magnitude_target(self, tmp_path, method):
-        """Targets near 1e80 square to about 1e160, where EM's M-step
-        would overflow without its rescaled path; every method fits them."""
+        """Targets near 1e80 square to about 1e160, far from where the
+        squared norm overflows; every method fits them."""
         path, out = tmp_path / "train.csv", tmp_path / "m.json"
         rows = [[1.0, 0.5, 1e80], [2.0, -1.0, -2e80], [0.0, 3.0, 3e80], [-1.0, 1.0, 1e80], [4.0, 2.0, -1e80]]
         _write_csv(path, ["a", "b", "y"], rows)
@@ -916,12 +916,42 @@ class TestErrorPaths:
         self._one_line(capsys, "fastridge fit: standardize: target 'y': squared norm overflows\n")
         assert not out.exists()
 
-    def test_fit_names_the_target_whose_em_fit_collapses(self, tmp_path, capsys):
-        """At y * 1e-100 EM's statistics underflow; the refusal names the
-        target column as standardize does."""
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_fit_across_the_units_of_y(self, tmp_path, capsys, method):
+        """y * 10^e fits with the penalty of y itself for every e from -150
+        to 150; at 1e-160 the squared norm underflows, and every method
+        refuses the target by its name."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(50, 4))
-        y = (X @ [1.0, -2.0, 0.5, 0.0] + rng.normal(size=50)) * 1e-100
+        y = X @ [1.0, -2.0, 0.5, 0.0] + rng.normal(size=50)
+        path, out = tmp_path / "train.csv", tmp_path / "m.json"
+        argv = ["fit", "--input", str(path), "--target", "resp", "--method", method, "--output", str(out)]
+        lambdas = {}
+        for e in range(-150, 151, 10):
+            _write_csv(path, ["a", "b", "c", "d", "resp"], np.column_stack([X, y * 10.0**e]))
+            assert main(argv) == 0, e
+            lambdas[e] = FitResult.from_json(out.read_text()).lambda_[0]
+        for e, lam in lambdas.items():
+            assert lam == pytest.approx(lambdas[0], rel=1e-9, abs=0), e
+        out.unlink()
+        capsys.readouterr()
+        _write_csv(path, ["a", "b", "c", "d", "resp"], np.column_stack([X, y * 1e-160]))
+        assert main(argv) == 3
+        self._one_line(capsys, "fastridge fit: standardize: target 'resp': squared norm underflows\n")
+        assert not out.exists()
+
+    def test_fit_names_the_target_whose_em_fit_collapses(self, tmp_path, capsys, monkeypatch):
+        """When EM's statistics collapse the refusal names the target column
+        as standardize does."""
+        import fastridge.em as em_module
+
+        def collapsed(ess, esn, n, p):
+            raise DegenerateProblemError("statistics collapsed")
+
+        monkeypatch.setattr(em_module, "m_step", collapsed)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(50, 4))
+        y = X @ [1.0, -2.0, 0.5, 0.0] + rng.normal(size=50)
         path, out = tmp_path / "train.csv", tmp_path / "m.json"
         _write_csv(path, ["a", "b", "c", "d", "resp"], np.column_stack([X, y]))
         assert main(["fit", "--input", str(path), "--target", "resp", "--method", "em", "--output", str(out)]) == 4

@@ -1,6 +1,7 @@
 """Dataset loading, standardization, and raw-scale mapping."""
 
 import json
+import math
 import os
 import random
 import tracemalloc
@@ -457,6 +458,24 @@ class TestStandardize:
         label = "1" if names is None else "'v'"
         with pytest.raises(DataError, match=f"^target {label}: squared norm overflows$"):
             standardize(d)
+
+    @pytest.mark.parametrize("names", [None, ["u", "v"]])
+    def test_target_whose_squared_norm_underflows(self, names):
+        """The range's lower end is the smallest normal double, 2^-1022: a
+        centered target (t, -t, 0, ...) has squared norm 2 t^2, so t = 2^-511
+        is accepted and t = 2^-512 refused, by name when there is one."""
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(8, 3))
+        label = "1" if names is None else "'v'"
+        for j, refused in ((-511, False), (-512, True)):
+            t = math.ldexp(1.0, j)
+            Y = np.column_stack([rng.normal(size=8), [t, -t, 0, 0, 0, 0, 0, 0]])
+            d = Dataset(X=X, Y=Y, target_names=names)
+            if refused:
+                with pytest.raises(DataError, match=f"^target {label}: squared norm underflows$"):
+                    standardize(d)
+            else:
+                assert standardize(d).Y_centered[1, 1] == -t
 
     def test_single_row_errors(self):
         with pytest.raises(DataError):

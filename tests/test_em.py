@@ -3,6 +3,7 @@ the full loop, the p-means special case, and the unimodality diagnostic."""
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -200,6 +201,58 @@ class TestMStep:
         with pytest.raises(DegenerateProblemError):
             m_step(1.0, 0.0, 5, 3)
 
+    @pytest.mark.parametrize("ess", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("esn", [1e-300, 1.0, 1e300])
+    def test_extreme_statistics(self, ess, esn):
+        """Statistics far from 1 give finite positive outputs wherever
+        ESN/ESS is a double. tau2 lies between (n-1)/(p+3) and (n+1)/(p+1)
+        times ESN/ESS, so where that ratio under- or overflows tau2 has no
+        double either, and m_step refuses."""
+        if 0.0 < esn / ess < math.inf:
+            tau2, sigma2 = m_step(ess, esn, 50, 4)
+            assert 0.0 < tau2 < math.inf and 0.0 < sigma2 < math.inf
+        else:
+            with pytest.raises(DegenerateProblemError):
+                m_step(ess, esn, 50, 4)
+
+    @given(
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.integers(2, 200),
+        st.integers(1, 200),
+        st.integers(-200, 200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_both_statistics_by_a_power_of_four(self, ess, esn, n, p, j):
+        """tau2 depends on the statistics only through ESN/ESS, and sigma2
+        scales with them: bitwise, for powers of two."""
+        tau2, sigma2 = m_step(ess, esn, n, p)
+        a = 4.0**j
+        assert m_step(a * ess, a * esn, n, p) == (tau2, a * sigma2)
+
+    @given(
+        st.floats(-8, 8),
+        st.floats(-8, 8),
+        st.integers(2, 100000),
+        st.integers(1, 100000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_a_60_digit_reference(self, log_ess, log_esn, n, p):
+        """The ratio form has no cancellation: both outputs are within a few
+        units in the last place of the minimizer written in ESS and ESN,
+        tau2 = ((n-1) ESN - (1+p) ESS + sqrt(g)) / ((6+2p) ESS), evaluated in
+        60-digit decimal arithmetic, over sixteen decades of ESS and ESN."""
+        ess, esn = 10.0**log_ess, 10.0**log_esn
+        tau2, sigma2 = m_step(ess, esn, n, p)
+        E, N = Decimal(ess), Decimal(esn)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            g = (4 * n + 4) * N * (3 + p) * E + ((1 - n) * N + (p + 1) * E) ** 2
+            tau2_ref = ((n - 1) * N - (1 + p) * E + g.sqrt()) / ((6 + 2 * p) * E)
+            sigma2_ref = (tau2_ref * E + N) / ((n + p + 2) * tau2_ref)
+            assert abs(Decimal(tau2) / tau2_ref - 1) < Decimal("2e-15")
+            assert abs(Decimal(sigma2) / sigma2_ref - 1) < Decimal("2e-15")
+
 
 class TestQFunction:
     def test_direct_evaluation(self):
@@ -350,20 +403,6 @@ class TestEmFit:
         assert dataclasses.replace(fit, tau2=math.inf).degenerate
         with pytest.raises(TypeError):
             dataclasses.replace(fit, degenerate=True)
-
-    def test_targets_whose_m_step_overflows_fit_like_small_ones(self):
-        """At y * 2^500 forming the M-step's g overflows; the fit then agrees
-        with the one at y * 2^200 on lambda and k, and sigma2 scales by 4^300."""
-        X, y = _random_problem(2, 50, 4)
-        fits = []
-        for j in (200, 500):
-            std = standardize(Dataset(X=X, Y=math.ldexp(1.0, j) * y))
-            fits.append(em_fit(rotate(compact_svd(std.X_std), std.Y_centered)))
-        small, large = fits
-        assert large.converged and not large.degenerate
-        assert large.lambda_ == small.lambda_
-        assert large.k == small.k
-        assert large.sigma2 == math.ldexp(small.sigma2, 600)
 
     def test_monotone_descent_of_objective(self):
         """The objective evaluated at successive parameter iterates, with

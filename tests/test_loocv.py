@@ -1,5 +1,6 @@
 """Grid construction and exact leave-one-out scoring via PRESS."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -75,14 +76,14 @@ class TestFixedGrid:
 class TestGlmnetGrid:
     def test_top_value_tall_design(self):
         """One active column with x'y = 5 at n = 10 puts the per-observation
-        entry point at 5 / (10 * 0.001) = 500; the grid is on this library's
-        scale, n * (1 - 0.001) times that."""
+        entry point at 5 / (10 * 0.001) = 500 over sqrt(y'y/n) = sqrt(2.5);
+        the grid is on this library's scale, n * (1 - 0.001) times that."""
         X = np.zeros((10, 2))
         X[0, 0] = 1.0
         y = np.zeros(10)
         y[0] = 5.0
         scaled = glmnet_grid(X, y, l=10)
-        assert_allclose(scaled.values[0], 10 * 0.999 * 500.0, rtol=1e-12)
+        assert_allclose(scaled.values[0], 10 * 0.999 * 500.0 / math.sqrt(2.5), rtol=1e-12)
 
     def test_ratio_exact_tall(self):
         rng = np.random.default_rng(0)
@@ -110,10 +111,22 @@ class TestGlmnetGrid:
         expected = 1e-4 if n >= p else 1e-2
         assert g.values[-1] / g.values[0] == expected
 
+    def test_grid_does_not_depend_on_the_units_of_y(self):
+        """y times a power of two gives bitwise the same grid, also where
+        y'y would underflow (2^-700) or overflow (2^1000) if formed directly."""
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 10))
+        y = rng.normal(size=40)
+        values = glmnet_grid(X, y).values
+        for j in (-700, -40, 40, 1000):
+            assert np.array_equal(glmnet_grid(X, np.ldexp(y, j)).values, values), j
+
     def test_orthogonal_response_rejected(self):
         X = np.zeros((5, 2))
         with pytest.raises(DataError, match="orthogonal"):
             glmnet_grid(X, np.ones(5))
+        with pytest.raises(DataError, match="orthogonal"):
+            glmnet_grid(np.ones((5, 2)), np.zeros(5))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):

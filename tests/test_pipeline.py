@@ -13,6 +13,7 @@ from fastridge.data import Dataset, FitResult, Method, predict, standardize
 from fastridge.decomposition import compact_svd, rotate
 from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.pipeline import FitConfig, fit, solve
+from fastridge.simulate import Setting2Config, gen_gaussian_wishart
 
 
 def _dataset(q, seed=0):
@@ -263,3 +264,48 @@ def test_model_does_not_depend_on_eigenvector_signs(monkeypatch, method, shape):
     monkeypatch.setattr(np.linalg, "eigh", flipped)
     assert fit(ds, method, config).to_json() == plain
     assert calls == [min(n, p)]
+
+
+def _unit_design(name):
+    if name == "50x4":
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(50, 4))
+        return X, X @ rng.normal(size=4) + rng.normal(size=50)
+    X, y, _ = gen_gaussian_wishart(Setting2Config(n=100, p=400, seed=3))
+    return X, y
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize(
+    "design, j",
+    [("50x4", j) for j in (-500, -40, -10, 10, 40, 500)]
+    + [("setting2-100x400", j) for j in (-40, -10, 10, 40)],
+)
+def test_penalties_do_not_depend_on_the_units_of_y(design, j, method):
+    """y * 2^j gives bitwise the same penalties (and EM iteration counts),
+    2^j times the coefficients and intercepts, and 4^j times sigma2 and the
+    CVE curves. At 2^+-500 ||y||^2 on 50x4 is about 3e303 and 2e-299."""
+    X, y = _unit_design(design)
+    a = math.ldexp(1.0, j)
+    base, scaled = fit(Dataset(X=X, Y=y), method), fit(Dataset(X=X, Y=a * y), method)
+    assert np.array_equal(scaled.lambda_, base.lambda_)
+    assert np.array_equal(scaled.beta_raw, a * base.beta_raw)
+    assert np.array_equal(scaled.intercepts, a * base.intercepts)
+    if method is Method.EM:
+        assert np.array_equal(scaled.iterations, base.iterations)
+        assert np.array_equal(scaled.sigma2, a * a * base.sigma2)
+    else:
+        assert np.array_equal(scaled.cve_curves, a * a * base.cve_curves)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("design", ["50x4", "setting2-100x400"])
+@pytest.mark.parametrize("a", [1e-3, 1e3])
+def test_penalties_at_other_units_agree_to_rounding(design, a, method):
+    """y * 10^+-3 is not an exact rescaling, yet the penalty agrees to 1e-12
+    and EM takes the same number of iterations."""
+    X, y = _unit_design(design)
+    base, scaled = fit(Dataset(X=X, Y=y), method), fit(Dataset(X=X, Y=a * y), method)
+    np.testing.assert_allclose(scaled.lambda_, base.lambda_, rtol=1e-12)
+    if method is Method.EM:
+        assert np.array_equal(scaled.iterations, base.iterations)

@@ -24,8 +24,10 @@ order, using the fastridge in the src/ directory next to this file:
 
 After the hash lines it prints one "penalties NAME lambda=[...]" line per
 fit/... and cli/fit/... model, with the penalty of each target in repr and,
-for EM, also "k=[...] tau2=[...]". Where a hash moved, a diff of these lines
-shows which penalties moved and by how much.
+for EM, also "k=[...] tau2=[...]", for LOOCV also "at=[...]", the index of
+each target's penalty in its grid (0 is the top, the grid size less 1 the
+bottom). Where a hash moved, a diff of these lines shows which penalties
+moved, by how much, and whether one moved onto or off a grid edge.
 
 It reads only the public API and the CLI, so the same file can be run from
 a copy placed in another checkout. Run it on both trees and diff the output.
@@ -109,6 +111,8 @@ def _penalties(name: str, model: str) -> str:
     values = {"lambda": f.lambda_}
     if f.method is Method.EM:
         values.update(k=f.iterations, tau2=f.tau2)
+    else:
+        values.update(at=np.argmin(f.cve_curves, axis=1))
     return " ".join([f"penalties {name}"] + [f"{k}={v.tolist()!r}" for k, v in values.items()])
 
 
