@@ -114,6 +114,16 @@ def _ess(rp: RotatedProblem, alpha, z, r0: float, inv, sigma2: float) -> tuple[f
     return rss + sigma2 * float(rp.s2 @ inv), rss
 
 
+def _checked_inv(rp: RotatedProblem, tau2: float, sigma2: float) -> np.ndarray:
+    """inv = 1/(s_j^2 + 1/tau2) for the public E-step functions, once tau2 > 0
+    and sigma2 >= 0 have been checked."""
+    if not tau2 > 0:  # also rejects NaN, as does the sigma2 check
+        raise DataError("tau2 must be positive")
+    if not sigma2 >= 0:
+        raise DataError("sigma2 must be nonnegative")
+    return 1.0 / (rp.s2 + 1.0 / tau2)
+
+
 def expected_squared_norm(
     rp: RotatedProblem, alpha: np.ndarray, tau2: float, sigma2: float
 ) -> float:
@@ -124,14 +134,11 @@ def expected_squared_norm(
 
     alpha must be the rotated ridge solution at lambda = 1/tau2. The second
     term is the posterior-covariance trace; coefficient directions with zero
-    singular value each contribute sigma2 * tau2 to it.
+    singular value each contribute sigma2 * tau2 to it. Raises DataError
+    unless tau2 > 0 and sigma2 >= 0, as expected_sse does.
     """
-    if not tau2 > 0:  # also rejects NaN, as does every not-form check below
-        raise DataError("tau2 must be positive")
-    if not sigma2 >= 0:
-        raise DataError("sigma2 must be nonnegative")
-    alpha = np.asarray(alpha, dtype=float)
-    return _esn(rp, alpha, 1.0 / (rp.s2 + 1.0 / tau2), tau2, sigma2)
+    inv = _checked_inv(rp, tau2, sigma2)
+    return _esn(rp, np.asarray(alpha, dtype=float), inv, tau2, sigma2)
 
 
 def expected_sse(
@@ -148,15 +155,11 @@ def expected_sse(
 
     RSS is ||y - U diag(s) alpha||^2 for any alpha, split by rotate into the
     energy R0 outside span(U) and a sum of squares over the spectrum, so it
-    is never negative.
+    is never negative. Raises DataError unless tau2 > 0 and sigma2 >= 0.
     """
-    if not tau2 > 0:
-        raise DataError("tau2 must be positive")
-    if not sigma2 >= 0:
-        raise DataError("sigma2 must be nonnegative")
-    alpha = np.asarray(alpha, dtype=float)
+    inv = _checked_inv(rp, tau2, sigma2)
     _, z, r0 = _split(rp, target)
-    return _ess(rp, alpha, z, r0, 1.0 / (rp.s2 + 1.0 / tau2), sigma2)
+    return _ess(rp, np.asarray(alpha, dtype=float), z, r0, inv, sigma2)
 
 
 def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:
@@ -215,15 +218,20 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
     delta = |RSS_old - RSS| / ||y||^2 < cfg.tol or the iteration cap is
     reached. The returned alpha/beta are recomputed at the final tau2.
     Every step is homogeneous in y: a*y gives the same tau2 and k, a*beta
-    and a^2*sigma2, bitwise when a is a power of two.
+    and a^2*sigma2, bitwise when a is a power of two. So the loop runs on
+    y * 2^-j, with 2^j the power of two nearest ||y||, and scales alpha and
+    sigma2 back exactly: no statistic leaves the range of a double while
+    ||y||^2 stays inside it, though ESN starts near (p - r')/n * ||y||^2.
 
-    A target that is exactly zero raises DegenerateProblemError; standardize
+    A target that is exactly zero raises DegenerateProblemError ("has zero
+    variance after centering"; pipeline.fit names the target); standardize
     refuses a constant target before that, so this covers rotated problems
     built by hand. If the statistics collapse during iteration (ESS or ESN
-    underflows to zero, or the update leaves the positive reals) the penalty
-    has no finite optimum: the loop stops there with tau2 = +inf, so the fit
-    is degenerate, unconverged with delta_final NaN, and alpha/beta are the
-    minimum-norm least-squares solution (the lambda -> 0 limit).
+    underflows to zero or overflows, or the update leaves the positive
+    reals) the penalty has no finite optimum: the loop stops there with
+    tau2 = +inf, so the fit is degenerate, unconverged with delta_final NaN,
+    and alpha/beta are the minimum-norm least-squares solution (the
+    lambda -> 0 limit).
     """
     n, p = rp.n, rp.p
     if n < 2:
@@ -232,7 +240,12 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
     c, z, r0 = _split(rp, target)
     y2 = float(rp.y_sq_norms[target])
     if y2 == 0.0:
-        raise DegenerateProblemError("target has zero variance after centering")
+        raise DegenerateProblemError("has zero variance after centering")
+    # The loop runs on y * 2^-j, whose squared norm lies in [0.5, 2), and
+    # scales alpha and sigma2 back: exact, as every step is homogeneous in y.
+    j = math.frexp(y2)[1] // 2
+    c, z = np.ldexp(c, -j), np.ldexp(z, -j)
+    r0, y2 = math.ldexp(r0, -2 * j), math.ldexp(y2, -2 * j)
 
     tau2 = 1.0
     sigma2 = y2 / n
@@ -260,12 +273,12 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
         if delta < cfg.tol:
             break
 
-    alpha = c / (rp.s2 + 1.0 / tau2)  # at tau2 = inf, the minimum-norm c / s2
+    alpha = np.ldexp(c / (rp.s2 + 1.0 / tau2), j)  # at tau2 = inf, the minimum-norm c / s2
     return EmFit(
         alpha=alpha,
         beta=recover_beta(rp, alpha),
         tau2=tau2,
-        sigma2=sigma2,
+        sigma2=math.ldexp(sigma2, 2 * j),
         k=k,
         converged=delta < cfg.tol,
         delta_final=delta,

@@ -44,19 +44,20 @@ class FitConfig:
 def solve(std, rp, method: Method, config: FitConfig = FitConfig()):
     """Run one penalty selector on every target of a rotated problem, yielding
     one EmFit or LoocvFit per target, on the standardized scale, as each is
-    made. A degenerate EM fit is yielded flagged, not raised; what to do with
-    it is the caller's decision."""
+    made. The fixed grid is built once and scores every target. A degenerate
+    EM fit is yielded flagged, not raised; what to do with it is the
+    caller's decision."""
+    if method is Method.LOOCV_FIXED:
+        grid = loocv.fixed_grid(config.grid_size)
+    elif method not in (Method.EM, Method.LOOCV_GLMNET):
+        raise DataError(f"unknown method {method!r}")
     for t in range(rp.q):
         if method is Method.EM:
             yield em.em_fit(rp, config.em, target=t)
             continue
         y_t = std.Y_centered[:, t]
-        if method is Method.LOOCV_FIXED:
-            grid = loocv.fixed_grid(config.grid_size)
-        elif method is Method.LOOCV_GLMNET:
+        if method is Method.LOOCV_GLMNET:
             grid = loocv.glmnet_grid(std.X_std, y_t, config.grid_size)
-        else:
-            raise DataError(f"unknown method {method!r}")
         yield loocv.loocv_fit(rp, y_t, grid, target=t)
 
 
@@ -64,23 +65,22 @@ def fit(dataset: data.Dataset, method: Method, config: FitConfig = FitConfig()) 
     """Fit every target of a dataset and return the model.
 
     Errors are prefixed with the step that raised them: "standardize",
-    "decompose", "solve" or "destandardize". A degenerate EM fit raises
-    DegenerateProblemError at the first target that has one: a model needs a
-    finite penalty."""
+    "decompose", "solve" or "destandardize", and an error of one target's
+    solve also with that target, by name or index: "solve: target 'y': ...".
+    A degenerate EM fit raises DegenerateProblemError at the first target
+    that has one: a model needs a finite penalty."""
     with _stage("standardize"):
         std = data.standardize(dataset)
     with _stage("decompose"):
         rp = decomposition.rotate(decomposition.compact_svd(std.X_std), std.Y_centered)
     fits = []
     with _stage("solve"):
-        for t, f in enumerate(solve(std, rp, method, config)):
-            if getattr(f, "degenerate", False):
-                name = data.target_label(dataset.target_names, t)
-                raise DegenerateProblemError(
-                    f"target {name}: expected SSE underflowed; no finite "
-                    "penalty exists for this data"
-                )
-            fits.append(f)
+        steps = solve(std, rp, method, config)
+        for t in range(rp.q):
+            with _stage(f"target {data.target_label(dataset.target_names, t)}"):
+                fits.append(next(steps))
+                if getattr(fits[-1], "degenerate", False):
+                    raise DegenerateProblemError("no finite penalty exists for this data")
     with _stage("destandardize"):
         beta_raw, intercepts = data.destandardize(np.column_stack([f.beta for f in fits]), std)
     if method is Method.EM:

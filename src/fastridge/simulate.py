@@ -195,26 +195,19 @@ def _failed_row(method, n, p, sigma, t_pre, rep_seed):
     return MetricsRow(method, n, p, sigma, nan, nan, nan, None, t_pre, 0, rep_seed, failed=True)
 
 
-def _cell_config(setting, n, swept, p, seed):
-    """The config of one cell's draw under seed, which checks n, p, sigma and
-    the seed; the bench's dense draw (setting 3) has no config and takes
-    the same size-and-seed rule."""
+def _cell(setting, n, swept, p, seed):
+    """Check one cell's draw under seed (n, p, sigma and the seed; the bench's
+    dense draw, setting 3, has no config and takes the same size-and-seed
+    rule), then return a function drawing its (X, y, beta0), and the row's
+    p and noise-sd columns."""
     if setting == 1:
-        return Setting1Config(n=n, sigma=swept, seed=seed, p=Setting1Config.p if p is None else p)
+        cfg = Setting1Config(n=n, sigma=swept, seed=seed, p=Setting1Config.p if p is None else p)
+        return lambda: gen_bernoulli_sparse(cfg), cfg.p, float(cfg.sigma)
     if setting == 2:
-        return Setting2Config(n=n, p=swept, seed=seed)
+        cfg = Setting2Config(n=n, p=swept, seed=seed)
+        return lambda: gen_gaussian_wishart(cfg), cfg.p, math.sqrt(_NOISE_VAR)
     _check_sizes(n, swept, seed)
-    return None
-
-
-def _draw(setting, n, swept, p, rep_seed):
-    """One replication's (X, y, beta0), then its p and noise-sd columns."""
-    cfg = _cell_config(setting, n, swept, p, rep_seed)
-    if setting == 1:
-        return (*gen_bernoulli_sparse(cfg), cfg.p, float(cfg.sigma))
-    if setting == 2:
-        return (*gen_gaussian_wishart(cfg), cfg.p, math.sqrt(_NOISE_VAR))
-    return (*_gen_bench_data(rep_seed, n, swept), swept, 1.0)
+    return lambda: _gen_bench_data(seed, n, swept), swept, 1.0
 
 
 def _sweep(setting, methods, n_list, swept_list, reps, seed, p, grid_length):
@@ -230,7 +223,7 @@ def _sweep(setting, methods, n_list, swept_list, reps, seed, p, grid_length):
         raise DataError("reps must be at least 1")
     cells = [(n, swept) for n in n_list for swept in swept_list]
     for n, swept in cells:
-        _cell_config(setting, n, swept, p, seed)
+        _cell(setting, n, swept, p, seed)
     return FitConfig(grid_size=grid_length), cells
 
 
@@ -241,7 +234,8 @@ def _replications(setting, methods, cells, reps, seed, p, config, keep_failures)
     rows = []
     for (cell_index, (n, swept)), rep in itertools.product(enumerate(cells), range(reps)):
         rep_seed = derive_seed(seed, setting, cell_index, rep)
-        X, y, beta0, p_row, sigma = _draw(setting, n, swept, p, rep_seed)
+        draw, p_row, sigma = _cell(setting, n, swept, p, rep_seed)
+        X, y, beta0 = draw()
         t0 = time.perf_counter_ns()
         try:
             std = standardize(Dataset(X=X, Y=y))

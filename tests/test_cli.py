@@ -955,7 +955,19 @@ class TestErrorPaths:
         path, out = tmp_path / "train.csv", tmp_path / "m.json"
         _write_csv(path, ["a", "b", "c", "d", "resp"], np.column_stack([X, y]))
         assert main(["fit", "--input", str(path), "--target", "resp", "--method", "em", "--output", str(out)]) == 4
-        self._one_line(capsys, "fastridge fit: solve: target 'resp': expected SSE underflowed")
+        self._one_line(capsys, "fastridge fit: solve: target 'resp': no finite penalty exists for this data\n")
+        assert not out.exists()
+
+    def test_fit_names_the_target_whose_grid_has_no_top(self, tmp_path, capsys):
+        """y1 is orthogonal to every centered column, so its glmnet grid has
+        no top; the refusal names it, as a collapsed EM fit is named."""
+        path, out = tmp_path / "train.csv", tmp_path / "m.json"
+        rows = [[1.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 2.0, 1.0], [0.0, 1.0, 0.0, -1.0], [0.0, -1.0, 4.0, -1.0]]
+        _write_csv(path, ["a", "b", "y0", "y1"], rows)
+        argv = ["fit", "--input", str(path), "--target", "y0,y1", "--method", "loocv-glmnet"]
+        assert main(argv + ["--output", str(out)]) == 3
+        message = "fastridge fit: solve: target 'y1': y_centered is orthogonal to every column; grid top is 0\n"
+        self._one_line(capsys, message)
         assert not out.exists()
 
     def test_fit_on_a_header_naming_a_column_twice(self, tmp_path, capsys):

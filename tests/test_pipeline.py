@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import fastridge.decomposition as decomposition
 import fastridge.em as em_module
@@ -205,6 +206,58 @@ def test_fit_stops_at_the_first_degenerate_target(monkeypatch):
     with pytest.raises(DegenerateProblemError, match=r"^solve: target 'y0': "):
         fit(_dataset(2), Method.EM)
     assert solved == [0]
+
+
+def test_fit_names_a_later_degenerate_target(monkeypatch):
+    """The refusal names the target that collapsed, not the first one."""
+    real_em_fit = em_module.em_fit
+
+    def second_collapses(rp, cfg=None, target=0):
+        f = real_em_fit(rp, cfg, target)
+        return dataclasses.replace(f, tau2=math.inf) if target == 1 else f
+
+    monkeypatch.setattr(em_module, "em_fit", second_collapses)
+    with pytest.raises(
+        DegenerateProblemError, match=r"^solve: target 'y1': no finite penalty exists for this data$"
+    ):
+        fit(_dataset(2), Method.EM)
+
+
+def test_fit_names_the_target_a_solver_refuses():
+    """Every per-target solver error is named as EM's collapse is: here the
+    glmnet grid of a target orthogonal to every centered column."""
+    X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    Y = np.array([[1.0, 2.0, 0.0, 4.0], [1.0, 1.0, -1.0, -1.0]]).T
+    ds = Dataset(X, Y, target_names=["y0", "y1"])
+    fit(Dataset(X, Y[:, :1]), Method.LOOCV_GLMNET)  # the first target alone fits
+    message = "^solve: target 'y1': y_centered is orthogonal to every column; grid top is 0$"
+    with pytest.raises(DataError, match=message):
+        fit(ds, Method.LOOCV_GLMNET)
+
+
+@pytest.mark.parametrize(
+    "a, exact",
+    [(2.0**509, True), (1.25 * 2.0**509, False), (2.0**-511, True)],
+    ids=["2^509", "1.25*2^509", "2^-511"],
+)
+def test_em_at_the_ends_of_the_range_of_y(a, exact):
+    """On a wide design, whose first expected squared norm is about
+    (p - r')/n times ||y||^2, EM keeps the penalty and iteration count of y
+    itself at both ends of the accepted range: a*y gives a*beta and
+    a^2*sigma2, bitwise when a is a power of two."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 100))
+    y = rng.normal(size=30)
+    base = fit(Dataset(X, y), Method.EM)
+    scaled = fit(Dataset(X, a * y), Method.EM)
+    assert scaled.iterations.tolist() == base.iterations.tolist()
+    if exact:
+        assert scaled.lambda_.tolist() == base.lambda_.tolist()
+        assert np.array_equal(scaled.beta_raw, a * base.beta_raw)
+        assert scaled.sigma2.tolist() == (a * a * base.sigma2).tolist()
+    else:
+        assert scaled.lambda_[0] == pytest.approx(base.lambda_[0], rel=1e-12, abs=0)
+        assert_allclose(scaled.beta_raw, a * base.beta_raw, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("method", list(Method))

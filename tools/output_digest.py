@@ -9,6 +9,10 @@ order, using the fastridge in the src/ directory next to this file:
 * fit/...      pipeline.fit model files (to_json) for every method on seeded
                normal designs of 300x40, 80x600, 1000x200 and 30x4, two
                targets and one constant column each, seeds 0-2;
+* ends/...     pipeline.fit model files for every method at both ends of
+               the accepted range of y: a 30x100 normal design (numpy
+               seed 5) with y scaled by 2^509 and by 2^-511, or, where fit
+               refuses, the digest of its one-line error;
 * cli/...      the model file of `fastridge fit` and the predictions file
                of `fastridge predict` on the benchmark's cli-multi inputs
                (every method) and wide inputs (both LOOCV grids), seeds 1-2,
@@ -23,11 +27,11 @@ order, using the fastridge in the src/ directory next to this file:
                gamma_n, epsilon_min and epsilon_exceeds_bound at epsilon 0.1.
 
 After the hash lines it prints one "penalties NAME lambda=[...]" line per
-fit/... and cli/fit/... model, with the penalty of each target in repr and,
-for EM, also "k=[...] tau2=[...]", for LOOCV also "at=[...]", the index of
-each target's penalty in its grid (0 is the top, the grid size less 1 the
-bottom). Where a hash moved, a diff of these lines shows which penalties
-moved, by how much, and whether one moved onto or off a grid edge.
+fit/..., ends/... and cli/fit/... model, with the penalty of each target in
+repr and, for EM, also "k=[...] tau2=[...]", for LOOCV also "at=[...]", the
+index of each target's penalty in its grid (0 is the top, the grid size
+less 1 the bottom). Where a hash moved, a diff of these lines shows which
+penalties moved, by how much, and whether one moved onto or off a grid edge.
 
 It reads only the public API and the CLI, so the same file can be run from
 a copy placed in another checkout. Run it on both trees and diff the output.
@@ -51,9 +55,11 @@ import numpy as np  # noqa: E402
 
 from fastridge import cli, decomposition, em, loocv, pipeline  # noqa: E402
 from fastridge.data import Dataset, FitResult, Method, standardize  # noqa: E402
+from fastridge.exceptions import FastridgeError  # noqa: E402
 import workloads  # noqa: E402
 
 FIT_SHAPES = ((300, 40), (80, 600), (1000, 200), (30, 4))
+ENDS_SCALES = (("2^509", 2.0**509), ("2^-511", 2.0**-511))
 CLI_RUNS = (
     ("cli-multi", ("em", "loocv-fixed", "loocv-glmnet")),
     ("wide", ("loocv-fixed", "loocv-glmnet")),
@@ -124,6 +130,22 @@ def fit_digests(penalties: list):
             penalties.append(_penalties(key, model))
 
 
+def ends_digests(penalties: list):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 100))
+    y = rng.normal(size=30)
+    for method in Method:
+        for label, a in ENDS_SCALES:
+            key = f"ends/{method.value}/30x100/{label}"
+            try:
+                model = pipeline.fit(Dataset(X, a * y), method).to_json()
+            except FastridgeError as exc:
+                yield key, _digest(str(exc).encode())
+                continue
+            yield key, _digest(model.encode())
+            penalties.append(_penalties(key, model))
+
+
 def result_digests():
     for name, ds in _fit_datasets():
         std = standardize(ds)
@@ -184,6 +206,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         parts = (
             fit_digests(penalties),
+            ends_digests(penalties),
             cli_digests(tmp, penalties),
             simulate_digests(tmp),
             bench_digest(tmp),
