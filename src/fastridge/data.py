@@ -15,6 +15,7 @@ import contextlib
 import csv
 import io
 import json
+import numbers
 import re
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
@@ -34,10 +35,29 @@ def all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
+def count(name: str, value, least: int) -> None:
+    """Check that the argument ``name`` is a count: an integer (a bool is
+    not one) of at least ``least``, or DataError naming it. The one rule for
+    every count: sizes, seeds, grid lengths, iteration caps and
+    replications."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise DataError(f"{name} must be at least {least}")
+
+
 class Method(Enum):
+    """A penalty selector. Method(value) is the one method rule: it returns
+    the member itself or the member with that value ("em"), and raises
+    DataError listing the values for anything else."""
+
     EM = "em"
     LOOCV_FIXED = "loocv-fixed"
     LOOCV_GLMNET = "loocv-glmnet"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DataError(f"method must be one of {', '.join(m.value for m in cls)}; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -162,11 +182,7 @@ class FitResult:
     target_names: list[str] | None = None
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "method", Method(self.method))
-        except ValueError:
-            choices = ", ".join(m.value for m in Method)
-            raise DataError(f"method must be one of {choices}; got {self.method!r}") from None
+        object.__setattr__(self, "method", Method(self.method))
         beta = _entries("beta_raw", self.beta_raw, float)
         beta = beta[:, None] if beta.ndim == 1 else beta
         if beta.ndim != 2:

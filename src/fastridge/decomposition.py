@@ -12,6 +12,7 @@ reference to X, which must not be modified while it is in use.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -165,9 +166,10 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
 
 
 def target_column(rp: RotatedProblem, target: int) -> np.ndarray:
-    """c[:, target], the rotated target every solver reads; an index outside
-    0..q-1, negative ones included, raises DataError."""
-    if not 0 <= target < rp.q:
+    """c[:, target], the rotated target every solver reads. The index is an
+    integer in 0..q-1; anything else, negative ones, bools and floats such
+    as 1.0 included, raises DataError."""
+    if isinstance(target, bool) or not (isinstance(target, numbers.Integral) and 0 <= target < rp.q):
         raise DataError(f"target {target} out of range for q={rp.q}")
     return rp.c[:, target]
 

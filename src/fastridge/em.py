@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import count
 from .decomposition import RotatedProblem, recover_beta, target_column
 from .exceptions import DataError, DegenerateProblemError
 
@@ -28,22 +29,20 @@ from .exceptions import DataError, DegenerateProblemError
 class EmConfig:
     """Convergence control for em_fit.
 
-    tol, positive and finite, is compared against the RSS change relative
-    to the target's squared norm, delta = |RSS_old - RSS| / ||y||^2, which
-    does not depend on the units of y; max_iterations is an integer of at
-    least 1.
+    tol, a positive finite real number, is compared against the RSS change
+    relative to the target's squared norm, delta = |RSS_old - RSS| / ||y||^2,
+    which does not depend on the units of y; max_iterations is an integer
+    (not a bool) of at least 1, checked by data.count. Anything else raises
+    DataError naming the field.
     """
 
     tol: float = 1e-8
     max_iterations: int = 100000
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol > 0):
             raise DataError("tol must be positive and finite")
-        if not isinstance(self.max_iterations, numbers.Integral):
-            raise DataError(f"max_iterations must be an integer, not {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise DataError("max_iterations must be at least 1")
+        count("max_iterations", self.max_iterations, 1)
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,12 @@ def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:
     on ESS and ESN only through rho, and sigma2_hat is ESS times a function
     of rho: scaling both statistics by a power of two leaves tau2_hat
     bitwise and scales sigma2_hat by it exactly. Both outputs are positive
-    and finite whenever rho is, up to the range of a double.
+    whenever rho is, but can leave the range of a double (c = (n+1) rho
+    overflows for rho near 1.8e308/(n+1)).
+
+    Raises DegenerateProblemError unless ESS > 0 and ESN/ESS is positive and
+    finite, and unless both outputs are positive and finite: the update is
+    defined exactly where it returns.
     """
     if not (ess > 0 and 0 < esn / ess < math.inf):
         raise DegenerateProblemError("m_step requires ESS > 0 and ESN > 0, and a finite ESN/ESS")
@@ -185,7 +189,10 @@ def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:
     b, c = (p + 1.0) - (n - 1.0) * rho, (n + 1.0) * rho
     root = math.hypot(b, 2.0 * math.sqrt((p + 3.0) * c))
     tau2_hat = 2.0 * c / (b + root) if b > 0 else (root - b) / (2.0 * (p + 3.0))
-    return tau2_hat, ess * ((tau2_hat + rho) / ((n + p + 2.0) * tau2_hat))
+    sigma2_hat = ess * ((tau2_hat + rho) / ((n + p + 2.0) * tau2_hat))
+    if not (0 < tau2_hat < math.inf and 0 < sigma2_hat < math.inf):
+        raise DegenerateProblemError("m_step's update leaves the positive finite reals")
+    return tau2_hat, sigma2_hat
 
 
 def q_function(tau2: float, sigma2: float, ess: float, esn: float, n: int, p: int) -> float:
@@ -226,12 +233,13 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
     A target that is exactly zero raises DegenerateProblemError ("has zero
     variance after centering"; pipeline.fit names the target); standardize
     refuses a constant target before that, so this covers rotated problems
-    built by hand. If the statistics collapse during iteration (ESS or ESN
-    underflows to zero or overflows, or the update leaves the positive
-    reals) the penalty has no finite optimum: the loop stops there with
-    tau2 = +inf, so the fit is degenerate, unconverged with delta_final NaN,
-    and alpha/beta are the minimum-norm least-squares solution (the
-    lambda -> 0 limit).
+    built by hand. If the statistics collapse during iteration, m_step
+    raises (ESS or ESN underflows to zero or overflows, or the update leaves
+    the positive finite reals; tau2 can overflow one step before ESS
+    underflows) and the penalty has no finite optimum: the loop stops there
+    with tau2 = +inf, so the fit is degenerate, unconverged with delta_final
+    NaN, sigma2 is the last finite iterate, and alpha/beta are the
+    minimum-norm least-squares solution (the lambda -> 0 limit).
     """
     n, p = rp.n, rp.p
     if n < 2:
@@ -260,15 +268,10 @@ def em_fit(rp: RotatedProblem, cfg: EmConfig = EmConfig(), target: int = 0) -> E
         ess, rss = _ess(rp, alpha, z, r0, inv, sigma2)
         k += 1
         try:
-            tau2_new, sigma2_new = m_step(ess, esn, n, p)
-        except DegenerateProblemError:
-            tau2_new, sigma2_new = math.inf, sigma2
-        if not (math.isfinite(tau2_new) and tau2_new > 0 and math.isfinite(sigma2_new)):
-            # Collapse; tau2 can overflow to inf one step before ESS underflows.
+            tau2, sigma2 = m_step(ess, esn, n, p)
+        except DegenerateProblemError:  # collapse: sigma2 keeps its last iterate
             tau2, delta = math.inf, math.nan
-            sigma2 = sigma2_new if math.isfinite(sigma2_new) else 0.0
             break
-        tau2, sigma2 = tau2_new, sigma2_new
         delta = abs(rss_old - rss) / y2
         if delta < cfg.tol:
             break
@@ -290,12 +293,12 @@ def tau_update_fixed_variance(w: float, p: int) -> float:
 
     tau_hat = sqrt( (w - p + sqrt(p^2 + 8w + 2pw + w^2)) / (2(2+p)) )
 
-    where w is the current expected squared norm of the means.
+    where w is the current expected squared norm of the means, and p, the
+    number of means, is an integer of at least 1 (data.count).
     """
     if not w >= 0:
         raise DataError("w must be nonnegative")
-    if p < 1:
-        raise DataError("p must be at least 1")
+    count("p", p, 1)
     inner = math.sqrt(p * p + 8.0 * w + 2.0 * p * w + w * w)
     return math.sqrt(max(w - p + inner, 0.0) / (2.0 * (2.0 + p)))
 
@@ -323,10 +326,10 @@ def unimodality_bound(
     values survived (s2 comes from the compact decomposition, so a missing
     entry is a direction whose s^2 fell below compact_svd's resolution
     floor, indistinguishable from zero). A unique mode with tau^2 >= epsilon
-    is certified when gamma_n > 0 and epsilon > 4/(n*gamma_n).
+    is certified when gamma_n > 0 and epsilon > 4/(n*gamma_n). n is an
+    integer of at least 1 (data.count).
     """
-    if n < 1:
-        raise DataError("n must be at least 1")
+    count("n", n, 1)
     if not epsilon > 0:
         raise DataError("epsilon must be positive")
     s2 = np.asarray(s2, dtype=float).ravel()

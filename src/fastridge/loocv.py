@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import count
 from .decomposition import RotatedProblem, recover_beta, rotated_ridge_solution, target_column
 from .exceptions import DataError, DegenerateProblemError
 
@@ -76,9 +77,9 @@ class LoocvFit:
 
 
 def fixed_grid(l: int = GRID_LENGTH) -> LambdaGrid:
-    """l log-spaced penalties from 1e10 down to 1e-10, endpoints exact."""
-    if l < 2:
-        raise DataError("fixed_grid requires l >= 2")
+    """l log-spaced penalties from 1e10 down to 1e-10, endpoints exact; l is
+    an integer (not a bool) of at least 2, or DataError (data.count)."""
+    count("l", l, 2)
     values = np.logspace(10.0, -10.0, l)
     # Endpoints are part of the contract; pin them against logspace rounding.
     values[0] = 1e10
@@ -120,10 +121,10 @@ def glmnet_grid(
     the returned grid equals kappa exactly. The grid does not depend on the
     units of y: it is computed from y / max|y|, where neither x'y nor y'y
     under- or overflows, and is bitwise the same for y and y times a power
-    of two.
+    of two. l is an integer (not a bool) of at least 2, or DataError
+    (data.count).
     """
-    if l < 2:
-        raise DataError("glmnet_grid requires l >= 2")
+    count("l", l, 2)
     X_std = np.asarray(X_std, dtype=float)
     y = np.asarray(y_centered, dtype=float).ravel()
     if X_std.ndim != 2 or X_std.shape[0] != y.shape[0]:

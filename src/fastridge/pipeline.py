@@ -7,14 +7,13 @@ module's function, such as a tracer, sees every call.
 from __future__ import annotations
 
 import contextlib
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import data, decomposition, em, loocv
 from .data import FitResult, Method
-from .exceptions import DataError, DegenerateProblemError, FastridgeError
+from .exceptions import DegenerateProblemError, FastridgeError
 
 
 @contextlib.contextmanager
@@ -28,29 +27,26 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """LOOCV grid length, an integer of at least 2 (default
-    loocv.GRID_LENGTH), and EM convergence control."""
+    """LOOCV grid length, an integer (not a bool) of at least 2 (default
+    loocv.GRID_LENGTH), checked by data.count, and EM convergence control."""
 
     grid_size: int = loocv.GRID_LENGTH
     em: em.EmConfig = em.EmConfig()
 
     def __post_init__(self):
-        if not isinstance(self.grid_size, numbers.Integral):
-            raise DataError(f"grid_size must be an integer, not {self.grid_size!r}")
-        if self.grid_size < 2:
-            raise DataError("grid_size must be at least 2")
+        data.count("grid_size", self.grid_size, 2)
 
 
 def solve(std, rp, method: Method, config: FitConfig = FitConfig()):
     """Run one penalty selector on every target of a rotated problem, yielding
     one EmFit or LoocvFit per target, on the standardized scale, as each is
-    made. The fixed grid is built once and scores every target. A degenerate
-    EM fit is yielded flagged, not raised; what to do with it is the
-    caller's decision."""
+    made. method is a Method or its value, as Method() takes it. The fixed
+    grid is built once and scores every target. A degenerate EM fit is
+    yielded flagged, not raised; what to do with it is the caller's
+    decision."""
+    method = Method(method)
     if method is Method.LOOCV_FIXED:
         grid = loocv.fixed_grid(config.grid_size)
-    elif method not in (Method.EM, Method.LOOCV_GLMNET):
-        raise DataError(f"unknown method {method!r}")
     for t in range(rp.q):
         if method is Method.EM:
             yield em.em_fit(rp, config.em, target=t)
@@ -64,11 +60,14 @@ def solve(std, rp, method: Method, config: FitConfig = FitConfig()):
 def fit(dataset: data.Dataset, method: Method, config: FitConfig = FitConfig()) -> FitResult:
     """Fit every target of a dataset and return the model.
 
-    Errors are prefixed with the step that raised them: "standardize",
-    "decompose", "solve" or "destandardize", and an error of one target's
-    solve also with that target, by name or index: "solve: target 'y': ...".
+    method is a Method or its value; anything else raises Method's
+    DataError before anything is standardized, with no stage prefix. Errors
+    are prefixed with the step that raised them: "standardize", "decompose",
+    "solve" or "destandardize", and an error of one target's solve also
+    with that target, by name or index: "solve: target 'y': ...".
     A degenerate EM fit raises DegenerateProblemError at the first target
     that has one: a model needs a finite penalty."""
+    method = Method(method)
     with _stage("standardize"):
         std = data.standardize(dataset)
     with _stage("decompose"):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, Method, destandardize, standardize
+from .data import Dataset, Method, count, destandardize, standardize
 from .decomposition import compact_svd, rotate
 from .exceptions import DataError, FastridgeError
 from .loocv import GRID_LENGTH
@@ -85,20 +85,17 @@ class Setting2Config:
 
 
 def _check_sizes(n, p, seed) -> None:
-    """The size-and-seed rule of every draw: n >= 1 and p >= 1 are integers,
-    and so is seed >= 0."""
-    for name, value in (("n", n), ("p", p), ("seed", seed)):
-        if not isinstance(value, numbers.Integral):
-            raise DataError(f"{name} must be an integer, not {value!r}")
-    if n < 1 or p < 1:
-        raise DataError("need n >= 1 and p >= 1")
-    if seed < 0:
-        raise DataError("seed must be nonnegative")
+    """The size-and-seed rule of every draw: n and p are counts of at least
+    1, and seed one of at least 0 (data.count)."""
+    count("n", n, 1)
+    count("p", p, 1)
+    count("seed", seed, 0)
 
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One method on one replication; k_iterations is None except for EM."""
+    """One method on one replication, named by its Method member;
+    k_iterations is None except for EM."""
 
     method: Method
     n: int
@@ -212,19 +209,20 @@ def _cell(setting, n, swept, p, seed):
 
 def _sweep(setting, methods, n_list, swept_list, reps, seed, p, grid_length):
     """Check a whole sweep before anything is drawn, every cell under the
-    master seed included; return its FitConfig and its (n, swept) cells."""
+    master seed included; return its methods as Method members, its
+    FitConfig and its (n, swept) cells."""
+    methods = [Method(m) for m in methods]
     if not methods:
         raise DataError("methods must be nonempty")
     if len(set(methods)) < len(methods):
         raise DataError("methods must not repeat a method")
     if not n_list or not swept_list:
         raise DataError("sweep lists must be nonempty")
-    if reps < 1:
-        raise DataError("reps must be at least 1")
+    count("reps", reps, 1)
     cells = [(n, swept) for n in n_list for swept in swept_list]
     for n, swept in cells:
         _cell(setting, n, swept, p, seed)
-    return FitConfig(grid_size=grid_length), cells
+    return methods, FitConfig(grid_size=grid_length), cells
 
 
 def _replications(setting, methods, cells, reps, seed, p, config, keep_failures):
@@ -290,22 +288,26 @@ def run_comparison(
 ) -> list[MetricsRow]:
     """Sweep cells x replications x methods and collect metric rows.
 
-    For setting 1 the swept second axis is sigma and p is fixed by the
-    keyword (None for Setting1Config's default); for setting 2 it is p
-    itself, and passing p raises DataError. Replication rep of cell i is drawn
-    from derive_seed(seed, setting, i, rep), then standardized, decomposed
-    and rotated once under one timer; its methods share that cache (their
-    rows carry the identical t_preprocess_ns) and each method's main loop is
-    timed alone. A solver failure marks its row failed=True with NaN metrics
-    instead of aborting the sweep; a preprocessing failure marks every
-    method's row for that replication. Row order is deterministic: cells in
-    given order, replications within a cell, methods within a replication.
+    Each method is a Method or its value, and the rows name its member;
+    methods must be distinct and reps an integer of at least 1. Every
+    argument is checked before anything is drawn: a malformed one raises
+    DataError, never a failed row. For setting 1 the swept second axis is
+    sigma and p is fixed by the keyword (None for Setting1Config's default);
+    for setting 2 it is p itself, and passing p raises DataError.
+    Replication rep of cell i is drawn from derive_seed(seed, setting, i,
+    rep), then standardized, decomposed and rotated once under one timer;
+    its methods share that cache (their rows carry the identical
+    t_preprocess_ns) and each method's main loop is timed alone. A solver
+    failure marks its row failed=True with NaN metrics instead of aborting
+    the sweep; a preprocessing failure marks every method's row for that
+    replication. Row order is deterministic: cells in given order,
+    replications within a cell, methods within a replication.
     """
     if setting not in (1, 2):
         raise DataError("setting must be 1 or 2")
     if setting == 2 and p is not None:
         raise DataError("p does not apply to setting 2, which sweeps it")
-    config, cells = _sweep(setting, methods, n_list, sigma_or_p_list, reps, seed, p, grid_length)
+    methods, config, cells = _sweep(setting, methods, n_list, sigma_or_p_list, reps, seed, p, grid_length)
     return _replications(setting, methods, cells, reps, seed, p, config, keep_failures=True)
 
 
@@ -341,14 +343,15 @@ def bench_comparison(
 ) -> list[BenchRow]:
     """Time preprocessing and main loops on dense normal designs.
 
-    Runs the replication loop of run_comparison and summarises it as one row
-    per (method, n, p) with medians over reps. The first failure aborts with
-    its original error instead of becoming a failed row. The first cell is
+    Runs the replication loop of run_comparison, with its argument rules,
+    and summarises it as one row per (method, n, p) with medians over reps.
+    The first failure aborts with its original error instead of becoming a
+    failed row. The first cell is
     run once untimed and discarded, so a slow start of the host is not
     charged to it: after a few seconds idle, threaded BLAS calls can run
     over ten times slower for about a second, longer than one replication.
     """
-    config, cells = _sweep(3, methods, n_list, p_list, reps, seed, None, grid_length)
+    methods, config, cells = _sweep(3, methods, n_list, p_list, reps, seed, None, grid_length)
     _replications(3, methods, cells[:1], reps, seed, None, config, keep_failures=False)
     rows = _replications(3, methods, cells, reps, seed, None, config, keep_failures=False)
     k = len(methods)

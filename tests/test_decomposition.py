@@ -374,11 +374,12 @@ _TARGET_READERS = {
 }
 
 
-@pytest.mark.parametrize("target", [-1, 2])
+@pytest.mark.parametrize("target", [-1, 2, True, 1.0, 1.5])
 @pytest.mark.parametrize("reader", list(_TARGET_READERS))
 def test_target_outside_the_problem_is_rejected(reader, target):
-    """A negative index does not wrap round to the last target, and q itself
-    is no target: both raise the same DataError in every reader."""
+    """A negative index does not wrap round to the last target, q itself is
+    no target, and a bool or a float is no index: each raises the same
+    DataError in every reader."""
     rng = np.random.default_rng(5)
     X, Y = rng.normal(size=(12, 4)), rng.normal(size=(12, 2))
     rp = rotate(compact_svd(X), Y)

@@ -381,19 +381,12 @@ class TestEmFit:
         ls = np.linalg.lstsq(X, y, rcond=None)[0]
         assert_allclose(fit.beta, ls, rtol=1e-8)
 
-    def test_overflowing_m_step_also_falls_back(self, monkeypatch):
-        """A non-finite hyperparameter update is treated like underflow:
-        the penalty-free fallback, not a NaN cascade."""
-        import fastridge.em as em_module
-
-        X, y = _random_problem(22, 10, 2)
-        rp = _rotated(X, y)
-        monkeypatch.setattr(em_module, "m_step", lambda *a: (math.inf, 1.0))
-        fit = em_fit(rp, EmConfig())
-        assert fit.degenerate
-        assert fit.lambda_ == 0.0
-        assert fit.k == 1
-        assert np.array_equal(fit.alpha, rp.c[:, 0] / rp.s2)
+    def test_m_step_refuses_an_update_that_overflows(self):
+        """c = (n+1) rho overflows for rho = 1e307, so the update has no
+        double: m_step raises, and em_fit's one collapse branch is the only
+        place a non-finite update is met."""
+        with pytest.raises(DegenerateProblemError):
+            m_step(1.0, 1e307, 100, 4)
 
     def test_degenerate_is_an_infinite_tau2(self):
         """degenerate is read from tau2, so a fit cannot contradict it."""
@@ -461,6 +454,16 @@ class TestEmFit:
                 EmConfig(max_iterations=count)
         assert EmConfig(max_iterations=np.int64(3)).max_iterations == 3
 
+    def test_config_refuses_a_bool_count(self):
+        """max_iterations=True would run one iteration: a bool is no count."""
+        with pytest.raises(DataError, match="^max_iterations must be an integer, not True$"):
+            EmConfig(max_iterations=True)
+
+    @pytest.mark.parametrize("tol", ["1e-8", None])
+    def test_config_refuses_a_tol_that_is_not_a_number(self, tol):
+        with pytest.raises(DataError, match="^tol must be positive and finite$"):
+            EmConfig(tol=tol)
+
 
 class TestMultipleMeans:
     def test_tau_update_zero_norm(self):
@@ -474,6 +477,14 @@ class TestMultipleMeans:
     def test_tau_update_rejects_negative(self):
         with pytest.raises(DataError):
             tau_update_fixed_variance(-1.0, 3)
+
+    @pytest.mark.parametrize("p", [2.5, True])
+    def test_counts_of_the_diagnostics_are_integers(self, p):
+        """p means and n observations are counts, as every count is."""
+        with pytest.raises(DataError, match=f"^p must be an integer, not {p!r}$"):
+            tau_update_fixed_variance(1.0, p)
+        with pytest.raises(DataError, match=f"^n must be an integer, not {p!r}$"):
+            unimodality_bound(np.array([1.0]), p, 1, 0.1)
 
     @pytest.mark.parametrize("p", [6, 10, 50])
     def test_fixed_point_iteration_reaches_kappa(self, p):

@@ -72,6 +72,11 @@ class TestFixedGrid:
         with pytest.raises(DataError):
             fixed_grid(1)
 
+    @pytest.mark.parametrize("l", [2.5, True])
+    def test_length_is_a_count(self, l):
+        with pytest.raises(DataError, match=f"^l must be an integer, not {l!r}$"):
+            fixed_grid(l)
+
 
 class TestGlmnetGrid:
     def test_top_value_tall_design(self):
@@ -91,6 +96,12 @@ class TestGlmnetGrid:
         y = rng.normal(size=40)
         g = glmnet_grid(X, y, l=100)
         assert g.values[-1] / g.values[0] == 1e-4
+
+    @pytest.mark.parametrize("l", [2.5, True])
+    def test_length_is_a_count(self, l):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError, match=f"^l must be an integer, not {l!r}$"):
+            glmnet_grid(rng.normal(size=(12, 3)), rng.normal(size=12), l)
 
     def test_ratio_exact_wide(self):
         rng = np.random.default_rng(1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fastridge.data as data_module
 import fastridge.decomposition as decomposition
 import fastridge.em as em_module
 from fastridge.data import Dataset, FitResult, Method, predict, standardize
@@ -47,6 +48,29 @@ def test_config_rejects_a_grid_size_that_is_not_an_integer(grid_size):
     """A count is an integer, as simulate's n, p and seed are."""
     with pytest.raises(DataError, match="^grid_size must be an integer, not "):
         FitConfig(grid_size=grid_size)
+
+
+def test_config_refuses_a_bool_grid_size():
+    with pytest.raises(DataError, match="^grid_size must be an integer, not True$"):
+        FitConfig(grid_size=True)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_fit_takes_a_method_by_its_value(method):
+    config = FitConfig(grid_size=12)
+    assert fit(_dataset(2), method.value, config).to_json() == fit(_dataset(2), method, config).to_json()
+
+
+def test_fit_refuses_an_unknown_method_before_standardizing(monkeypatch):
+    """The caller's method is refused by Method's rule, blaming no stage or
+    target."""
+
+    def standardized(d):
+        raise AssertionError("standardized before the method was checked")
+
+    monkeypatch.setattr(data_module, "standardize", standardized)
+    with pytest.raises(DataError, match="^method must be one of em, loocv-fixed, loocv-glmnet; got 'lasso'$"):
+        fit(_dataset(2), "lasso")
 
 
 @pytest.mark.parametrize("q", [1, 2])

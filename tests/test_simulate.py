@@ -187,6 +187,46 @@ def _refuse_any_fit(monkeypatch):
     monkeypatch.setattr(simulate, "standardize", fitted)
 
 
+def _refuse_any_draw(monkeypatch):
+    """Make a sweep fail loudly, not with DataError, if it draws anything."""
+
+    def drawn(*args):
+        raise AssertionError("a cell was drawn before the sweep was refused")
+
+    monkeypatch.setattr(simulate, "RandomStream", drawn)
+
+
+_METHOD_VALUES = ["em", "loocv-fixed", "loocv-glmnet"]
+
+
+def _zero_bench_times(row):
+    return dataclasses.replace(row, t_preprocess_ns=0.0, t_mainloop_ns=0.0, t_per_unit_ns=0.0)
+
+
+@pytest.mark.parametrize("reps", [2.5, True, "2"])
+@pytest.mark.parametrize("sweep", ["run", "bench"])
+def test_reps_is_a_count(monkeypatch, sweep, reps):
+    """reps is an integer, never a bool, checked before anything is drawn."""
+    _refuse_any_draw(monkeypatch)
+    with pytest.raises(DataError, match=f"^reps must be an integer, not {reps!r}$"):
+        if sweep == "run":
+            run_comparison(1, [Method.EM], [10], [1.0], reps, 0)
+        else:
+            bench_comparison([Method.EM], [10], [2], reps, 0)
+
+
+@pytest.mark.parametrize("sweep", ["run", "bench"])
+def test_an_unknown_method_is_refused_before_any_draw(monkeypatch, sweep):
+    """A method that is neither a Method nor its value is the caller's
+    mistake, refused by Method's rule, not a sweep of failed rows."""
+    _refuse_any_draw(monkeypatch)
+    with pytest.raises(DataError, match="^method must be one of em, loocv-fixed, loocv-glmnet; got 'lasso'$"):
+        if sweep == "run":
+            run_comparison(1, [Method.EM, "lasso"], [10], [1.0], 1, 0)
+        else:
+            bench_comparison([Method.EM, "lasso"], [10], [2], 1, 0)
+
+
 class TestRunComparison:
     def test_validation(self, monkeypatch):
         _refuse_any_fit(monkeypatch)
@@ -199,7 +239,7 @@ class TestRunComparison:
         with pytest.raises(DataError):
             run_comparison(1, [Method.EM], [10], [1.0], 0, 0)
         # Every cell and the seed are checked before the first draw.
-        with pytest.raises(DataError, match="^need n >= 1 and p >= 1$"):
+        with pytest.raises(DataError, match="^n must be at least 1$"):
             run_comparison(1, [Method.EM, Method.LOOCV_FIXED], [2000, 0], [1.0], 5, 0)
         with pytest.raises(DataError, match="^grid_size must be an integer, not 2.5$"):
             run_comparison(1, [Method.LOOCV_FIXED], [10], [1.0], 1, 0, grid_length=2.5)
@@ -211,7 +251,7 @@ class TestRunComparison:
             run_comparison(1, [Method.EM], [10], [1.0], 1, 0, p=2.5)
         with pytest.raises(DataError, match="^p must be an integer, not 2.5$"):
             run_comparison(2, [Method.EM], [10], [2.5], 1, 0)
-        with pytest.raises(DataError, match="^seed must be nonnegative$"):
+        with pytest.raises(DataError, match="^seed must be at least 0$"):
             run_comparison(2, [Method.EM], [10], [2], 1, -1)
 
     def test_grid_length_below_two_rejected(self):
@@ -224,6 +264,17 @@ class TestRunComparison:
         """A repeated method would write each of its rows twice."""
         with pytest.raises(DataError, match="repeat"):
             run_comparison(1, [Method.EM, Method.LOOCV_FIXED, Method.EM], [10], [1.0], 1, 0)
+
+    def test_method_values_give_the_rows_of_members(self):
+        """A method given by its value runs as its member: the same rows,
+        timings aside, none failed, each naming a Method."""
+        def rows(methods):
+            return [_strip_times(r) for r in run_comparison(1, methods, [120], [1.0], 2, 4, p=6, grid_length=10)]
+
+        by_value = rows(_METHOD_VALUES)
+        assert by_value == rows(list(Method))
+        assert not any(r.failed for r in by_value)
+        assert all(type(r.method) is Method for r in by_value)
 
     def test_p_rejected_for_setting2(self):
         """Setting 2 sweeps p, so a fixed p would be ignored."""
@@ -424,12 +475,23 @@ class TestBenchComparison:
         with pytest.raises(DataError):
             bench_comparison([Method.EM], [10], [2], 0, 0)
         # Every cell and the seed are checked before the untimed first cell.
-        with pytest.raises(DataError, match="^need n >= 1 and p >= 1$"):
+        with pytest.raises(DataError, match="^n must be at least 1$"):
             bench_comparison([Method.EM], [20, 0], [3], 1, 0)
         with pytest.raises(DataError, match="^p must be an integer, not 3.5$"):
             bench_comparison([Method.EM], [20], [3.5], 1, 0)
-        with pytest.raises(DataError, match="^seed must be nonnegative$"):
+        with pytest.raises(DataError, match="^seed must be at least 0$"):
             bench_comparison([Method.EM], [20], [3], 1, -1)
+
+    def test_method_values_give_the_rows_of_members(self):
+        """A method given by its value runs as its member: the same medians,
+        timings aside, and EM's unit count is its iteration count."""
+        def rows(methods):
+            return [_zero_bench_times(r) for r in bench_comparison(methods, [50], [6], 2, 7, 25)]
+
+        by_value = rows(_METHOD_VALUES)
+        assert by_value == rows(list(Method))
+        assert [r.method for r in by_value] == list(Method)
+        assert by_value[1].unit_count == by_value[2].unit_count == 25.0
 
     def test_repeated_method_rejected(self):
         """A repeated method would pool both copies' samples into one list."""
