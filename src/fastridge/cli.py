@@ -8,8 +8,8 @@ rejects a flag its --setting does not read. Each subcommand names its
 handler through set_defaults. The FASTRIDGE_SEED environment variable
 overrides --seed for every command that accepts one. Model files are
 written and read by FitResult.to_json and FitResult.from_json, which checks
-every array's entries and its count against the coefficients' shape, and
-the arrays against each other.
+every array's entries, its count against the coefficients' shape and its
+method, and the arrays against each other.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import __version__
-from .data import FitResult, Method, load_csv, open_input, predict, read_csv
+from .data import FitResult, Method, count, load_csv, open_input, predict, read_csv
 from .em import EmConfig
 from .exceptions import DataError, DegenerateProblemError, FastridgeError
 from .pipeline import FitConfig, _stage, fit
@@ -49,7 +49,8 @@ def _write_output(path, write) -> None:
 
 
 def _effective_seed(args) -> int:
-    """--seed, unless FASTRIDGE_SEED is set in the environment."""
+    """--seed, unless FASTRIDGE_SEED is set in the environment: read by int(),
+    it must be a count of at least 0 (data.count), or DataError."""
     env = os.environ.get("FASTRIDGE_SEED")
     if env is None:
         return args.seed
@@ -57,8 +58,7 @@ def _effective_seed(args) -> int:
         seed = int(env)
     except ValueError:
         raise DataError(f"FASTRIDGE_SEED is not an integer: {env!r}") from None
-    if seed < 0:
-        raise DataError("FASTRIDGE_SEED must be nonnegative")
+    count("FASTRIDGE_SEED", seed, 0)
     return seed
 
 

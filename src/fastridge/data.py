@@ -38,12 +38,27 @@ def all_finite(a: np.ndarray) -> bool:
 def count(name: str, value, least: int) -> None:
     """Check that the argument ``name`` is a count: an integer (a bool is
     not one) of at least ``least``, or DataError naming it. The one rule for
-    every count: sizes, seeds, grid lengths, iteration caps and
-    replications."""
+    every count: sizes, seeds, grid lengths, iteration caps, replications,
+    and the generator's seeds, path components and draw counts."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DataError(f"{name} must be an integer, not {value!r}")
     if value < least:
         raise DataError(f"{name} must be at least {least}")
+
+
+def real(name: str, value, positive: bool = True) -> None:
+    """Check that the argument ``name`` is a real number: finite, not a bool
+    (numpy floats and integers are real numbers), and positive, or at least
+    0 when ``positive`` is false; or DataError naming it. The one rule for
+    every real-valued argument: penalties, hyperparameters, E-step
+    statistics, tolerances, radii and noise levels."""
+    # NaN fails the chained comparison, which neither overflows on a large
+    # integer (as math.isfinite does) nor warns on a numpy float32 (as a bound
+    # at the largest double does).
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and -np.inf < value < np.inf):
+        raise DataError(f"{name} must be a finite real number, not {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise DataError(f"{name} must be {'positive' if positive else 'at least 0'}")
 
 
 class Method(Enum):
@@ -156,10 +171,12 @@ class FitResult:
     scales, CVE and iteration counts their sign) and what it counts: one
     entry per target (intercepts, lambda_, y_means, target_names, EM's tau2,
     sigma2 and iterations, LOOCV's grid and cve_curves rows) or per feature
-    (feature_names, col_means, col_sds). Fields without a default are
-    required. Another method, ragged rows, entries of another kind, sign or
-    count raise DataError naming the field, as does a model that disagrees
-    with itself: lambda_ != 1/tau2; grid and cve_curves rows of unequal
+    (feature_names, col_means, col_sds), and which methods it applies to:
+    tau2, sigma2 and iterations only to EM, grid and cve_curves only to
+    LOOCV. Fields without a default are required. An unknown method, another
+    method's detail, ragged rows, entries of another kind, sign or count
+    raise DataError naming the field, as does a model that disagrees with
+    itself: lambda_ != 1/tau2; grid and cve_curves rows of unequal
     length, or lambda_ other than the grid value at the first CVE minimum;
     kept_columns not strictly increasing within 0..p-1; or a feature or
     target name given twice. "grid_kind" is written from the method.
@@ -191,12 +208,14 @@ class FitResult:
         p, q = beta.shape
         counts = {"feature": p, "target": q}
         required = {f.name for f in fields(self) if f.default is MISSING}
-        for name, _, _, kind, sign, per, ndim in _ARRAYS[1:]:
+        for name, _, _, kind, sign, per, ndim, prefix in _ARRAYS[1:]:
             value = getattr(self, name)
             if value is None:
                 if name in required:
                     raise DataError(f"{name} is missing")
                 continue
+            if not self.method.value.startswith(prefix):
+                raise DataError(f"{name} does not apply to method {self.method.value}")
             value = _entries(name, value, kind, sign)
             if per and value.shape[:1] != (counts[per],):
                 got = f"has length {len(value)}" if value.ndim else "is a scalar"
@@ -224,7 +243,7 @@ class FitResult:
         NaN or Infinity) and no timestamps, so equal fits give byte-identical
         files. Fields that are None are left out."""
         model = {"method": self.method.value, "library_version": __version__}
-        if self.grid is not None and self.method is not Method.EM:
+        if self.grid is not None:
             model["grid_kind"] = self.method.value.removeprefix("loocv-")
         for name, place, key, *_ in _ARRAYS:
             value = getattr(self, name)
@@ -254,23 +273,24 @@ class FitResult:
 
 # Every array of the model file: its FitResult field, place (None: the top
 # level) and key, its entries' kind and sign (a key of _SIGNS, or None: any),
-# what its first axis counts (None: nothing) and its dimensions. The
+# what its first axis counts (None: nothing), its dimensions and the methods
+# it applies to, as the prefix of their values ("": every method). The
 # coefficients' shape gives the counts.
 _ARRAYS = (
-    ("beta_raw", None, "coefficients", float, None, "feature", 2),
-    ("intercepts", None, "intercepts", float, None, "target", 1),
-    ("lambda_", None, "lambda", float, "positive", "target", 1),
-    ("tau2", None, "tau2", float, "positive", "target", 1),
-    ("sigma2", None, "sigma2", float, "positive", "target", 1),
-    ("iterations", None, "iterations", int, "positive", "target", 1),
-    ("grid", None, "grid", float, "positive", "target", 2),
-    ("cve_curves", None, "cve_curve", float, "nonnegative", "target", 2),
-    ("y_means", "standardization", "y_means", float, None, "target", 1),
-    ("target_names", None, "target_names", str, None, "target", 1),
-    ("feature_names", None, "feature_names", str, None, "feature", 1),
-    ("col_means", "standardization", "col_means", float, None, "feature", 1),
-    ("col_sds", "standardization", "col_sds", float, "nonnegative", "feature", 1),
-    ("kept_columns", "standardization", "kept_columns", int, None, None, 1),
+    ("beta_raw", None, "coefficients", float, None, "feature", 2, ""),
+    ("intercepts", None, "intercepts", float, None, "target", 1, ""),
+    ("lambda_", None, "lambda", float, "positive", "target", 1, ""),
+    ("tau2", None, "tau2", float, "positive", "target", 1, "em"),
+    ("sigma2", None, "sigma2", float, "positive", "target", 1, "em"),
+    ("iterations", None, "iterations", int, "positive", "target", 1, "em"),
+    ("grid", None, "grid", float, "positive", "target", 2, "loocv"),
+    ("cve_curves", None, "cve_curve", float, "nonnegative", "target", 2, "loocv"),
+    ("y_means", "standardization", "y_means", float, None, "target", 1, ""),
+    ("target_names", None, "target_names", str, None, "target", 1, ""),
+    ("feature_names", None, "feature_names", str, None, "feature", 1, ""),
+    ("col_means", "standardization", "col_means", float, None, "feature", 1, ""),
+    ("col_sds", "standardization", "col_sds", float, "nonnegative", "feature", 1, ""),
+    ("kept_columns", "standardization", "kept_columns", int, None, None, 1, ""),
 )
 
 # What a signed row's entries must be: every one compares true with 0.

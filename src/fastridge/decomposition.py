@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import all_finite
+from .data import all_finite, real
 from .exceptions import DataError
 
 
@@ -176,9 +176,9 @@ def target_column(rp: RotatedProblem, target: int) -> np.ndarray:
 
 def rotated_ridge_solution(rp: RotatedProblem, lam: float, target: int = 0) -> np.ndarray:
     """alpha_j = c_{j,t} / (s_j^2 + lambda), the O(r') ridge solve in the
-    rotated coordinates (lambda = 1/tau^2 for the EM caller)."""
-    if not lam > 0:  # also rejects NaN
-        raise DataError("lambda must be positive")
+    rotated coordinates (lambda = 1/tau^2 for the EM caller). lambda is a
+    positive real number (data.real)."""
+    real("lambda", lam)
     return target_column(rp, target) / (rp.s2 + lam)
 
 

@@ -15,12 +15,11 @@ posterior-unimodality diagnostic.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import count
+from .data import count, real
 from .decomposition import RotatedProblem, recover_beta, target_column
 from .exceptions import DataError, DegenerateProblemError
 
@@ -29,19 +28,18 @@ from .exceptions import DataError, DegenerateProblemError
 class EmConfig:
     """Convergence control for em_fit.
 
-    tol, a positive finite real number, is compared against the RSS change
-    relative to the target's squared norm, delta = |RSS_old - RSS| / ||y||^2,
-    which does not depend on the units of y; max_iterations is an integer
-    (not a bool) of at least 1, checked by data.count. Anything else raises
-    DataError naming the field.
+    tol, a positive real number (data.real), is compared against the RSS
+    change relative to the target's squared norm,
+    delta = |RSS_old - RSS| / ||y||^2, which does not depend on the units of
+    y; max_iterations is a count of at least 1 (data.count). Anything else
+    raises DataError naming the field.
     """
 
     tol: float = 1e-8
     max_iterations: int = 100000
 
     def __post_init__(self):
-        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol > 0):
-            raise DataError("tol must be positive and finite")
+        real("tol", self.tol)
         count("max_iterations", self.max_iterations, 1)
 
 
@@ -114,12 +112,10 @@ def _ess(rp: RotatedProblem, alpha, z, r0: float, inv, sigma2: float) -> tuple[f
 
 
 def _checked_inv(rp: RotatedProblem, tau2: float, sigma2: float) -> np.ndarray:
-    """inv = 1/(s_j^2 + 1/tau2) for the public E-step functions, once tau2 > 0
-    and sigma2 >= 0 have been checked."""
-    if not tau2 > 0:  # also rejects NaN, as does the sigma2 check
-        raise DataError("tau2 must be positive")
-    if not sigma2 >= 0:
-        raise DataError("sigma2 must be nonnegative")
+    """inv = 1/(s_j^2 + 1/tau2) for the public E-step functions, once tau2 is
+    checked positive and sigma2 at least 0 (data.real)."""
+    real("tau2", tau2)
+    real("sigma2", sigma2, positive=False)
     return 1.0 / (rp.s2 + 1.0 / tau2)
 
 
@@ -134,7 +130,8 @@ def expected_squared_norm(
     alpha must be the rotated ridge solution at lambda = 1/tau2. The second
     term is the posterior-covariance trace; coefficient directions with zero
     singular value each contribute sigma2 * tau2 to it. Raises DataError
-    unless tau2 > 0 and sigma2 >= 0, as expected_sse does.
+    unless tau2 is a positive real number and sigma2 one of at least 0
+    (data.real), as expected_sse does.
     """
     inv = _checked_inv(rp, tau2, sigma2)
     return _esn(rp, np.asarray(alpha, dtype=float), inv, tau2, sigma2)
@@ -154,7 +151,8 @@ def expected_sse(
 
     RSS is ||y - U diag(s) alpha||^2 for any alpha, split by rotate into the
     energy R0 outside span(U) and a sum of squares over the spectrum, so it
-    is never negative. Raises DataError unless tau2 > 0 and sigma2 >= 0.
+    is never negative. Raises DataError unless tau2 is a positive real number
+    and sigma2 one of at least 0 (data.real).
     """
     inv = _checked_inv(rp, tau2, sigma2)
     _, z, r0 = _split(rp, target)
@@ -201,9 +199,14 @@ def q_function(tau2: float, sigma2: float, ess: float, esn: float, n: int, p: in
 
     Q = ((n+p+2)/2) log sigma2 + ESS/(2 sigma2)
         + ((p+1)/2) log tau2 + ESN/(2 sigma2 tau2) + log(1 + tau2)
+
+    tau2, sigma2, ess and esn are positive real numbers (data.real), or
+    DataError naming the first that is not.
     """
-    if not (tau2 > 0 and sigma2 > 0 and ess > 0 and esn > 0):
-        raise DataError("q_function requires positive arguments")
+    real("tau2", tau2)
+    real("sigma2", sigma2)
+    real("ess", ess)
+    real("esn", esn)
     return (
         0.5 * (n + p + 2.0) * math.log(sigma2)
         + ess / (2.0 * sigma2)
@@ -293,11 +296,11 @@ def tau_update_fixed_variance(w: float, p: int) -> float:
 
     tau_hat = sqrt( (w - p + sqrt(p^2 + 8w + 2pw + w^2)) / (2(2+p)) )
 
-    where w is the current expected squared norm of the means, and p, the
-    number of means, is an integer of at least 1 (data.count).
+    where w, the current expected squared norm of the means, is a real
+    number of at least 0 (data.real), and p, the number of means, a count of
+    at least 1 (data.count).
     """
-    if not w >= 0:
-        raise DataError("w must be nonnegative")
+    real("w", w, positive=False)
     count("p", p, 1)
     inner = math.sqrt(p * p + 8.0 * w + 2.0 * p * w + w * w)
     return math.sqrt(max(w - p + inner, 0.0) / (2.0 * (2.0 + p)))
@@ -326,12 +329,11 @@ def unimodality_bound(
     values survived (s2 comes from the compact decomposition, so a missing
     entry is a direction whose s^2 fell below compact_svd's resolution
     floor, indistinguishable from zero). A unique mode with tau^2 >= epsilon
-    is certified when gamma_n > 0 and epsilon > 4/(n*gamma_n). n is an
-    integer of at least 1 (data.count).
+    is certified when gamma_n > 0 and epsilon > 4/(n*gamma_n). n is a count
+    of at least 1 (data.count) and epsilon a positive real number (data.real).
     """
     count("n", n, 1)
-    if not epsilon > 0:
-        raise DataError("epsilon must be positive")
+    real("epsilon", epsilon)
     s2 = np.asarray(s2, dtype=float).ravel()
     gamma_n = float(np.min(s2)) / n if s2.shape[0] >= p else 0.0
     epsilon_min = 4.0 / (n * gamma_n) if gamma_n > 0 else None
@@ -340,9 +342,13 @@ def unimodality_bound(
 
 def sample_size_threshold(c: float, alpha: float, epsilon: float) -> float:
     """Smallest n beyond which eigenvalue decay gamma_n = c * n^-alpha still
-    certifies a unique mode at radius epsilon: n > (4/(c*epsilon))^(1/(1-alpha))."""
-    if not (c > 0 and epsilon > 0):
-        raise DataError("c and epsilon must be positive")
-    if not 0 <= alpha < 1:
+    certifies a unique mode at radius epsilon: n > (4/(c*epsilon))^(1/(1-alpha)).
+
+    c and epsilon are positive real numbers, alpha one of at least 0
+    (data.real) and below 1, or DataError naming the argument."""
+    real("c", c)
+    real("alpha", alpha, positive=False)
+    real("epsilon", epsilon)
+    if not alpha < 1:
         raise DataError("alpha must lie in [0, 1)")
     return (4.0 / (c * epsilon)) ** (1.0 / (1.0 - alpha))

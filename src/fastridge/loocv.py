@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import count
+from .data import count, real
 from .decomposition import RotatedProblem, recover_beta, rotated_ridge_solution, target_column
 from .exceptions import DataError, DegenerateProblemError
 
@@ -206,9 +206,9 @@ def press(rp: RotatedProblem, y: np.ndarray, lam: float, target: int = 0) -> flo
     would cost ~log10(s_max^2/lam) digits. A centered design never has full
     row rank (its centering direction lies below compact_svd's resolution
     floor), so a fit on standardized data always takes the 1 - h form.
+    lambda is a positive real number (data.real).
     """
-    if not lam > 0:  # also rejects NaN
-        raise DataError("lambda must be positive")
+    real("lambda", lam)
     return float(_press_curve(rp, y, np.array([lam], dtype=float), target)[0])
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import real
 from .exceptions import DataError
 
 _MAX_SIDE = 200
@@ -47,15 +48,15 @@ def dense_ridge_solve(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     so at small penalties it loses ~log10(s_max^2/lam) digits that the
     n x n form keeps; the n x n form is taken when p > n and lam > 0. The
     oracle's own rounding must stay far below the tolerances it arbitrates.
-    lambda = 0 is allowed when X has full column rank and always takes the
-    p x p form, so a singular system surfaces as numpy.linalg.LinAlgError.
+    lambda, a real number of at least 0 (data.real), may be 0 when X has
+    full column rank; it then takes the p x p form, so a singular system
+    surfaces as numpy.linalg.LinAlgError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
     _guard(n, p)
-    if not lam >= 0:  # also rejects NaN, as does every not-form check below
-        raise DataError("lambda must be nonnegative")
+    real("lambda", lam, positive=False)
     if lam > 0 and p > n:
         return X.T @ np.linalg.solve(X @ X.T + lam * np.eye(n), y)
     return np.linalg.solve(X.T @ X + lam * np.eye(p), X.T @ y)
@@ -71,16 +72,15 @@ def dense_em_statistics(
         ESS = ||y - X beta_hat||^2 + sigma2 * tr(X'X A^-1)
         ESN = sigma2 * tr(A^-1) + ||beta_hat||^2
 
-    Returned alongside the DensePosterior (beta_hat, sigma2 * A^-1).
+    Returned alongside the DensePosterior (beta_hat, sigma2 * A^-1). tau2
+    is a positive real number and sigma2 one of at least 0 (data.real).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
     _guard(n, p)
-    if not tau2 > 0:
-        raise DataError("tau2 must be positive")
-    if not sigma2 >= 0:
-        raise DataError("sigma2 must be nonnegative")
+    real("tau2", tau2)
+    real("sigma2", sigma2, positive=False)
     gram = X.T @ X
     A_inv = np.linalg.inv(gram + (1.0 / tau2) * np.eye(p))
     beta_hat = A_inv @ (X.T @ y)
@@ -126,10 +126,11 @@ def numeric_m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float
 
     Golden-section search over log tau2 in [log 1e-15, log 1e15] (the
     profiled objective has a single interior minimum), then the stationary
-    sigma2 at the winner. Bracket tolerance 1e-10 in log space.
+    sigma2 at the winner. Bracket tolerance 1e-10 in log space. ess and
+    esn are positive real numbers (data.real).
     """
-    if not (ess > 0 and esn > 0):
-        raise DataError("numeric_m_step requires ESS > 0 and ESN > 0")
+    real("ess", ess)
+    real("esn", esn)
     lo, hi = _LOG_TAU2_LO, _LOG_TAU2_HI
     a = hi - _INV_PHI * (hi - lo)
     b = lo + _INV_PHI * (hi - lo)

@@ -37,24 +37,33 @@ class FitConfig:
         data.count("grid_size", self.grid_size, 2)
 
 
-def solve(std, rp, method: Method, config: FitConfig = FitConfig()):
-    """Run one penalty selector on every target of a rotated problem, yielding
-    one EmFit or LoocvFit per target, on the standardized scale, as each is
-    made. method is a Method or its value, as Method() takes it. The fixed
-    grid is built once and scores every target. A degenerate EM fit is
-    yielded flagged, not raised; what to do with it is the caller's
-    decision."""
+def solve(std, rp, method: Method, config: FitConfig = FitConfig(), target_names=None) -> list:
+    """Run one penalty selector on every target of a rotated problem and
+    return one EmFit or LoocvFit per target, on the standardized scale.
+    method is a Method or its value, as Method() takes it. The fixed grid is
+    built once and scores every target. Errors read "solve: ..." and, for
+    one target's step, "solve: target <label>: ..." with the label
+    data.target_label makes from target_names. A degenerate EM fit raises
+    DegenerateProblemError at the first target that has one, before later
+    targets are solved: every caller needs a finite penalty."""
     method = Method(method)
-    if method is Method.LOOCV_FIXED:
-        grid = loocv.fixed_grid(config.grid_size)
-    for t in range(rp.q):
-        if method is Method.EM:
-            yield em.em_fit(rp, config.em, target=t)
-            continue
-        y_t = std.Y_centered[:, t]
-        if method is Method.LOOCV_GLMNET:
-            grid = loocv.glmnet_grid(std.X_std, y_t, config.grid_size)
-        yield loocv.loocv_fit(rp, y_t, grid, target=t)
+    fits = []
+    with _stage("solve"):
+        if method is Method.LOOCV_FIXED:
+            grid = loocv.fixed_grid(config.grid_size)
+        for t in range(rp.q):
+            with _stage(f"target {data.target_label(target_names, t)}"):
+                if method is Method.EM:
+                    fit = em.em_fit(rp, config.em, target=t)
+                    if fit.degenerate:
+                        raise DegenerateProblemError("no finite penalty exists for this data")
+                else:
+                    y_t = std.Y_centered[:, t]
+                    if method is Method.LOOCV_GLMNET:
+                        grid = loocv.glmnet_grid(std.X_std, y_t, config.grid_size)
+                    fit = loocv.loocv_fit(rp, y_t, grid, target=t)
+                fits.append(fit)
+    return fits
 
 
 def fit(dataset: data.Dataset, method: Method, config: FitConfig = FitConfig()) -> FitResult:
@@ -64,22 +73,14 @@ def fit(dataset: data.Dataset, method: Method, config: FitConfig = FitConfig()) 
     DataError before anything is standardized, with no stage prefix. Errors
     are prefixed with the step that raised them: "standardize", "decompose",
     "solve" or "destandardize", and an error of one target's solve also
-    with that target, by name or index: "solve: target 'y': ...".
-    A degenerate EM fit raises DegenerateProblemError at the first target
-    that has one: a model needs a finite penalty."""
+    with that target, by name or index: "solve: target 'y': ...". A
+    degenerate EM fit raises DegenerateProblemError, as solve does."""
     method = Method(method)
     with _stage("standardize"):
         std = data.standardize(dataset)
     with _stage("decompose"):
         rp = decomposition.rotate(decomposition.compact_svd(std.X_std), std.Y_centered)
-    fits = []
-    with _stage("solve"):
-        steps = solve(std, rp, method, config)
-        for t in range(rp.q):
-            with _stage(f"target {data.target_label(dataset.target_names, t)}"):
-                fits.append(next(steps))
-                if getattr(fits[-1], "degenerate", False):
-                    raise DegenerateProblemError("no finite penalty exists for this data")
+    fits = solve(std, rp, method, config, dataset.target_names)
     with _stage("destandardize"):
         beta_raw, intercepts = data.destandardize(np.column_stack([f.beta for f in fits]), std)
     if method is Method.EM:

@@ -19,6 +19,11 @@ compatibility guarantee:
 Stream keys are derived from the user seed and a path of nonnegative
 integers with a splitmix64 sponge: absorb each path component by XOR into
 the state and advance once, then squeeze the two 64-bit Philox key words.
+
+Arguments follow the library's rules: the seed, each path component and
+each draw count m are counts of at least 0 and chi_square's df one of at
+least 1 (data.count); bernoulli's prob is a positive real number
+(data.real) below 1. Anything else raises DataError naming the argument.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .data import count, real
+from .exceptions import DataError
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,13 +53,12 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 
 def _absorb(seed: int, path) -> int:
-    """The sponge state after absorbing a nonnegative seed and path."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    """The sponge state after absorbing a seed and path, each a count of at
+    least 0."""
+    count("seed", seed, 0)
     state = seed & _M64
     for component in path:
-        if component < 0:
-            raise ValueError("path components must be nonnegative")
+        count("path component", component, 0)
         state, _ = _splitmix64(state ^ (component & _M64))
     return state
 
@@ -80,6 +87,7 @@ class RandomStream:
 
     def raw(self, m: int) -> np.ndarray:
         """m raw 64-bit words from the counter-based source."""
+        count("m", m, 0)
         return self._bitgen.random_raw(m)
 
     def uniforms(self, m: int) -> np.ndarray:
@@ -88,6 +96,7 @@ class RandomStream:
 
     def normals(self, m: int) -> np.ndarray:
         """m standard normals via Box-Muller, block layout as documented."""
+        count("m", m, 0)
         if m == 0:
             return np.empty(0)
         k = (m + 1) // 2
@@ -97,15 +106,17 @@ class RandomStream:
         return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:m]
 
     def bernoulli(self, prob: float, m: int) -> np.ndarray:
-        """m Bernoulli(prob) draws as 0.0/1.0 doubles."""
-        if not 0.0 < prob < 1.0:
-            raise ValueError("prob must lie strictly between 0 and 1")
+        """m Bernoulli(prob) draws as 0.0/1.0 doubles, for prob strictly
+        between 0 and 1."""
+        real("prob", prob)
+        if not prob < 1.0:
+            raise DataError("prob must lie strictly between 0 and 1")
         return (self.uniforms(m) < prob).astype(float)
 
     def chi_square(self, df: int) -> float:
-        """One chi-square draw with integer df, as the sum of df squared
-        standard normals (consumes exactly one normals(df) block)."""
-        if df < 1:
-            raise ValueError("df must be a positive integer")
+        """One chi-square draw with df degrees of freedom (a count of at
+        least 1), as the sum of df squared standard normals (consumes
+        exactly one normals(df) block)."""
+        count("df", df, 1)
         z = self.normals(df)
         return float(z @ z)

@@ -6,9 +6,10 @@ Bartlett factor A (setting 2); the timing bench draws dense standard-normal
 designs (setting 3). One replication loop serves both drivers: it fits each
 requested method on the same standardized, rotated problem per replication,
 so preprocessing is timed once and the per-method cost is the main loop alone.
-run_comparison returns its rows, recording a failure as a failed row, and
-bench_comparison summarises the same rows as medians per (method, n, p),
-aborting at the first failure instead.
+run_comparison returns its rows, recording a failure (an EM fit with no
+finite penalty included) as a failed row, and bench_comparison summarises
+the same rows as medians per (method, n, p), aborting at the first failure
+instead.
 
 Metric conventions (the plots these reproduce label no formulas):
 param_mse = ||beta_hat - beta0||^2 / p and
@@ -26,13 +27,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, Method, count, destandardize, standardize
+from .data import Dataset, Method, count, destandardize, real, standardize
 from .decomposition import compact_svd, rotate
 from .exceptions import DataError, FastridgeError
 from .loocv import GRID_LENGTH
@@ -57,7 +57,8 @@ CSV_HEADER = (
 @dataclass(frozen=True)
 class Setting1Config:
     """Sparse binary design: X_ij ~ Bernoulli(0.01) as 0/1 reals,
-    beta0 ~ N(0, I_p), y = X beta0 + sigma * eps."""
+    beta0 ~ N(0, I_p), y = X beta0 + sigma * eps. sigma is a real number of
+    at least 0 (data.real); n, p and seed follow _check_sizes."""
 
     n: int
     sigma: float
@@ -66,8 +67,7 @@ class Setting1Config:
 
     def __post_init__(self):
         _check_sizes(self.n, self.p, self.seed)
-        if not (isinstance(self.sigma, numbers.Real) and math.isfinite(self.sigma) and self.sigma >= 0):
-            raise DataError("sigma must be nonnegative and finite")
+        real("sigma", self.sigma, positive=False)
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def _replications(setting, methods, cells, reps, seed, p, config, keep_failures)
         for method in methods:
             try:
                 t0 = time.perf_counter_ns()
-                fit = next(solve(std, rp, method, config))
+                (fit,) = solve(std, rp, method, config)
                 t_main = time.perf_counter_ns() - t0
                 beta_raw = destandardize(fit.beta, std)[0][:, 0]
                 is_em = method is Method.EM
@@ -298,8 +298,9 @@ def run_comparison(
     rep), then standardized, decomposed and rotated once under one timer;
     its methods share that cache (their rows carry the identical
     t_preprocess_ns) and each method's main loop is timed alone. A solver
-    failure marks its row failed=True with NaN metrics instead of aborting
-    the sweep; a preprocessing failure marks every method's row for that
+    failure, an EM fit with no finite penalty among them (pipeline.solve
+    refuses it), marks its row failed=True with NaN metrics instead of
+    aborting the sweep; a preprocessing failure marks every method's row for that
     replication. Row order is deterministic: cells in given order,
     replications within a cell, methods within a replication.
     """
@@ -345,8 +346,9 @@ def bench_comparison(
 
     Runs the replication loop of run_comparison, with its argument rules,
     and summarises it as one row per (method, n, p) with medians over reps.
-    The first failure aborts with its original error instead of becoming a
-    failed row. The first cell is
+    The first failure aborts with its error instead of becoming a failed
+    row; a solver's reads "solve: target 0: ...", as in pipeline.fit. The
+    first cell is
     run once untimed and discarded, so a slow start of the host is not
     charged to it: after a few seconds idle, threaded BLAS calls can run
     over ten times slower for about a second, longer than one replication.

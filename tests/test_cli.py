@@ -865,6 +865,16 @@ class TestErrorPaths:
                 '"lambda":[1.0,1.0],"target_names":["y","y"]}',
                 "target_names lists 'y' twice",
             ),
+            (
+                '{"method":"loocv-fixed","coefficients":[1.0,2.0],"intercepts":[0.5],"lambda":[2.0],'
+                '"tau2":[0.5],"sigma2":[1.0],"iterations":[3]}',
+                "tau2 does not apply to method loocv-fixed",
+            ),
+            (
+                '{"method":"em","coefficients":[1.0,2.0],"intercepts":[0.0],"lambda":[2.0],'
+                '"grid":[[2.0,1.0]],"cve_curve":[[1.0,2.0]]}',
+                "grid does not apply to method em",
+            ),
         ],
         ids=[
             "two-intercepts", "three-lambdas", "scalar-sigma2", "scalar-coefficients",
@@ -874,7 +884,7 @@ class TestErrorPaths:
             "negative-penalty-and-scale", "negative-tau2", "negative-col-sd", "negative-sigma2",
             "negative-iterations", "negative-grid-row", "negative-grid-entry", "negative-cve",
             "method-by-member-name",
-            "no-method", "target-name-twice",
+            "no-method", "target-name-twice", "em-detail-in-loocv-model", "loocv-detail-in-em-model",
         ],
     )
     def test_predict_hand_written_model_with_miscounted_array(
@@ -1132,7 +1142,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "value, message",
-        [("abc", "FASTRIDGE_SEED is not an integer: 'abc'"), ("-1", "FASTRIDGE_SEED must be nonnegative")],
+        [("abc", "FASTRIDGE_SEED is not an integer: 'abc'"), ("-1", "FASTRIDGE_SEED must be at least 0")],
     )
     def test_bad_seed_environment(self, tmp_path, capsys, monkeypatch, value, message):
         monkeypatch.setenv("FASTRIDGE_SEED", value)

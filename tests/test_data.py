@@ -539,6 +539,24 @@ class TestDestandardizeAndPredict:
             predict(result, np.ones((2, 4)))
 
 
+class TestReal:
+    @pytest.mark.parametrize("value", [1.5, 2, np.float32(0.5), np.float16(2.0), np.int64(3), 2**1000])
+    def test_accepts_a_finite_number_of_any_real_type(self, value):
+        data.real("x", value)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), np.float32(np.nan), np.float16(np.inf), -np.inf, 1j])
+    def test_refuses_numpy_bools_and_non_finite_numpy_floats(self, value):
+        with pytest.raises(DataError, match="^x must be a finite real number, not "):
+            data.real("x", value)
+
+    def test_sign(self):
+        data.real("x", 0.0, positive=False)
+        with pytest.raises(DataError, match="^x must be positive$"):
+            data.real("x", 0.0)
+        with pytest.raises(DataError, match="^x must be at least 0$"):
+            data.real("x", -5e-324, positive=False)
+
+
 class TestFitResult:
     @pytest.mark.parametrize("method", [Method.EM, "em"])
     def test_method_is_a_member_or_its_value(self, method):

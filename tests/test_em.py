@@ -3,6 +3,7 @@ the full loop, the p-means special case, and the unimodality diagnostic."""
 
 import dataclasses
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -26,12 +27,15 @@ from fastridge.em import (
     unimodality_bound,
 )
 from fastridge.exceptions import DataError, DegenerateProblemError
+from fastridge.loocv import press
 from fastridge.oracles import (
     brute_force_loocv,
     dense_em_statistics,
     dense_ridge_solve,
     numeric_m_step,
 )
+from fastridge.rng import RandomStream
+from fastridge.simulate import Setting1Config
 
 
 def _rotated(X, y):
@@ -461,7 +465,7 @@ class TestEmFit:
 
     @pytest.mark.parametrize("tol", ["1e-8", None])
     def test_config_refuses_a_tol_that_is_not_a_number(self, tol):
-        with pytest.raises(DataError, match="^tol must be positive and finite$"):
+        with pytest.raises(DataError, match=f"^tol must be a finite real number, not {re.escape(repr(tol))}$"):
             EmConfig(tol=tol)
 
 
@@ -589,38 +593,56 @@ _X3 = np.eye(3)
 _Y3 = np.array([1.0, 2.0, 3.0])
 
 
-_NAN_CASES = [
-    (expected_squared_norm, (_RP3, _ALPHA3, _NAN, 1.0), "tau2"),
-    (expected_squared_norm, (_RP3, _ALPHA3, 1.0, _NAN), "sigma2"),
-    (expected_sse, (_RP3, _ALPHA3, _NAN, 1.0), "tau2"),
-    (expected_sse, (_RP3, _ALPHA3, 1.0, _NAN), "sigma2"),
-    (m_step, (_NAN, 1.0, 5, 3), "ess"),
-    (m_step, (1.0, _NAN, 5, 3), "esn"),
-    (q_function, (_NAN, 1.0, 1.0, 1.0, 5, 3), "tau2"),
-    (q_function, (1.0, _NAN, 1.0, 1.0, 5, 3), "sigma2"),
-    (q_function, (1.0, 1.0, _NAN, 1.0, 5, 3), "ess"),
-    (q_function, (1.0, 1.0, 1.0, _NAN, 5, 3), "esn"),
-    (tau_update_fixed_variance, (_NAN, 3), "w"),
-    (sample_size_threshold, (_NAN, 0.5, 0.1), "c"),
-    (sample_size_threshold, (1.0, _NAN, 0.1), "alpha"),
-    (sample_size_threshold, (1.0, 0.5, _NAN), "epsilon"),
-    (unimodality_bound, (np.ones(3), 10, 3, _NAN), "epsilon"),
-    (multiple_means_kappa, ([_NAN, 1.0],), "y"),
-    (dense_ridge_solve, (_X3, _Y3, _NAN), "lam"),
-    (dense_em_statistics, (_X3, _Y3, _NAN, 1.0), "tau2"),
-    (dense_em_statistics, (_X3, _Y3, 1.0, _NAN), "sigma2"),
-    (brute_force_loocv, (_X3, _Y3, _NAN), "lam"),
-    (numeric_m_step, (_NAN, 1.0, 5, 3), "ess"),
-    (numeric_m_step, (1.0, _NAN, 5, 3), "esn"),
+# Every real-valued argument of the library, as a call taking the value, and
+# the name data.real gives it.
+_REAL_ARGUMENTS = [
+    ("expected_squared_norm", lambda v: expected_squared_norm(_RP3, _ALPHA3, v, 1.0), "tau2"),
+    ("expected_squared_norm", lambda v: expected_squared_norm(_RP3, _ALPHA3, 1.0, v), "sigma2"),
+    ("expected_sse", lambda v: expected_sse(_RP3, _ALPHA3, v, 1.0), "tau2"),
+    ("expected_sse", lambda v: expected_sse(_RP3, _ALPHA3, 1.0, v), "sigma2"),
+    ("q_function", lambda v: q_function(v, 1.0, 1.0, 1.0, 5, 3), "tau2"),
+    ("q_function", lambda v: q_function(1.0, v, 1.0, 1.0, 5, 3), "sigma2"),
+    ("q_function", lambda v: q_function(1.0, 1.0, v, 1.0, 5, 3), "ess"),
+    ("q_function", lambda v: q_function(1.0, 1.0, 1.0, v, 5, 3), "esn"),
+    ("tau_update_fixed_variance", lambda v: tau_update_fixed_variance(v, 3), "w"),
+    ("sample_size_threshold", lambda v: sample_size_threshold(v, 0.5, 0.1), "c"),
+    ("sample_size_threshold", lambda v: sample_size_threshold(1.0, v, 0.1), "alpha"),
+    ("sample_size_threshold", lambda v: sample_size_threshold(1.0, 0.5, v), "epsilon"),
+    ("unimodality_bound", lambda v: unimodality_bound(np.ones(3), 10, 3, v), "epsilon"),
+    ("EmConfig", lambda v: EmConfig(tol=v), "tol"),
+    ("rotated_ridge_solution", lambda v: rotated_ridge_solution(_RP3, v), "lambda"),
+    ("press", lambda v: press(_RP3, np.ones(3), v), "lambda"),
+    ("Setting1Config", lambda v: Setting1Config(n=5, sigma=v, seed=0), "sigma"),
+    ("bernoulli", lambda v: RandomStream(1).bernoulli(v, 4), "prob"),
+    ("dense_ridge_solve", lambda v: dense_ridge_solve(_X3, _Y3, v), "lambda"),
+    ("dense_em_statistics", lambda v: dense_em_statistics(_X3, _Y3, v, 1.0), "tau2"),
+    ("dense_em_statistics", lambda v: dense_em_statistics(_X3, _Y3, 1.0, v), "sigma2"),
+    ("brute_force_loocv", lambda v: brute_force_loocv(_X3, _Y3, v), "lambda"),
+    ("numeric_m_step", lambda v: numeric_m_step(v, 1.0, 5, 3), "ess"),
+    ("numeric_m_step", lambda v: numeric_m_step(1.0, v, 5, 3), "esn"),
 ]
 
 
+@pytest.mark.parametrize("value", [_NAN, math.inf, True, "1", None], ids=repr)
 @pytest.mark.parametrize(
-    "func, args",
-    [pytest.param(f, a, id=f"{f.__name__}-{arg}") for f, a, arg in _NAN_CASES],
+    "call, name", [pytest.param(c, arg, id=f"{f}-{arg}") for f, c, arg in _REAL_ARGUMENTS]
 )
-def test_nan_scalar_is_rejected(func, args):
-    """Every public scalar check rejects NaN, which compares False both
-    ways; m_step raises DegenerateProblemError as for any ESS, ESN <= 0."""
-    with pytest.raises(DegenerateProblemError if func is m_step else DataError):
-        func(*args)
+def test_malformed_real_argument_is_refused(call, name, value):
+    """Every real-valued argument is checked by data.real: NaN, an infinity,
+    a bool, a string and None are each refused with one message naming it,
+    never a TypeError or a silent 1.0."""
+    with pytest.raises(DataError, match=f"^{name} must be a finite real number, not {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("args", [(_NAN, 1.0, 5, 3), (1.0, _NAN, 5, 3)], ids=["ess", "esn"])
+def test_m_step_refuses_nan_as_a_collapse(args):
+    """m_step is em_fit's inner step, not an argument check: a NaN statistic
+    fails its domain test with the collapse signal em_fit catches."""
+    with pytest.raises(DegenerateProblemError):
+        m_step(*args)
+
+
+def test_multiple_means_kappa_refuses_a_nan_entry():
+    with pytest.raises(DataError):
+        multiple_means_kappa([_NAN, 1.0])

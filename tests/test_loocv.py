@@ -188,10 +188,18 @@ class TestPress:
         with pytest.raises(DataError):
             press(rp, np.ones(4), 1.0)
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
-    def test_rejects_nonpositive_lambda(self, lam):
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            (0.0, "lambda must be positive"),
+            (-1.0, "lambda must be positive"),
+            (np.nan, "lambda must be a finite real number, not nan"),
+        ],
+        ids=["0.0", "-1.0", "nan"],
+    )
+    def test_rejects_nonpositive_lambda(self, lam, message):
         rp = _rotated(np.eye(3), np.ones(3))
-        with pytest.raises(DataError, match="lambda must be positive"):
+        with pytest.raises(DataError, match=f"^{message}$"):
             press(rp, np.ones(3), lam)
 
 

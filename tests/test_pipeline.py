@@ -197,9 +197,9 @@ def test_fit_fills_the_method_detail(method):
         assert set(result.lambda_) <= set(result.grid.ravel())
 
 
-def test_degenerate_em_is_flagged_by_solve_and_refused_by_fit(monkeypatch):
-    """solve leaves the policy to its caller; fit will not build a model
-    without a finite penalty."""
+def test_degenerate_em_is_refused_by_solve_and_fit(monkeypatch):
+    """The refusal lives in solve, so no caller gets a fit without a finite
+    penalty: solve names the target by index or by name, and fit by name."""
 
     def collapsed(ess, esn, n, p):
         raise DegenerateProblemError("statistics collapsed")
@@ -208,10 +208,22 @@ def test_degenerate_em_is_flagged_by_solve_and_refused_by_fit(monkeypatch):
     ds = _dataset(1)
     std = standardize(ds)
     rp = rotate(compact_svd(std.X_std), std.Y_centered)
-    (flagged,) = solve(std, rp, Method.EM)
-    assert flagged.degenerate and flagged.lambda_ == 0.0 and math.isinf(flagged.tau2)
-    with pytest.raises(DegenerateProblemError, match="target 'y0'"):
+    message = "no finite penalty exists for this data$"
+    with pytest.raises(DegenerateProblemError, match=f"^solve: target 0: {message}"):
+        solve(std, rp, Method.EM)
+    with pytest.raises(DegenerateProblemError, match=f"^solve: target 'y0': {message}"):
+        solve(std, rp, Method.EM, target_names=ds.target_names)
+    with pytest.raises(DegenerateProblemError, match=f"^solve: target 'y0': {message}"):
         fit(ds, Method.EM)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_solve_returns_one_fit_per_target(method):
+    ds = _dataset(3)
+    std = standardize(ds)
+    rp = rotate(compact_svd(std.X_std), std.Y_centered)
+    fits = solve(std, rp, method, FitConfig(grid_size=12))
+    assert isinstance(fits, list) and len(fits) == 3
 
 
 def test_fit_stops_at_the_first_degenerate_target(monkeypatch):

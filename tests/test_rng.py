@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fastridge.exceptions import DataError
 from fastridge.rng import RandomStream, derive_seed
 
 
@@ -37,6 +38,19 @@ class TestDeriveSeed:
             derive_seed(-1)
         with pytest.raises(ValueError):
             derive_seed(1, -2)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_rejects_a_seed_or_path_component_that_is_not_a_count(self, value):
+        """A float or a bool is no seed: data.count's rule, never TypeError
+        from the sponge's bit operations or a silent 1."""
+        with pytest.raises(DataError, match=f"^seed must be an integer, not {value!r}$"):
+            derive_seed(value, 1)
+        with pytest.raises(DataError, match=f"^seed must be an integer, not {value!r}$"):
+            RandomStream(value)
+        with pytest.raises(DataError, match=f"^path component must be an integer, not {value!r}$"):
+            derive_seed(1, value)
+        with pytest.raises(DataError, match=f"^path component must be an integer, not {value!r}$"):
+            RandomStream(7, 1, value)
 
 
 class TestRandomStream:
@@ -148,3 +162,28 @@ class TestRandomStream:
     def test_chi_square_rejects_bad_df(self):
         with pytest.raises(ValueError):
             RandomStream(1).chi_square(0)
+
+    @pytest.mark.parametrize(
+        "df, message",
+        [(2.5, "must be an integer, not 2.5"), (True, "must be an integer, not True"), (0, "must be at least 1")],
+    )
+    def test_chi_square_df_is_a_count(self, df, message):
+        with pytest.raises(DataError, match=f"^df {message}$"):
+            RandomStream(1).chi_square(df)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [(2.5, "must be an integer, not 2.5"), (True, "must be an integer, not True"), (-1, "must be at least 0")],
+    )
+    @pytest.mark.parametrize("draw", ["raw", "normals", "bernoulli"])
+    def test_draw_count_is_a_count(self, draw, m, message):
+        """m is checked before any word is drawn, never by numpy."""
+        s = RandomStream(1)
+        with pytest.raises(DataError, match=f"^m {message}$"):
+            s.bernoulli(0.5, m) if draw == "bernoulli" else getattr(s, draw)(m)
+
+    def test_bernoulli_prob_below_one(self):
+        with pytest.raises(DataError, match="^prob must lie strictly between 0 and 1$"):
+            RandomStream(1).bernoulli(1.0, 4)
+        with pytest.raises(DataError, match="^prob must be positive$"):
+            RandomStream(1).bernoulli(0.0, 4)

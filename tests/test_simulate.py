@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fastridge.em as em_module
 from fastridge import simulate
 from fastridge.data import Dataset, Method, destandardize, standardize
 from fastridge.decomposition import compact_svd, rotate
@@ -196,6 +197,11 @@ def _refuse_any_draw(monkeypatch):
     monkeypatch.setattr(simulate, "RandomStream", drawn)
 
 
+def _collapsed_m_step(ess, esn, n, p):
+    """m_step as it behaves when the EM statistics leave the positive reals."""
+    raise DegenerateProblemError("statistics collapsed")
+
+
 _METHOD_VALUES = ["em", "loocv-fixed", "loocv-glmnet"]
 
 
@@ -243,8 +249,10 @@ class TestRunComparison:
             run_comparison(1, [Method.EM, Method.LOOCV_FIXED], [2000, 0], [1.0], 5, 0)
         with pytest.raises(DataError, match="^grid_size must be an integer, not 2.5$"):
             run_comparison(1, [Method.LOOCV_FIXED], [10], [1.0], 1, 0, grid_length=2.5)
-        with pytest.raises(DataError, match="^sigma must be nonnegative and finite$"):
+        with pytest.raises(DataError, match="^sigma must be at least 0$"):
             run_comparison(1, [Method.EM], [10], [1.0, -1.0], 1, 0)
+        with pytest.raises(DataError, match="^sigma must be a finite real number, not nan$"):
+            run_comparison(1, [Method.EM], [10], [1.0, math.nan], 1, 0)
         with pytest.raises(DataError, match="^n must be an integer, not 3.5$"):
             run_comparison(1, [Method.EM], [10, 3.5], [1.0], 1, 0)
         with pytest.raises(DataError, match="^p must be an integer, not 2.5$"):
@@ -400,6 +408,14 @@ class TestRunComparison:
         assert not loocv_row.failed
         assert loocv_row.param_mse >= 0
 
+    def test_em_fit_with_no_finite_penalty_is_a_failed_row(self, monkeypatch):
+        """An EM collapse (tau2 = inf, lambda 0) is not a fit: its row is
+        failed, as pipeline.fit refuses it, while LOOCV's row stands."""
+        monkeypatch.setattr(em_module, "m_step", _collapsed_m_step)
+        em_row, loocv_row = run_comparison(2, ["em", "loocv-fixed"], [40], [6], reps=1, seed=8, grid_length=10)
+        assert em_row.failed and math.isnan(em_row.lambda_selected) and em_row.k_iterations is None
+        assert not loocv_row.failed and loocv_row.lambda_selected > 0
+
     def test_preprocessing_failure_marks_all_methods(self):
         """A draw that cannot be standardized (all-zero sparse design at
         tiny n) yields one failed row per method, not an aborted sweep."""
@@ -497,6 +513,12 @@ class TestBenchComparison:
         """A repeated method would pool both copies' samples into one list."""
         with pytest.raises(DataError, match="repeat"):
             bench_comparison([Method.EM, Method.EM], [10], [2], 1, 0)
+
+    def test_em_fit_with_no_finite_penalty_aborts(self, monkeypatch):
+        """The bench times no collapsed fit: solve's refusal propagates."""
+        monkeypatch.setattr(em_module, "m_step", _collapsed_m_step)
+        with pytest.raises(DegenerateProblemError, match="^solve: target 0: no finite penalty exists for this data$"):
+            bench_comparison(["em"], [40], [6], 1, 8, 10)
 
     def test_first_failure_aborts_with_its_error(self):
         """The bench writes no failed rows: the first failure propagates."""
