@@ -47,6 +47,7 @@ from .loocv import (
     fixed_grid,
     glmnet_grid,
     loocv_fit,
+    loocv_fits,
     press,
 )
 from .oracles import (
@@ -113,6 +114,7 @@ __all__ = [
     "glmnet_grid",
     "load_csv",
     "loocv_fit",
+    "loocv_fits",
     "m_step",
     "multiple_means_kappa",
     "numeric_m_step",

@@ -26,6 +26,7 @@ from .data import FitResult, Method, count, load_csv, open_input, predict, read_
 from .em import EmConfig
 from .exceptions import DataError, DegenerateProblemError, FastridgeError
 from .pipeline import FitConfig, _stage, fit
+from .rng import MAX_SEED
 from .simulate import (
     Setting1Config,
     bench_comparison,
@@ -50,7 +51,7 @@ def _write_output(path, write) -> None:
 
 def _effective_seed(args) -> int:
     """--seed, unless FASTRIDGE_SEED is set in the environment: read by int(),
-    it must be a count of at least 0 (data.count), or DataError."""
+    it must be a count from 0 to rng.MAX_SEED (data.count), or DataError."""
     env = os.environ.get("FASTRIDGE_SEED")
     if env is None:
         return args.seed
@@ -58,7 +59,7 @@ def _effective_seed(args) -> int:
         seed = int(env)
     except ValueError:
         raise DataError(f"FASTRIDGE_SEED is not an integer: {env!r}") from None
-    count("FASTRIDGE_SEED", seed, 0)
+    count("FASTRIDGE_SEED", seed, 0, MAX_SEED)
     return seed
 
 
@@ -218,7 +219,7 @@ def _comma_list(item, distinct: bool = False):
 _METHODS = ", ".join(m.value for m in Method)
 _positive_int = _flag_type(int, "a positive integer", lambda v: v >= 1)
 _grid_size = _flag_type(int, "an integer of at least 2", lambda v: v >= 2)
-_seed = _flag_type(int, "a non-negative integer", lambda v: v >= 0)
+_seed = _flag_type(int, f"an integer from 0 to {MAX_SEED}", lambda v: 0 <= v <= MAX_SEED)
 _tol = _flag_type(float, "a positive finite number", lambda v: math.isfinite(v) and v > 0)
 _sigma = _flag_type(float, "a non-negative finite number", lambda v: math.isfinite(v) and v >= 0)
 _method = _flag_type(Method, "one of " + _METHODS)

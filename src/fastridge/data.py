@@ -15,6 +15,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import numbers
 import re
 from collections import Counter
@@ -35,27 +36,32 @@ def all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
-def count(name: str, value, least: int) -> None:
+def count(name: str, value, least: int, most: int | None = None) -> None:
     """Check that the argument ``name`` is a count: an integer (a bool is
-    not one) of at least ``least``, or DataError naming it. The one rule for
-    every count: sizes, seeds, grid lengths, iteration caps, replications,
-    and the generator's seeds, path components and draw counts."""
+    not one) of at least ``least`` and, when ``most`` is given, at most
+    ``most``, or DataError naming it. The one rule for every count: sizes,
+    seeds, grid lengths, iteration caps, replications, and the generator's
+    seeds, path components and draw counts."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DataError(f"{name} must be an integer, not {value!r}")
     if value < least:
         raise DataError(f"{name} must be at least {least}")
+    if most is not None and value > most:
+        raise DataError(f"{name} must be at most {most}")
 
 
 def real(name: str, value, positive: bool = True) -> None:
-    """Check that the argument ``name`` is a real number: finite, not a bool
-    (numpy floats and integers are real numbers), and positive, or at least
+    """Check that the argument ``name`` is a real number: finite as a double
+    (an integer past the largest double is not), not a bool (numpy floats
+    and integers are real numbers), and positive, or at least
     0 when ``positive`` is false; or DataError naming it. The one rule for
     every real-valued argument: penalties, hyperparameters, E-step
     statistics, tolerances, radii and noise levels."""
-    # NaN fails the chained comparison, which neither overflows on a large
-    # integer (as math.isfinite does) nor warns on a numpy float32 (as a bound
-    # at the largest double does).
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and -np.inf < value < np.inf):
+    try:  # float() raises OverflowError for an integer past the largest double
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(float(value))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise DataError(f"{name} must be a finite real number, not {value!r}")
     if value < 0 or (positive and value == 0):
         raise DataError(f"{name} must be {'positive' if positive else 'at least 0'}")

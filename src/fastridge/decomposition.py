@@ -29,9 +29,9 @@ class CompactSvd:
     (p x r') semi-orthonormal.
 
     X, the decomposed matrix, is held by reference. When n < p, V = X' U / s
-    is formed on first read, as are s2 = s**2 and U_sq = U * U, the leverage
-    factor LOOCV shares across targets. n_dropped_directions counts the
-    p - r' coefficient directions whose s^2 is below the resolution floor.
+    is formed on first read, as is s2 = s**2. n_dropped_directions counts
+    the p - r' coefficient directions whose s^2 is below the resolution
+    floor.
     """
 
     U: np.ndarray
@@ -45,10 +45,6 @@ class CompactSvd:
     @cached_property
     def s2(self) -> np.ndarray:
         return self.s**2
-
-    @cached_property
-    def U_sq(self) -> np.ndarray:
-        return self.U * self.U
 
     @property
     def n(self) -> int:
@@ -143,7 +139,7 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
     """Build the rotated problem on svd's own arrays: with z_t = U' y_t,
     c_t = s * z_t and R0_t = ||y_t - U z_t||^2, summed from the residual
     itself (one n x q temporary), so it does not cancel where y_t lies
-    almost inside span(U); what svd has formed (V, s2, U_sq) is handed over.
+    almost inside span(U); what svd has formed (V, s2) is handed over.
     A non-finite target, or one whose y_sq_norms overflows, raises
     DataError."""
     Y = np.asarray(Y, dtype=float)
@@ -158,7 +154,7 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
     np.subtract(Y, r, out=r)  # r = Y - U z in place
     r0 = np.einsum("ij,ij->j", r, r)
     rp = RotatedProblem(U=svd.U, s=svd.s, X=svd.X, c=svd.s[:, None] * z, residual_sq_norms=r0)
-    # Hand over what svd has formed (V, s2, U_sq), not a rotated svd's targets.
+    # Hand over what svd has formed (V, s2), not a rotated svd's targets.
     vars(rp).update({name: vars(svd)[name] for name in vars(svd).keys() & vars(CompactSvd).keys()})
     if not all_finite(rp.y_sq_norms):
         raise DataError(f"target {np.flatnonzero(~np.isfinite(rp.y_sq_norms))[0]}: squared norm overflows")

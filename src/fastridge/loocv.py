@@ -2,12 +2,12 @@
 
 Every candidate lambda is scored with the PRESS shortcut: the full-data
 residuals and the hat-matrix diagonals give the exact LOOCV error without
-refitting, at O(n * r') per lambda. A grid is scored in chunks of at most
-rank penalties: the leverage factor U*U is formed once per rotated problem
-and shared by its targets, and each
-chunk costs two matrix products (one for 1 - h, one for the residuals)
-whose n x chunk results are no larger than U. Grid construction (a fixed
-log-spaced ladder and a data-driven heuristic) lives here too.
+refitting, at O(n * r') per lambda. One scorer serves every entry point
+(loocv_fits for all targets, loocv_fit for one, press for one penalty): it
+walks the rows of U in blocks of about 1 MiB of residuals and scores every
+target per block, with one matrix product for 1 - h (shared by the targets
+when they share a grid) and one for the residuals. Grid construction (a
+fixed log-spaced ladder and a data-driven heuristic) lives here too.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ _RATIO_TOL = 1e-12
 
 # Penalties per LOOCV grid unless a caller asks for another length.
 GRID_LENGTH = 100
+
+# Bytes of a row block's residuals, b x (q * l) doubles: large enough that
+# the products stay efficient, small enough that a fit's work arrays stay
+# far below U's size.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -143,50 +148,92 @@ def glmnet_grid(
     return LambdaGrid(values)
 
 
-def _press_curve(
-    rp: RotatedProblem, y: np.ndarray, lams: np.ndarray, target: int
-) -> np.ndarray:
-    """CVE at every penalty of lams (positive), in order.
+def _cve(rp: RotatedProblem, Y: np.ndarray, targets: list, lams: np.ndarray) -> np.ndarray:
+    """CVE of each target of ``targets`` (columns of rp.c, whose centered
+    columns Y holds, n x q) at each of its penalties: row t of lams (q x l,
+    positive) holds target t's, or lams is 1 x l when every target has the
+    same ones. Returns q x l.
 
-    U*U is formed once per rotated problem (rp.U_sq) and read by every
-    target; the penalties are taken at most rank at a time, so each chunk's
-    1 - h and e (n x chunk each, one matrix product apiece) are no larger
-    than U, whatever n or the grid length.
-    The first penalty in lams order at which some leverage saturates raises,
-    counting its observations and naming the first few.
+    The rows are walked in blocks of max(1, _BLOCK_BYTES // (8 q l)), so a
+    block's b x (q l) residuals take about _BLOCK_BYTES whatever n, q or l.
+    Each block forms 1 - h from U_b*U_b in one product, once for all
+    targets when lams is 1 x l, and the residuals of every target in
+    another, and adds the block's sum of (e / (1 - h))^2 to the CVE. The
+    first target in target order whose leverage saturates at some penalty
+    raises at its first such penalty in grid order, counting the
+    observations there and naming the first few; the error's ``target``
+    attribute is that target's index in rp.
     """
+    n, rank, q, l = rp.n, rp.rank, len(targets), lams.shape[1]
+    s, s2 = rp.s[:, None, None], rp.s2[:, None, None]
+    c, lam = rp.c[:, targets][:, :, None], lams[None]
+    complement = rank == n
+    d = s2 + lam
+    if complement:  # G = w, the weights of 1 - h and of e = U (w * U'y)
+        G = lam / d
+        M = G * (c / s)
+    else:  # G = s^2 / (s^2 + lambda), the weights of h; U M is the fit
+        G = s2 / d
+        M = c / d
+        M *= s
+    del d
+    k = lams.shape[0]  # 1 when the targets share 1 - h, else q
+    G, M = G.reshape(rank, k * l), M.reshape(rank, q * l)
+
+    def one_minus_h(U_b):
+        out = (U_b * U_b) @ G
+        if not complement:
+            np.subtract(1.0, out, out=out)
+        return out
+
+    b = max(1, _BLOCK_BYTES // (8 * q * l))
+    blocks = range(0, n, b)
+    floor = 1.0 - _LEVERAGE_CEILING
+    saturated = np.zeros(k * l, dtype=bool)
+    cve = np.zeros((q, l))
+    for a in blocks:
+        U_b = rp.U[a : a + b]
+        omh = one_minus_h(U_b)
+        saturated |= (omh <= floor).any(axis=0)
+        if saturated.any():
+            continue  # an error follows: only the flags are still needed
+        e = (U_b @ M).reshape(-1, q, l)
+        if not complement:
+            np.subtract(Y[a : a + b, :, None], e, out=e)
+        e /= omh.reshape(-1, k, l)
+        cve += np.einsum("bql,bql->ql", e, e)
+        del omh, e  # before the next block allocates its own
+    if saturated.any():
+        flags = saturated.reshape(k, l)
+        t = int(np.flatnonzero(flags.any(axis=1))[0])
+        j = t * l + int(np.flatnonzero(flags[t])[0])
+        rows = np.concatenate([a + np.flatnonzero(one_minus_h(rp.U[a : a + b])[:, j] <= floor) for a in blocks])
+        more = f" and {rows.size - 5} more" if rows.size > 5 else ""
+        exc = DegenerateProblemError(
+            f"leverage saturated at {rows.size} observation(s) "
+            f"{rows[:5].tolist()}{more}; LOOCV residuals are undefined there"
+        )
+        exc.target = targets[t]
+        raise exc
+    return cve / n
+
+
+def _one_target(rp: RotatedProblem, y: np.ndarray, target: int) -> np.ndarray:
+    """y as the n x 1 column _cve reads, once y's length and the index of
+    its target are checked."""
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     if y.shape[0] != rp.n:
         raise DataError(f"y has length {y.shape[0]}, expected {rp.n}")
-    U, UU, s, s2 = rp.U, rp.U_sq, rp.s[:, None], rp.s2[:, None]
-    c = target_column(rp, target)[:, None]
-    complement = rp.rank == rp.n
-    step = max(1, rp.rank)
-    cve = np.empty(lams.shape[0])
-    for start in range(0, lams.shape[0], step):
-        lam = lams[start : start + step]
-        if complement:
-            w = lam / (s2 + lam)
-            one_minus_h = UU @ w
-            e = U @ (w * (c / s))
-        else:  # in place: each n x chunk array is allocated once
-            one_minus_h = UU @ (s2 / (s2 + lam))
-            np.subtract(1.0, one_minus_h, out=one_minus_h)
-            e = U @ (s * (c / (s2 + lam)))
-            np.subtract(y, e, out=e)
-        saturated = one_minus_h <= 1.0 - _LEVERAGE_CEILING
-        if saturated.any():
-            first = int(np.flatnonzero(saturated.any(axis=0))[0])
-            rows = np.flatnonzero(saturated[:, first])
-            more = f" and {rows.size - 5} more" if rows.size > 5 else ""
-            raise DegenerateProblemError(
-                f"leverage saturated at {rows.size} observation(s) "
-                f"{rows[:5].tolist()}{more}; LOOCV residuals are undefined there"
-            )
-        e /= one_minus_h
-        cve[start : start + step] = np.einsum("ij,ij->j", e, e) / rp.n
-        del one_minus_h, e, saturated  # before the next chunk allocates its own
-    return cve
+    target_column(rp, target)
+    return y
+
+
+def _refit(rp: RotatedProblem, grid: LambdaGrid, cve: np.ndarray, target: int) -> LoocvFit:
+    """The LoocvFit of a scored grid: beta at the first, hence largest,
+    lambda of the CVE minimum."""
+    lambda_star = float(grid.values[np.argmin(cve)])
+    alpha = rotated_ridge_solution(rp, lambda_star, target)
+    return LoocvFit(grid=grid, cve=cve, beta=recover_beta(rp, alpha))
 
 
 def press(rp: RotatedProblem, y: np.ndarray, lam: float, target: int = 0) -> float:
@@ -203,24 +250,50 @@ def press(rp: RotatedProblem, y: np.ndarray, lam: float, target: int = 0) -> flo
     e = U (w * U'y), 1 - h = (U*U) w with w = lam/(s^2 + lam): both are then
     sums of positive-weighted terms of size O(lam), instead of differences
     of O(1) quantities that cancel to O(lam), which at small penalties
-    would cost ~log10(s_max^2/lam) digits. A centered design never has full
-    row rank (its centering direction lies below compact_svd's resolution
-    floor), so a fit on standardized data always takes the 1 - h form.
-    lambda is a positive real number (data.real).
+    would cost ~log10(s_max^2/lam) digits. Both forms are per-row formulas.
+    A centered design never has full row rank (its centering direction lies
+    below compact_svd's resolution floor), so a fit on standardized data
+    always takes the 1 - h form. lambda is a positive real number
+    (data.real).
     """
     real("lambda", lam)
-    return float(_press_curve(rp, y, np.array([lam], dtype=float), target)[0])
+    y = _one_target(rp, y, target)
+    return float(_cve(rp, y, [target], np.array([[lam]], dtype=float))[0, 0])
 
 
 def loocv_fit(
     rp: RotatedProblem, y: np.ndarray, grid: LambdaGrid, target: int = 0
 ) -> LoocvFit:
-    """Score every grid value as press would and refit at the winner.
+    """Score every grid value as press would and refit at the winner: the
+    one-target case of loocv_fits.
 
     Ties at the minimum go to the largest lambda, i.e. the earliest entry of
     the descending grid, so the selection is deterministic.
     """
-    cve = _press_curve(rp, y, grid.values, target)
-    lambda_star = float(grid.values[np.argmin(cve)])  # the first, hence largest, lambda
-    alpha = rotated_ridge_solution(rp, lambda_star, target)
-    return LoocvFit(grid=grid, cve=cve, beta=recover_beta(rp, alpha))
+    y = _one_target(rp, y, target)
+    return _refit(rp, grid, _cve(rp, y, [target], grid.values[None])[0], target)
+
+
+def loocv_fits(rp: RotatedProblem, Y: np.ndarray, grids) -> list:
+    """One LoocvFit per target of rp, target t scored on grids[t] as
+    loocv_fit would score it, in one pass over the rows for every target.
+
+    Y is the n x q matrix of centered targets rp was built from, and grids
+    holds q grids of one length. When every grid holds the same values
+    (the fixed grid), 1 - h is formed once per block for all targets. A
+    saturated leverage raises as loocv_fit does, at the first target in
+    target order that has one, and the DegenerateProblemError carries that
+    target's index as its ``target`` attribute.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape != (rp.n, rp.q):
+        raise DataError(f"Y has shape {Y.shape}, expected ({rp.n}, {rp.q})")
+    if len(grids) != rp.q:
+        raise DataError(f"{len(grids)} grids for q={rp.q} targets")
+    if len({len(grid) for grid in grids}) > 1:
+        raise DataError("grids must all have the same length")
+    lams = np.stack([grid.values for grid in grids])
+    if np.all(lams == lams[0]):
+        lams = lams[:1]
+    cve = _cve(rp, Y, list(range(rp.q)), lams)
+    return [_refit(rp, grid, cve[t], t) for t, grid in enumerate(grids)]

@@ -37,33 +37,43 @@ class FitConfig:
         data.count("grid_size", self.grid_size, 2)
 
 
+def _target_stage(target_names, t: int):
+    return _stage(f"target {data.target_label(target_names, t)}")
+
+
 def solve(std, rp, method: Method, config: FitConfig = FitConfig(), target_names=None) -> list:
     """Run one penalty selector on every target of a rotated problem and
     return one EmFit or LoocvFit per target, on the standardized scale.
     method is a Method or its value, as Method() takes it. The fixed grid is
-    built once and scores every target. Errors read "solve: ..." and, for
-    one target's step, "solve: target <label>: ..." with the label
-    data.target_label makes from target_names. A degenerate EM fit raises
-    DegenerateProblemError at the first target that has one, before later
-    targets are solved: every caller needs a finite penalty."""
+    built once, and loocv.loocv_fits scores every target in one pass.
+    Errors read "solve: ..." and, for one target's step, "solve: target
+    <label>: ..." with the label data.target_label makes from target_names:
+    a saturated leverage names the first target that has one. A degenerate
+    EM fit raises DegenerateProblemError at the first target that has one,
+    before later targets are solved: every caller needs a finite penalty."""
     method = Method(method)
-    fits = []
     with _stage("solve"):
-        if method is Method.LOOCV_FIXED:
-            grid = loocv.fixed_grid(config.grid_size)
-        for t in range(rp.q):
-            with _stage(f"target {data.target_label(target_names, t)}"):
-                if method is Method.EM:
+        if method is Method.EM:
+            fits = []
+            for t in range(rp.q):
+                with _target_stage(target_names, t):
                     fit = em.em_fit(rp, config.em, target=t)
                     if fit.degenerate:
                         raise DegenerateProblemError("no finite penalty exists for this data")
-                else:
-                    y_t = std.Y_centered[:, t]
-                    if method is Method.LOOCV_GLMNET:
-                        grid = loocv.glmnet_grid(std.X_std, y_t, config.grid_size)
-                    fit = loocv.loocv_fit(rp, y_t, grid, target=t)
                 fits.append(fit)
-    return fits
+            return fits
+        if method is Method.LOOCV_FIXED:
+            grids = [loocv.fixed_grid(config.grid_size)] * rp.q
+        else:
+            grids = []
+            for t in range(rp.q):
+                with _target_stage(target_names, t):
+                    grids.append(loocv.glmnet_grid(std.X_std, std.Y_centered[:, t], config.grid_size))
+        try:
+            return loocv.loocv_fits(rp, std.Y_centered, grids)
+        except DegenerateProblemError as exc:  # a saturated leverage
+            with _target_stage(target_names, exc.target):
+                raise
 
 
 def fit(dataset: data.Dataset, method: Method, config: FitConfig = FitConfig()) -> FitResult:

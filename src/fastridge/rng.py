@@ -20,9 +20,9 @@ Stream keys are derived from the user seed and a path of nonnegative
 integers with a splitmix64 sponge: absorb each path component by XOR into
 the state and advance once, then squeeze the two 64-bit Philox key words.
 
-Arguments follow the library's rules: the seed, each path component and
-each draw count m are counts of at least 0 and chi_square's df one of at
-least 1 (data.count); bernoulli's prob is a positive real number
+Arguments follow the library's rules: the seed and each path component
+are counts from 0 to MAX_SEED = 2^64 - 1, each draw count m one of at least
+0 and chi_square's df one of at least 1 (data.count); bernoulli's prob is a positive real number
 (data.real) below 1. Anything else raises DataError naming the argument.
 """
 
@@ -36,6 +36,9 @@ from .data import count, real
 from .exceptions import DataError
 
 _M64 = (1 << 64) - 1
+# The largest seed or path component: the sponge absorbs 64-bit words, so a
+# larger one would draw what a smaller one draws.
+MAX_SEED = _M64
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -53,13 +56,13 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 
 def _absorb(seed: int, path) -> int:
-    """The sponge state after absorbing a seed and path, each a count of at
-    least 0."""
-    count("seed", seed, 0)
-    state = seed & _M64
+    """The sponge state after absorbing a seed and path, each a count from 0
+    to MAX_SEED."""
+    count("seed", seed, 0, MAX_SEED)
+    state = int(seed)  # a numpy integer would overflow in the mixing below
     for component in path:
-        count("path component", component, 0)
-        state, _ = _splitmix64(state ^ (component & _M64))
+        count("path component", component, 0, MAX_SEED)
+        state, _ = _splitmix64(state ^ int(component))
     return state
 
 

@@ -37,7 +37,7 @@ from .decomposition import compact_svd, rotate
 from .exceptions import DataError, FastridgeError
 from .loocv import GRID_LENGTH
 from .pipeline import FitConfig, solve
-from .rng import RandomStream, derive_seed
+from .rng import MAX_SEED, RandomStream, derive_seed
 
 _PURPOSE_X = 1
 _PURPOSE_BETA = 2
@@ -86,10 +86,10 @@ class Setting2Config:
 
 def _check_sizes(n, p, seed) -> None:
     """The size-and-seed rule of every draw: n and p are counts of at least
-    1, and seed one of at least 0 (data.count)."""
+    1, and seed one from 0 to rng.MAX_SEED (data.count)."""
     count("n", n, 1)
     count("p", p, 1)
-    count("seed", seed, 0)
+    count("seed", seed, 0, MAX_SEED)
 
 
 @dataclass(frozen=True)

@@ -460,6 +460,17 @@ class TestSimulate:
         assert env_out.read_bytes() == explicit.read_bytes()
         assert env_out.read_bytes() != flag_out.read_bytes()
 
+    def test_largest_seed_is_accepted(self, tmp_path, monkeypatch):
+        """2^64 - 1, the last seed the generator absorbs whole, from the flag
+        and from the environment alike."""
+        flag_out, env_out = tmp_path / "flag.csv", tmp_path / "env.csv"
+        args = self._args(flag_out)
+        args[args.index("--seed") + 1] = str(2**64 - 1)
+        assert main(args) == 0
+        monkeypatch.setenv("FASTRIDGE_SEED", str(2**64 - 1))
+        assert main(self._args(env_out)) == 0
+        assert env_out.read_bytes() == flag_out.read_bytes()
+
     def test_gaussian_setting_sweeps_p(self, tmp_path):
         out = tmp_path / "g.csv"
         rc = main(
@@ -564,6 +575,8 @@ class TestRejectedFlags:
             ("simulate", "--sigma-list", "inf"),
             ("simulate", "--seed", "-1"),
             ("bench", "--seed", "-1"),
+            ("simulate", "--seed", str(2**64)),
+            ("bench", "--seed", str(2**64)),
             ("simulate", "--p", "0"),
             ("simulate", "--reps", "0"),
             ("bench", "--reps", "0"),
@@ -1142,7 +1155,11 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "value, message",
-        [("abc", "FASTRIDGE_SEED is not an integer: 'abc'"), ("-1", "FASTRIDGE_SEED must be at least 0")],
+        [
+            ("abc", "FASTRIDGE_SEED is not an integer: 'abc'"),
+            ("-1", "FASTRIDGE_SEED must be at least 0"),
+            (str(2**64), f"FASTRIDGE_SEED must be at most {2**64 - 1}"),
+        ],
     )
     def test_bad_seed_environment(self, tmp_path, capsys, monkeypatch, value, message):
         monkeypatch.setenv("FASTRIDGE_SEED", value)

@@ -540,9 +540,16 @@ class TestDestandardizeAndPredict:
 
 
 class TestReal:
-    @pytest.mark.parametrize("value", [1.5, 2, np.float32(0.5), np.float16(2.0), np.int64(3), 2**1000])
+    @pytest.mark.parametrize("value", [1.5, 2, np.float32(0.5), np.float16(2.0), np.int64(3), 2**1000, 2**1023, 1e308])
     def test_accepts_a_finite_number_of_any_real_type(self, value):
         data.real("x", value)
+
+    @pytest.mark.parametrize("value", [2**1024, 10**400, -(10**400)], ids=["2**1024", "10**400", "-10**400"])
+    def test_refuses_an_integer_past_the_largest_double(self, value):
+        """float() cannot represent it: refused under the rule's own message,
+        not by an OverflowError where the value is first used."""
+        with pytest.raises(DataError, match=f"^x must be a finite real number, not {value!r}$"):
+            data.real("x", value)
 
     @pytest.mark.parametrize("value", [np.bool_(True), np.float32(np.nan), np.float16(np.inf), -np.inf, 1j])
     def test_refuses_numpy_bools_and_non_finite_numpy_floats(self, value):

@@ -463,7 +463,7 @@ class TestEmFit:
         with pytest.raises(DataError, match="^max_iterations must be an integer, not True$"):
             EmConfig(max_iterations=True)
 
-    @pytest.mark.parametrize("tol", ["1e-8", None])
+    @pytest.mark.parametrize("tol", ["1e-8", None, 10**400], ids=["1e-8", "None", "10**400"])
     def test_config_refuses_a_tol_that_is_not_a_number(self, tol):
         with pytest.raises(DataError, match=f"^tol must be a finite real number, not {re.escape(repr(tol))}$"):
             EmConfig(tol=tol)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from fastridge import loocv
 from fastridge.decomposition import compact_svd, rotate, rotated_ridge_solution
 from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.loocv import (
@@ -16,6 +17,7 @@ from fastridge.loocv import (
     fixed_grid,
     glmnet_grid,
     loocv_fit,
+    loocv_fits,
     press,
 )
 from fastridge.oracles import brute_force_loocv
@@ -194,8 +196,9 @@ class TestPress:
             (0.0, "lambda must be positive"),
             (-1.0, "lambda must be positive"),
             (np.nan, "lambda must be a finite real number, not nan"),
+            (10**400, f"lambda must be a finite real number, not {10**400!r}"),
         ],
-        ids=["0.0", "-1.0", "nan"],
+        ids=["0.0", "-1.0", "nan", "10**400"],
     )
     def test_rejects_nonpositive_lambda(self, lam, message):
         rp = _rotated(np.eye(3), np.ones(3))
@@ -262,20 +265,24 @@ class TestLoocvFit:
         assert_allclose(fit1.beta, ref.beta, rtol=1e-12)
 
 
-class TestChunkedScoring:
-    """loocv_fit scores a grid at most rank penalties at a time; the
-    low-rank problems here split an 11-point grid into three or four chunks
-    with a partial last one."""
+class TestBlockedScoring:
+    """loocv_fit and loocv_fits walk the rows in blocks of
+    _BLOCK_BYTES // (8 q l); the small problems here are split into blocks
+    of three rows, with a partial last block, by a smaller budget."""
+
+    @pytest.fixture
+    def three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(loocv, "_BLOCK_BYTES", 8 * 11 * 3)  # q = 1, l = 11
 
     @staticmethod
     def _assert_matches_press(rp, y, target=0):
-        assert rp.rank in (3, 4)  # 11 penalties: 4 or 3 chunks, the last partial
+        assert rp.n > 3 and rp.n % 3  # several blocks, the last partial
         grid = fixed_grid(11)
         fit = loocv_fit(rp, y, grid, target=target)
         expected = [press(rp, y, lam, target) for lam in grid.values]
         assert_allclose(fit.cve, expected, rtol=1e-12)
 
-    def test_complement_form_matches_press(self):
+    def test_complement_form_matches_press(self, three_row_blocks):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(4, 4))
         y = X @ rng.normal(size=4) + rng.normal(size=4)
@@ -283,7 +290,7 @@ class TestChunkedScoring:
         assert rp.rank == rp.n
         self._assert_matches_press(rp, y)
 
-    def test_rank_deficient_form_matches_press(self):
+    def test_rank_deficient_form_matches_press(self, three_row_blocks):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(20, 3))
         y = X @ rng.normal(size=3) + rng.normal(size=20)
@@ -291,28 +298,31 @@ class TestChunkedScoring:
         assert rp.rank < rp.n
         self._assert_matches_press(rp, y)
 
-    def test_second_target_matches_press(self):
+    def test_second_target_matches_press(self, three_row_blocks):
         rng = np.random.default_rng(13)
-        X = rng.normal(size=(30, 4))
-        Y = np.column_stack([X @ rng.normal(size=4) + rng.normal(size=30) for _ in range(2)])
+        X = rng.normal(size=(31, 4))
+        Y = np.column_stack([X @ rng.normal(size=4) + rng.normal(size=31) for _ in range(2)])
         rp = rotate(compact_svd(X), Y)
         self._assert_matches_press(rp, Y[:, 1], target=1)
 
-    def test_ties_resolve_to_largest_lambda_across_chunks(self):
-        y = np.zeros(3)
-        rp = _rotated(np.eye(3), y)
-        grid = fixed_grid(10)  # chunks of 3, 3, 3 and 1 penalties
+    def test_ties_resolve_to_largest_lambda_across_blocks(self, three_row_blocks):
+        y = np.zeros(5)
+        rp = _rotated(np.eye(5), y)
+        grid = fixed_grid(10)
         fit = loocv_fit(rp, y, grid)
         assert np.all(fit.cve == 0.0)
         assert fit.lambda_star == grid.values[0]
 
-    def test_saturation_in_a_later_chunk_names_press_observations(self):
+    @pytest.mark.parametrize("block_bytes", [loocv._BLOCK_BYTES, 8 * 7], ids=["one block", "one row per block"])
+    def test_saturation_in_a_later_block_names_press_observations(self, monkeypatch, block_bytes):
         """Observation 1 alone loads on a column with s^2 = 1e6, so its
         leverage saturates below lambda ~ 1e-6; observation 0's column has
-        s^2 = 1, so it saturates only below ~1e-12. With rank 3 the grid
-        1e2, 1e-1, ..., 1e-16 is scored in chunks of three: the first
-        saturating penalty, 1e-7, opens the second chunk, which ends at
-        1e-13, where both observations have saturated."""
+        s^2 = 1, so it saturates only below ~1e-12. On the grid 1e2, 1e-1,
+        ..., 1e-16 the first saturating penalty is 1e-7, and at 1e-13 both
+        observations have saturated. With one row per block, observation 0's
+        block, the first, saturates at a later penalty than observation 1's:
+        the error still names the first penalty in grid order."""
+        monkeypatch.setattr(loocv, "_BLOCK_BYTES", block_bytes)
         X = np.zeros((5, 3))
         X[0, 0] = 1.0
         X[1, 1] = 1e3
@@ -335,6 +345,7 @@ class TestChunkedScoring:
         with pytest.raises(DegenerateProblemError) as exc:
             loocv_fit(rp, y, grid)
         assert str(exc.value) == first[1]
+        assert exc.value.target == 0
 
     def test_saturation_message_stays_short(self):
         """An uncentered 200 x 4000 design saturates every leverage at the
@@ -348,50 +359,86 @@ class TestChunkedScoring:
         assert "200 observation(s) [0, 1, 2, 3, 4] and 195 more;" in message
         assert "\n" not in message and len(message) < 120
 
-    def test_chunk_count_does_not_grow_with_n(self, monkeypatch):
-        """A chunk is rank penalties wide whatever n, so at p = 50 a
-        100-point grid takes two chunks (one einsum each) at n = 2000 and
-        at n = 8000."""
+    def test_peak_does_not_grow_with_n_or_grid_length(self):
+        """Every work array is one block of rows, so the traced peak of a
+        two-target fit is the same at n = 2000 and n = 8000: a few block
+        arrays of about _BLOCK_BYTES and the r' x (q l) coefficients, at a
+        100- and a 1000-point grid alike (U alone is 0.8 and 3.2 MB)."""
         rng = np.random.default_rng(16)
-        problems = []
+        peaks = {}
         for n in (2000, 8000):
             X = rng.normal(size=(n, 50))
-            y = X @ rng.normal(size=50) + rng.normal(size=n)
-            problems.append((_rotated(X, y), y))
-        counts = []
-        einsum = np.einsum
+            Y = X @ rng.normal(size=(50, 2)) + rng.normal(size=(n, 2))
+            for l in (100, 1000):
+                rp = rotate(compact_svd(X), Y)
+                tracemalloc.start()
+                try:
+                    loocv_fits(rp, Y, [fixed_grid(l)] * 2)
+                    _, peaks[n, l] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peaks[n, l] < 3 * loocv._BLOCK_BYTES + 3 * 8 * rp.rank * 2 * l, (n, l, peaks[n, l])
+        for l in (100, 1000):
+            assert peaks[8000, l] < 1.05 * peaks[2000, l], (l, peaks)
 
-        def counting_einsum(*args, **kwargs):
-            counts[-1] += 1
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", counting_einsum)
-        for rp, y in problems:
-            counts.append(0)
-            loocv_fit(rp, y, fixed_grid(100))
-        assert counts == [2, 2]
-
-    def test_targets_share_u_squared(self):
-        """U*U is formed with the first target's fit and read by the next:
-        a second target allocates only its chunk's 1 - h and e (n x rank
-        each at this grid) and their saturation flags."""
-        rng = np.random.default_rng(15)
-        X = rng.normal(size=(5000, 20))
-        Y = rng.normal(size=(5000, 2))
+    @pytest.mark.parametrize("full_row_rank", [True, False], ids=["complement form", "1 - h form"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["one grid", "a grid per target"])
+    def test_every_target_matches_press(self, full_row_rank, shared):
+        """Three targets on 1000-point grids take 43-row blocks, so n = 300
+        is scored in seven; each target's CVE matches press at its own
+        penalties, and its fit matches loocv_fit's."""
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(300, 400 if full_row_rank else 30))
+        Y = X[:, :3] + rng.normal(size=(300, 3))
         rp = rotate(compact_svd(X), Y)
-        loocv_fit(rp, Y[:, 0], fixed_grid(100), target=0)
-        tracemalloc.start()
-        try:
-            loocv_fit(rp, Y[:, 1], fixed_grid(100), target=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * rp.U.nbytes, peak / rp.U.nbytes
+        assert (rp.rank == rp.n) is full_row_rank
+        assert loocv._BLOCK_BYTES // (8 * 3 * 1000) == 43
+        base = np.logspace(6.0, -6.0, 1000)  # above where the complement form saturates
+        grids = [LambdaGrid(base * (1.0 if shared else 1.5**t)) for t in range(3)]
+        fits = loocv_fits(rp, Y, grids)
+        for t, fit in enumerate(fits):
+            assert fit.grid is grids[t]
+            expected = [press(rp, Y[:, t], lam, t) for lam in grids[t].values[::7]]
+            assert_allclose(fit.cve[::7], expected, rtol=1e-12)
+            single = loocv_fit(rp, Y[:, t], grids[t], target=t)
+            assert_allclose(fit.cve, single.cve, rtol=1e-12)
+            assert fit.lambda_star == single.lambda_star
+            assert_allclose(fit.beta, single.beta, rtol=1e-12)
+
+    def test_first_saturated_target_is_named(self):
+        """Only the second target's grid reaches down to where observation
+        1's leverage saturates: the error is press's for that target's first
+        saturating penalty, and names target 1."""
+        X = np.zeros((5, 3))
+        X[0, 0] = 1.0
+        X[1, 1] = 1e3
+        X[2:, 2] = 1.0
+        Y = np.array([[1.0, -2.0, 0.5, 1.5, -1.0]] * 2).T
+        rp = rotate(compact_svd(X), Y)
+        grids = [LambdaGrid(np.logspace(2.0, -4.0, 7)), LambdaGrid(np.logspace(2.0, -16.0, 7))]
+        with pytest.raises(DegenerateProblemError) as exc:
+            loocv_fits(rp, Y, grids)
+        assert exc.value.target == 1
+        with pytest.raises(DegenerateProblemError) as first:
+            press(rp, Y[:, 1], grids[1].values[3], target=1)
+        assert str(exc.value) == str(first.value)
+
+    def test_arguments_are_checked(self):
+        rng = np.random.default_rng(18)
+        X, Y = rng.normal(size=(12, 4)), rng.normal(size=(12, 2))
+        rp = rotate(compact_svd(X), Y)
+        grid = fixed_grid(5)
+        with pytest.raises(DataError, match=r"^Y has shape \(12, 1\), expected \(12, 2\)$"):
+            loocv_fits(rp, Y[:, :1], [grid])
+        with pytest.raises(DataError, match="^1 grids for q=2 targets$"):
+            loocv_fits(rp, Y, [grid])
+        with pytest.raises(DataError, match="^grids must all have the same length$"):
+            loocv_fits(rp, Y, [grid, fixed_grid(6)])
 
     @pytest.mark.parametrize("grid_size", [400, 4000])
-    def test_memory_is_bounded_per_chunk(self, grid_size):
+    def test_memory_is_bounded_per_block(self, grid_size):
         """At n = 20000 an n x grid work array would take 64 or 640 MB;
-        chunking keeps the peak near U*U plus a few 1 MB chunk arrays."""
+        blocking keeps the peak near a few 1 MB block arrays."""
         rng = np.random.default_rng(14)
         X = rng.normal(size=(20000, 20))
         y = X @ rng.normal(size=20) + rng.normal(size=20000)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -224,6 +225,26 @@ def test_solve_returns_one_fit_per_target(method):
     rp = rotate(compact_svd(std.X_std), std.Y_centered)
     fits = solve(std, rp, method, FitConfig(grid_size=12))
     assert isinstance(fits, list) and len(fits) == 3
+
+
+@pytest.mark.parametrize("names, label", [(None, "1"), (["a", "b"], "'b'")])
+def test_solve_names_the_target_whose_grid_saturates(names, label):
+    """Each target gets its own glmnet grid. Observation 1 alone loads on
+    the column with s^2 = 1e20, so its leverage saturates below lambda ~ 1e8;
+    target 0's grid stops at 2.2e9 and target 1's, whose largest x'y is a
+    thousandth of target 0's, at 2.2e6. Only target 1 saturates, and the error names it. The
+    uncentered design stands in for std: standardized data never saturates."""
+    X = np.zeros((5, 3))
+    X[0, 0], X[1, 1], X[2:, 2] = 1e7, 1e10, 1e7
+    Y = np.zeros((5, 2))
+    Y[1, 0] = Y[0, 1] = 1.0
+    std = types.SimpleNamespace(X_std=X, Y_centered=Y)
+    rp = rotate(compact_svd(X), Y)
+    with pytest.raises(DegenerateProblemError) as exc:
+        solve(std, rp, Method.LOOCV_GLMNET, target_names=names)
+    assert str(exc.value) == (
+        f"solve: target {label}: leverage saturated at 1 observation(s) [1]; LOOCV residuals are undefined there"
+    )
 
 
 def test_fit_stops_at_the_first_degenerate_target(monkeypatch):

@@ -39,6 +39,22 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(1, -2)
 
+    def test_seed_and_path_components_stop_at_64_bits(self):
+        """2^64 - 1 is the largest seed and path component; 2^64 would draw
+        what 0 draws, so it is refused, naming the argument and the bound."""
+        top = 2**64 - 1
+        assert derive_seed(top, 1) != derive_seed(0, 1)
+        assert derive_seed(1, top) != derive_seed(1, 0)
+        assert not np.array_equal(RandomStream(top).raw(2), RandomStream(0).raw(2))
+        for call in (derive_seed, RandomStream):
+            with pytest.raises(DataError, match=f"^seed must be at most {top}$"):
+                call(2**64, 1)
+            with pytest.raises(DataError, match=f"^path component must be at most {top}$"):
+                call(1, 2, 2**64)
+
+    def test_numpy_integers_are_seeds(self):
+        assert derive_seed(np.int64(5), np.uint64(2)) == derive_seed(5, 2)
+
     @pytest.mark.parametrize("value", [2.5, True])
     def test_rejects_a_seed_or_path_component_that_is_not_a_count(self, value):
         """A float or a bool is no seed: data.count's rule, never TypeError

@@ -261,6 +261,8 @@ class TestRunComparison:
             run_comparison(2, [Method.EM], [10], [2.5], 1, 0)
         with pytest.raises(DataError, match="^seed must be at least 0$"):
             run_comparison(2, [Method.EM], [10], [2], 1, -1)
+        with pytest.raises(DataError, match=f"^seed must be at most {2**64 - 1}$"):
+            run_comparison(2, [Method.EM], [10], [2], 1, 2**64)
 
     def test_grid_length_below_two_rejected(self):
         """A one-point grid cannot be scored; the sweep refuses it instead of
