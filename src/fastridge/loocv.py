@@ -4,10 +4,12 @@ Every candidate lambda is scored with the PRESS shortcut: the full-data
 residuals and the hat-matrix diagonals give the exact LOOCV error without
 refitting, at O(n * r') per lambda. One scorer serves every entry point
 (loocv_fits for all targets, loocv_fit for one, press for one penalty): it
-walks the rows of U in blocks of about 1 MiB of residuals and scores every
-target per block, with one matrix product for 1 - h (shared by the targets
-when they share a grid) and one for the residuals. Grid construction (a
-fixed log-spaced ladder and a data-driven heuristic) lives here too.
+scores the targets in passes of at most 1024 (target, penalty) pairs, whole
+targets together, and each pass walks the rows of U in blocks of about
+1 MiB of residuals, with one matrix product for 1 - h (shared by the
+pass's targets when they share a grid) and one for the residuals. Grid
+construction (a fixed log-spaced ladder and a data-driven heuristic) lives
+here too.
 """
 
 from __future__ import annotations
@@ -30,10 +32,16 @@ _RATIO_TOL = 1e-12
 # Penalties per LOOCV grid unless a caller asks for another length.
 GRID_LENGTH = 100
 
-# Bytes of a row block's residuals, b x (q * l) doubles: large enough that
-# the products stay efficient, small enough that a fit's work arrays stay
-# far below U's size.
+# Bytes of a row block's residuals, b x (g * l) doubles for the g targets
+# and l penalties of one pass of the scorer: small enough that a fit's work
+# arrays stay far below U's size.
 _BLOCK_BYTES = 1 << 20
+
+# Fewest rows in a block, which bounds the (target, penalty) pairs of one
+# pass to _BLOCK_BYTES // (8 * _BLOCK_ROWS), 1024: tall enough that each
+# block's products are efficient matrix products, which read the pass's
+# r' x (g * l) coefficients once per block.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -154,17 +162,46 @@ def _cve(rp: RotatedProblem, Y: np.ndarray, targets: list, lams: np.ndarray) -> 
     positive) holds target t's, or lams is 1 x l when every target has the
     same ones. Returns q x l.
 
-    The rows are walked in blocks of max(1, _BLOCK_BYTES // (8 q l)), so a
-    block's b x (q l) residuals take about _BLOCK_BYTES whatever n, q or l.
-    Each block forms 1 - h from U_b*U_b in one product, once for all
-    targets when lams is 1 x l, and the residuals of every target in
-    another, and adds the block's sum of (e / (1 - h))^2 to the CVE. The
-    first target in target order whose leverage saturates at some penalty
-    raises at its first such penalty in grid order, counting the
-    observations there and naming the first few; the error's ``target``
-    attribute is that target's index in rp.
+    The (target, penalty) pairs are scored in passes of at most
+    _BLOCK_BYTES // (8 _BLOCK_ROWS) pairs: groups of whole targets, or
+    slices of one target's grid when the grid alone is wider. Each pass
+    walks the rows in blocks of at least _BLOCK_ROWS (_pass), so its
+    arrays stay near _BLOCK_BYTES whatever n, q or l. The first target in
+    target order whose leverage saturates at some penalty raises at its
+    first such penalty in grid order; the passes run in that order, and a
+    pass scores all of its targets and penalties before it raises.
     """
-    n, rank, q, l = rp.n, rp.rank, len(targets), lams.shape[1]
+    q, l = len(targets), lams.shape[1]
+    pairs = max(1, _BLOCK_BYTES // (8 * _BLOCK_ROWS))
+    width = min(l, pairs)  # penalties per pass
+    group = max(1, pairs // width)  # targets per pass
+    cve = np.empty((q, l))
+    for t0 in range(0, q, group):
+        ts = slice(t0, t0 + group)
+        for j0 in range(0, l, width):
+            js = slice(j0, j0 + width)
+            part = lams[:, js] if lams.shape[0] == 1 else lams[ts, js]
+            cve[ts, js] = _pass(rp, Y[:, ts], targets[ts], part)
+    cve /= rp.n
+    return cve
+
+
+def _pass(rp: RotatedProblem, Y: np.ndarray, targets: list, lams: np.ndarray) -> np.ndarray:
+    """n times the CVE of one pass of _cve, g x l for its g targets at l
+    penalties (lams is g x l, or 1 x l shared by the targets).
+
+    The rows are walked in blocks of _BLOCK_BYTES // (8 max(g l, r')) rows
+    but at least _BLOCK_ROWS, so a block's b x (g l) residuals and its
+    U_b*U_b (b x r') take about _BLOCK_BYTES each, unless r' is so wide
+    that _BLOCK_ROWS rows of it take more. Each block forms 1 - h from
+    U_b*U_b in one product, once for all targets when lams is 1 x l, and
+    the residuals of every target in another, and adds the block's sum
+    of (e / (1 - h))^2. Saturation flags are collected per (target,
+    penalty) across blocks; the first target with one raises at its first
+    flagged penalty, counting the observations there and naming the first
+    few, and the error's ``target`` attribute is that target's index in rp.
+    """
+    n, rank, g, (k, l) = rp.n, rp.rank, len(targets), lams.shape
     s, s2 = rp.s[:, None, None], rp.s2[:, None, None]
     c, lam = rp.c[:, targets][:, :, None], lams[None]
     complement = rank == n
@@ -177,8 +214,7 @@ def _cve(rp: RotatedProblem, Y: np.ndarray, targets: list, lams: np.ndarray) -> 
         M = c / d
         M *= s
     del d
-    k = lams.shape[0]  # 1 when the targets share 1 - h, else q
-    G, M = G.reshape(rank, k * l), M.reshape(rank, q * l)
+    G, M = G.reshape(rank, k * l), M.reshape(rank, g * l)
 
     def one_minus_h(U_b):
         out = (U_b * U_b) @ G
@@ -186,22 +222,22 @@ def _cve(rp: RotatedProblem, Y: np.ndarray, targets: list, lams: np.ndarray) -> 
             np.subtract(1.0, out, out=out)
         return out
 
-    b = max(1, _BLOCK_BYTES // (8 * q * l))
+    b = max(_BLOCK_ROWS, _BLOCK_BYTES // (8 * max(g * l, rank)))
     blocks = range(0, n, b)
     floor = 1.0 - _LEVERAGE_CEILING
     saturated = np.zeros(k * l, dtype=bool)
-    cve = np.zeros((q, l))
+    total = np.zeros((g, l))
     for a in blocks:
         U_b = rp.U[a : a + b]
         omh = one_minus_h(U_b)
         saturated |= (omh <= floor).any(axis=0)
         if saturated.any():
             continue  # an error follows: only the flags are still needed
-        e = (U_b @ M).reshape(-1, q, l)
+        e = (U_b @ M).reshape(-1, g, l)
         if not complement:
             np.subtract(Y[a : a + b, :, None], e, out=e)
         e /= omh.reshape(-1, k, l)
-        cve += np.einsum("bql,bql->ql", e, e)
+        total += np.einsum("bgl,bgl->gl", e, e)
         del omh, e  # before the next block allocates its own
     if saturated.any():
         flags = saturated.reshape(k, l)
@@ -215,7 +251,7 @@ def _cve(rp: RotatedProblem, Y: np.ndarray, targets: list, lams: np.ndarray) -> 
         )
         exc.target = targets[t]
         raise exc
-    return cve / n
+    return total
 
 
 def _one_target(rp: RotatedProblem, y: np.ndarray, target: int) -> np.ndarray:
@@ -276,14 +312,15 @@ def loocv_fit(
 
 def loocv_fits(rp: RotatedProblem, Y: np.ndarray, grids) -> list:
     """One LoocvFit per target of rp, target t scored on grids[t] as
-    loocv_fit would score it, in one pass over the rows for every target.
+    loocv_fit would score it, whole targets scored together in each pass
+    over the rows (up to 1024 (target, penalty) pairs a pass).
 
     Y is the n x q matrix of centered targets rp was built from, and grids
     holds q grids of one length. When every grid holds the same values
-    (the fixed grid), 1 - h is formed once per block for all targets. A
-    saturated leverage raises as loocv_fit does, at the first target in
-    target order that has one, and the DegenerateProblemError carries that
-    target's index as its ``target`` attribute.
+    (the fixed grid), 1 - h is formed once per block for the pass's
+    targets. A saturated leverage raises as loocv_fit does, at the first
+    target in target order that has one, and the DegenerateProblemError
+    carries that target's index as its ``target`` attribute.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (rp.n, rp.q):

@@ -45,7 +45,7 @@ def solve(std, rp, method: Method, config: FitConfig = FitConfig(), target_names
     """Run one penalty selector on every target of a rotated problem and
     return one EmFit or LoocvFit per target, on the standardized scale.
     method is a Method or its value, as Method() takes it. The fixed grid is
-    built once, and loocv.loocv_fits scores every target in one pass.
+    built once, and one call of loocv.loocv_fits scores every target.
     Errors read "solve: ..." and, for one target's step, "solve: target
     <label>: ..." with the label data.target_label makes from target_names:
     a saturated leverage names the first target that has one. A degenerate

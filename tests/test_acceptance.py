@@ -248,13 +248,13 @@ def test_criterion_07_main_loop_scaling(capsys):
     8000}: LOOCV's per-penalty time grows roughly linearly (ratios in
     [1.5, 3]) while EM's per-iteration time stays flat (ratios in
     [0.5, 2])."""
-    sweep = dict(methods=[Method.LOOCV_FIXED, Method.EM], n_list=[2000, 4000, 8000], p_list=[50], reps=20, seed=_SEED)
-    # One whole sweep untimed first: after a few seconds idle, threaded BLAS
-    # calls can run many times slower for about a second, longer than
-    # bench_comparison's own untimed first cell takes, and the slow start
-    # then lands on the n = 2000 cell alone.
-    bench_comparison(**sweep)
-    rows = bench_comparison(**sweep)
+    rows = bench_comparison(
+        methods=[Method.LOOCV_FIXED, Method.EM],
+        n_list=[2000, 4000, 8000],
+        p_list=[50],
+        reps=20,
+        seed=_SEED,
+    )
     per = {(r.method, r.n): r.t_per_unit_ns for r in rows}
     loocv_ratios = [
         per[(Method.LOOCV_FIXED, 4000)] / per[(Method.LOOCV_FIXED, 2000)],

@@ -266,13 +266,20 @@ class TestLoocvFit:
 
 
 class TestBlockedScoring:
-    """loocv_fit and loocv_fits walk the rows in blocks of
-    _BLOCK_BYTES // (8 q l); the small problems here are split into blocks
-    of three rows, with a partial last block, by a smaller budget."""
+    """loocv_fit and loocv_fits score passes of at most
+    _BLOCK_BYTES // (8 _BLOCK_ROWS) (target, penalty) pairs, each in blocks
+    of _BLOCK_BYTES // (8 max(g l, r')) rows but at least _BLOCK_ROWS; the
+    small problems here are split into blocks of three rows, with a partial
+    last block, by a smaller budget and floor."""
+
+    @staticmethod
+    def _layout(monkeypatch, block_bytes, block_rows):
+        monkeypatch.setattr(loocv, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(loocv, "_BLOCK_ROWS", block_rows)
 
     @pytest.fixture
     def three_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(loocv, "_BLOCK_BYTES", 8 * 11 * 3)  # q = 1, l = 11
+        self._layout(monkeypatch, 8 * 11 * 3, 1)  # q = 1, l = 11, r' < 11
 
     @staticmethod
     def _assert_matches_press(rp, y, target=0):
@@ -313,16 +320,21 @@ class TestBlockedScoring:
         assert np.all(fit.cve == 0.0)
         assert fit.lambda_star == grid.values[0]
 
-    @pytest.mark.parametrize("block_bytes", [loocv._BLOCK_BYTES, 8 * 7], ids=["one block", "one row per block"])
-    def test_saturation_in_a_later_block_names_press_observations(self, monkeypatch, block_bytes):
+    @pytest.mark.parametrize(
+        "block_bytes, block_rows",
+        [(loocv._BLOCK_BYTES, loocv._BLOCK_ROWS), (8 * 7, 1), (8 * 3, 1)],
+        ids=["one block", "one row per block", "three penalties per pass"],
+    )
+    def test_saturation_in_a_later_block_names_press_observations(self, monkeypatch, block_bytes, block_rows):
         """Observation 1 alone loads on a column with s^2 = 1e6, so its
         leverage saturates below lambda ~ 1e-6; observation 0's column has
         s^2 = 1, so it saturates only below ~1e-12. On the grid 1e2, 1e-1,
         ..., 1e-16 the first saturating penalty is 1e-7, and at 1e-13 both
         observations have saturated. With one row per block, observation 0's
         block, the first, saturates at a later penalty than observation 1's:
-        the error still names the first penalty in grid order."""
-        monkeypatch.setattr(loocv, "_BLOCK_BYTES", block_bytes)
+        the error still names the first penalty in grid order. With three
+        penalties per pass, that penalty opens the second pass."""
+        self._layout(monkeypatch, block_bytes, block_rows)
         X = np.zeros((5, 3))
         X[0, 0] = 1.0
         X[1, 1] = 1e3
@@ -362,7 +374,7 @@ class TestBlockedScoring:
     def test_peak_does_not_grow_with_n_or_grid_length(self):
         """Every work array is one block of rows, so the traced peak of a
         two-target fit is the same at n = 2000 and n = 8000: a few block
-        arrays of about _BLOCK_BYTES and the r' x (q l) coefficients, at a
+        arrays of about _BLOCK_BYTES and a pass's r' x (g l) coefficients, at a
         100- and a 1000-point grid alike (U alone is 0.8 and 3.2 MB)."""
         rng = np.random.default_rng(16)
         peaks = {}
@@ -381,18 +393,26 @@ class TestBlockedScoring:
         for l in (100, 1000):
             assert peaks[8000, l] < 1.05 * peaks[2000, l], (l, peaks)
 
+    @pytest.mark.parametrize(
+        "block_bytes, block_rows",
+        [(loocv._BLOCK_BYTES, loocv._BLOCK_ROWS), (8 * 3000 * 40, 40), (8 * 300 * 50, 50)],
+        ids=["a target per pass", "every target per pass", "grid slices"],
+    )
     @pytest.mark.parametrize("full_row_rank", [True, False], ids=["complement form", "1 - h form"])
     @pytest.mark.parametrize("shared", [True, False], ids=["one grid", "a grid per target"])
-    def test_every_target_matches_press(self, full_row_rank, shared):
-        """Three targets on 1000-point grids take 43-row blocks, so n = 300
-        is scored in seven; each target's CVE matches press at its own
-        penalties, and its fit matches loocv_fit's."""
+    def test_every_target_matches_press(self, monkeypatch, block_bytes, block_rows, full_row_rank, shared):
+        """Three targets on 1000-point grids at n = 300, r' <= 300: at the
+        module's budget a pass scores one target in 131-row blocks; at the
+        second budget one pass scores all three in 40-row blocks; at the
+        third each grid is scored in four slices (300, 300, 300 and 100
+        penalties) in 50-row blocks. Each target's CVE matches press at its
+        own penalties, and its fit matches loocv_fit's."""
+        self._layout(monkeypatch, block_bytes, block_rows)
         rng = np.random.default_rng(17)
         X = rng.normal(size=(300, 400 if full_row_rank else 30))
         Y = X[:, :3] + rng.normal(size=(300, 3))
         rp = rotate(compact_svd(X), Y)
         assert (rp.rank == rp.n) is full_row_rank
-        assert loocv._BLOCK_BYTES // (8 * 3 * 1000) == 43
         base = np.logspace(6.0, -6.0, 1000)  # above where the complement form saturates
         grids = [LambdaGrid(base * (1.0 if shared else 1.5**t)) for t in range(3)]
         fits = loocv_fits(rp, Y, grids)
@@ -404,6 +424,30 @@ class TestBlockedScoring:
             assert_allclose(fit.cve, single.cve, rtol=1e-12)
             assert fit.lambda_star == single.lambda_star
             assert_allclose(fit.beta, single.beta, rtol=1e-12)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one grid", "a grid per target"])
+    def test_peak_does_not_grow_with_targets(self, shared):
+        """A pass scores at most _BLOCK_BYTES // (8 _BLOCK_ROWS) (target,
+        penalty) pairs whatever q, so 200 targets on 1000-point grids peak
+        at the pass's few block arrays plus what must grow with q: the q x l
+        CVE and grids. Scoring every target per block at once would take
+        r' x (q l) coefficients and 1 - h of 8 rows (over 150 MiB here)."""
+        rng = np.random.default_rng(19)
+        peaks = {}
+        for q in (20, 200):
+            X = rng.normal(size=(500, 50))
+            Y = X @ rng.normal(size=(50, q)) + rng.normal(size=(500, q))
+            rp = rotate(compact_svd(X), Y)
+            base = fixed_grid(1000).values
+            grids = [LambdaGrid(base * (1.0 if shared else 1.01**t)) for t in range(q)]
+            tracemalloc.start()
+            try:
+                loocv_fits(rp, Y, grids)
+                _, peaks[q] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peaks[q] < 4 * loocv._BLOCK_BYTES + 3 * 8 * q * 1000, (q, peaks[q])
+        assert peaks[200] - peaks[20] < 3 * 8 * 180 * 1000, peaks
 
     def test_first_saturated_target_is_named(self):
         """Only the second target's grid reaches down to where observation
