@@ -2,12 +2,14 @@
 
 The decomposition is always obtained from a symmetric eigendecomposition of
 X'X (n >= p) or XX' (n < p), never a general SVD, so the preprocessing cost
-is O(max(n,p) * min(n,p)^2). The rotated problem both solvers read is that
-decomposition plus its targets, in one type: the factor U, squared singular
-values s^2, rotated targets c = s * (U'y) and each target's energy outside
-span(U), R0 = ||(I - UU')y||^2. When n < p, V is formed only
-on first read and the map back goes through X, so the decomposition keeps a
-reference to X, which must not be modified while it is in use.
+is O(max(n,p) * min(n,p)^2). It stores that eigen factor W, the singular
+values s and a reference to X, which must not be modified while it is in
+use; the factors U and V follow from them by one rule and are formed only
+where read. The rotated problem both solvers read is that decomposition
+plus its targets, in one type: squared singular values s^2, rotated targets
+c = s * (U'y) and each target's energy outside span(U),
+R0 = ||(I - UU')y||^2. EM reads only those; LOOCV's leverages read U, and
+the map back goes through W (and X when n < p).
 """
 
 from __future__ import annotations
@@ -28,19 +30,31 @@ class CompactSvd:
     clear compact_svd's resolution floor; s is descending, U (n x r') and V
     (p x r') semi-orthonormal.
 
-    X, the decomposed matrix, is held by reference. When n < p, V = X' U / s
-    is formed on first read, as is s2 = s**2. n_dropped_directions counts
-    the p - r' coefficient directions whose s^2 is below the resolution
-    floor.
+    Stored are W, s and X (by reference). With A = X when n >= p and A = X'
+    otherwise, W holds the kept eigenvectors of A'A, and U and V follow one
+    rule: the factor on A's column side is W, and the other is A W / s,
+    formed on first read and cached, as is s2 = s**2. So U = X W / s (tall)
+    and V = X' W / s (wide) are made only where read. n_dropped_directions
+    counts the p - r' coefficient directions whose s^2 is below the
+    resolution floor.
     """
 
-    U: np.ndarray
+    W: np.ndarray
     s: np.ndarray
     X: np.ndarray
 
+    def _times_w_over_s(self, A: np.ndarray) -> np.ndarray:
+        """A W / s, divided in place: the product is the one array made."""
+        AW = A @ self.W
+        return np.divide(AW, self.s, out=AW)
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        return self.W if self.n < self.p else self._times_w_over_s(self.X)
+
     @cached_property
     def V(self) -> np.ndarray:
-        return self.X.T @ self.U / self.s
+        return self.W if self.n >= self.p else self._times_w_over_s(self.X.T)
 
     @cached_property
     def s2(self) -> np.ndarray:
@@ -92,8 +106,8 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
 
     One route for both shapes: with A = X when n >= p and A = X' otherwise,
     A'A = W S^2 W' is eigendecomposed, and W is the factor on A's column
-    side: (U, V) = (A W S^-1, W) when A = X, and U = W when A = X', with V =
-    A W S^-1 left to be formed on first read. The eigenvalues s^2 carry an
+    side; the other, A W S^-1, is left to be formed on first read (U when
+    A = X, V when A = X'). The eigenvalues s^2 carry an
     absolute error of about max(n,p) * eps * s_max^2, so that is the
     resolution floor: a direction is kept only when its s^2 lies above it.
     The kept directions are a prefix of the descending spectrum, and an
@@ -107,9 +121,9 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     its coefficient c = s * (U'y) change sign together.
 
     No temporary the size of X is made: the finiteness check reads min()
-    and max(), and on the n >= p route U = X W is divided by s in place,
-    so the one n x r' array is U itself. The n < p route makes only
-    n x n arrays.
+    and max(), and the decomposition itself makes only the min(n,p)-sized
+    Gram matrix and W. A W S^-1, when read, is divided by s in place, so its
+    one n x r' (or p x r') array is the factor itself.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -126,36 +140,31 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     r = np.count_nonzero(s2 > max(n, p) * np.finfo(float).eps * s2[0])
     s = np.sqrt(s2[:r])
     W = W[:, ::-1][:, :r].copy(order="F")  # each column contiguous
-    if n < p:
-        return CompactSvd(U=W, s=s, X=X)
-    U = A @ W
-    U /= s
-    svd = CompactSvd(U=U, s=s, X=X)
-    object.__setattr__(svd, "V", W)  # V = W is free: fill the cached property
-    return svd
+    return CompactSvd(W=W, s=s, X=X)
 
 
 def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
-    """Build the rotated problem on svd's own arrays: with z_t = U' y_t,
+    """Build the rotated problem on svd's own W, s and X: with z_t = U' y_t,
     c_t = s * z_t and R0_t = ||y_t - U z_t||^2, summed from the residual
     itself (one n x q temporary), so it does not cancel where y_t lies
-    almost inside span(U); what svd has formed (V, s2) is handed over.
-    A non-finite target, or one whose y_sq_norms overflows, raises
-    DataError."""
+    almost inside span(U). Neither U nor V is formed: when n < p, U = W,
+    and when n >= p, z = W'(X'Y)/s and U z = X (W z/s). The problem caches
+    its own U, V and s2, as a decomposition does. A Y with no columns, a
+    non-finite target, or one whose y_sq_norms overflows, raises DataError."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
+    if Y.shape[1] == 0:
+        raise DataError("Y has no columns: there is no target to rotate")
     if Y.shape[0] != svd.n:
         raise DataError(f"Y has {Y.shape[0]} rows, expected {svd.n}")
     if not all_finite(Y):
         raise DataError("non-finite entries in Y")
-    z = svd.U.T @ Y
-    r = svd.U @ z
+    z = svd.W.T @ Y if svd.n < svd.p else svd.W.T @ (svd.X.T @ Y) / svd.s[:, None]
+    r = svd.W @ z if svd.n < svd.p else svd.X @ (svd.W @ (z / svd.s[:, None]))
     np.subtract(Y, r, out=r)  # r = Y - U z in place
     r0 = np.einsum("ij,ij->j", r, r)
-    rp = RotatedProblem(U=svd.U, s=svd.s, X=svd.X, c=svd.s[:, None] * z, residual_sq_norms=r0)
-    # Hand over what svd has formed (V, s2), not a rotated svd's targets.
-    vars(rp).update({name: vars(svd)[name] for name in vars(svd).keys() & vars(CompactSvd).keys()})
+    rp = RotatedProblem(W=svd.W, s=svd.s, X=svd.X, c=svd.s[:, None] * z, residual_sq_norms=r0)
     if not all_finite(rp.y_sq_norms):
         raise DataError(f"target {np.flatnonzero(~np.isfinite(rp.y_sq_norms))[0]}: squared norm overflows")
     return rp
@@ -179,11 +188,12 @@ def rotated_ridge_solution(rp: RotatedProblem, lam: float, target: int = 0) -> n
 
 
 def recover_beta(rp: RotatedProblem, alpha: np.ndarray) -> np.ndarray:
-    """Map a rotated solution back: beta = V @ alpha (O(p r')) when n >= p,
-    and beta = X' (U (alpha / s)) (O(n p)) when n < p, which leaves V unread."""
+    """Map a rotated solution back through W: beta = W @ alpha (= V alpha,
+    O(p r')) when n >= p, and beta = X' (W (alpha / s)) (O(n p)) when
+    n < p, which leaves V unformed."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[0] != rp.rank:
         raise DataError(f"alpha has length {alpha.shape[0]}, expected {rp.rank}")
     if rp.n < rp.p:
-        return rp.X.T @ (rp.U @ (alpha.T / rp.s).T)
-    return rp.V @ alpha
+        return rp.X.T @ (rp.W @ (alpha.T / rp.s).T)
+    return rp.W @ alpha

@@ -179,7 +179,10 @@ def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:
 
     Raises DegenerateProblemError unless ESS > 0 and ESN/ESS is positive and
     finite, and unless both outputs are positive and finite: the update is
-    defined exactly where it returns.
+    defined exactly where it returns. n and p are not checked as counts:
+    em_fit calls m_step every iteration with the problem's own n and p, and
+    one data.count call costs about as much as the whole step (0.5-0.9 us
+    against 0.6 us on a 2-vCPU x86 host).
     """
     if not (ess > 0 and 0 < esn / ess < math.inf):
         raise DegenerateProblemError("m_step requires ESS > 0 and ESN > 0, and a finite ESN/ESS")
@@ -200,13 +203,16 @@ def q_function(tau2: float, sigma2: float, ess: float, esn: float, n: int, p: in
     Q = ((n+p+2)/2) log sigma2 + ESS/(2 sigma2)
         + ((p+1)/2) log tau2 + ESN/(2 sigma2 tau2) + log(1 + tau2)
 
-    tau2, sigma2, ess and esn are positive real numbers (data.real), or
-    DataError naming the first that is not.
+    tau2, sigma2, ess and esn are positive real numbers (data.real), and n
+    and p counts of at least 1 (data.count), or DataError naming the first
+    that is not.
     """
     real("tau2", tau2)
     real("sigma2", sigma2)
     real("ess", ess)
     real("esn", esn)
+    count("n", n, 1)
+    count("p", p, 1)
     return (
         0.5 * (n + p + 2.0) * math.log(sigma2)
         + ess / (2.0 * sigma2)
@@ -329,10 +335,12 @@ def unimodality_bound(
     values survived (s2 comes from the compact decomposition, so a missing
     entry is a direction whose s^2 fell below compact_svd's resolution
     floor, indistinguishable from zero). A unique mode with tau^2 >= epsilon
-    is certified when gamma_n > 0 and epsilon > 4/(n*gamma_n). n is a count
-    of at least 1 (data.count) and epsilon a positive real number (data.real).
+    is certified when gamma_n > 0 and epsilon > 4/(n*gamma_n). n and p are
+    counts of at least 1 (data.count) and epsilon a positive real number
+    (data.real).
     """
     count("n", n, 1)
+    count("p", p, 1)
     real("epsilon", epsilon)
     s2 = np.asarray(s2, dtype=float).ravel()
     gamma_n = float(np.min(s2)) / n if s2.shape[0] >= p else 0.0

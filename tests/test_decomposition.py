@@ -166,6 +166,16 @@ class TestCompactSvd:
         assert np.array_equal(svd.V, X.T @ svd.U / svd.s)
         assert svd.V is svd.V
 
+    def test_tall_u_is_formed_on_first_read(self):
+        """When n >= p, U is not made with the decomposition; read, it is
+        X W / s exactly, and it is cached. V is W itself."""
+        X = _random_matrix(15, 40, 6)
+        svd = compact_svd(X)
+        assert "U" not in vars(svd)
+        assert np.array_equal(svd.U, X @ svd.W / svd.s)
+        assert svd.U is svd.U
+        assert svd.V is svd.W
+
     def test_wide_fit_does_not_hold_v(self):
         """A wide decomposition, its rotated problem and a LOOCV fit peak
         below half the bytes of V (p x r')."""
@@ -198,9 +208,9 @@ class TestCompactSvd:
         with pytest.raises(DataError, match="^non-finite entries in X$"):
             compact_svd(X)
 
-    def test_tall_peak_is_u_and_gram_sized(self):
-        """A tall decomposition allocates one n x r' array, U itself, plus
-        p x p work: no copy of X and no second n x r' quotient."""
+    def test_tall_peak_is_gram_sized(self):
+        """A tall decomposition allocates only p x p work: no copy of X, and
+        no n x r' array, since U is formed only where it is read."""
         X = _random_matrix(19, 4000, 30)
         tracemalloc.start()
         try:
@@ -209,7 +219,8 @@ class TestCompactSvd:
         finally:
             tracemalloc.stop()
         n, p = X.shape
-        assert peak <= svd.U.nbytes + 16 * p * p * 8 + 64 * 1024, peak
+        assert "U" not in vars(svd)
+        assert peak <= 16 * p * p * 8 + 64 * 1024, peak
 
     def test_rejects_1d(self):
         with pytest.raises(DataError):
@@ -278,21 +289,54 @@ class TestRotate:
 
     @pytest.mark.parametrize("shape", [(9, 4), (4, 9)], ids=["tall", "wide"])
     def test_problem_is_the_decomposition_plus_targets(self, shape):
-        """rotate copies no array and hands over what the decomposition has
-        formed (the tall route's V = W); s2 is s**2 bitwise; rotating a
-        rotated problem again keeps only the new targets."""
+        """rotate shares the decomposition's W, s and X, copies no array and
+        forms neither U nor V; the factor on the Gram side is W itself (U
+        when n < p, V when n >= p); s2 is s**2 bitwise; rotating a rotated
+        problem again keeps only the new targets."""
         svd = compact_svd(_random_matrix(24, *shape))
         Y = _random_matrix(27, shape[0], 2)
         rp = rotate(svd, Y)
-        assert rp.U is svd.U and rp.s is svd.s and rp.X is svd.X
-        assert ("V" in vars(rp)) == (shape[0] >= shape[1])
-        if "V" in vars(rp):
-            assert rp.V is svd.V
+        assert rp.W is svd.W and rp.s is svd.s and rp.X is svd.X
+        assert not {"U", "V"} & (vars(svd).keys() | vars(rp).keys())
+        assert (rp.U if shape[0] < shape[1] else rp.V) is rp.W
         assert rp.s2.tobytes() == (rp.s**2).tobytes()
+        assert rp.U.shape == (shape[0], rp.rank) and rp.V.shape == (shape[1], rp.rank)
         again = rotate(rp, Y[:, 1])
-        assert again.s2 is rp.s2
+        assert again.W is svd.W and not {"U", "V"} & vars(again).keys()
         assert again.c.tobytes() == rotate(svd, Y[:, 1]).c.tobytes()
+        assert again.residual_sq_norms.tobytes() == rotate(svd, Y[:, 1]).residual_sq_norms.tobytes()
         assert_allclose(again.y_sq_norms, [Y[:, 1] @ Y[:, 1]], rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(8, 5), (5, 8)], ids=["tall", "wide"])
+    def test_refuses_targets_with_no_columns(self, shape):
+        """A Y with no columns names the problem before any check reads it."""
+        with pytest.raises(DataError, match="^Y has no columns: there is no target to rotate$"):
+            rotate(compact_svd(_random_matrix(28, *shape)), np.empty((shape[0], 0)))
+
+    @pytest.mark.parametrize("n, p", [(500, 50), (2000, 100)])
+    @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e5])
+    @pytest.mark.parametrize("noise", [1e-8, 1e-10, 1e-12])
+    def test_residual_energy_of_near_interpolating_targets(self, n, p, kappa, noise):
+        """R0 of targets that a tall design of condition number kappa almost
+        interpolates agrees with the QR residual ||Y - QQ'Y||^2 as a residual
+        off by delta = eps * kappa * ||y|| would: |R0 - ref| is at most
+        4 (2 sqrt(ref) delta + delta^2). Seeds 0-19 of these cells reached
+        2.3 (seeds 0-7: 2.2, and 1.9 with R0 summed from Y - U(U'Y)); when
+        kappa = 1e5 and noise = 1e-12 that is R0 off by thousands of times
+        itself, on both routes, since W and s carry the Gram matrix's
+        eps * kappa^2 error."""
+        rng = np.random.default_rng(29)
+        Q1, _ = np.linalg.qr(rng.normal(size=(n, p)))
+        Q2, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        X = (Q1 * np.logspace(0, -np.log10(kappa), p)) @ Q2.T * np.sqrt(n)
+        Y = X @ rng.normal(size=(p, 2)) + noise * rng.normal(size=(n, 2))
+        rp = rotate(compact_svd(X), Y)
+        Q, _ = np.linalg.qr(X)
+        resid = Y - Q @ (Q.T @ Y)
+        ref = np.einsum("ij,ij->j", resid, resid)
+        delta = np.finfo(float).eps * kappa * np.linalg.norm(Y, axis=0)
+        assert np.all(np.abs(rp.residual_sq_norms - ref) <= 4 * (2 * np.sqrt(ref) * delta + delta**2))
+        assert "U" not in vars(rp)
 
 
 class TestRotatedRidgeSolution:

@@ -482,14 +482,6 @@ class TestMultipleMeans:
         with pytest.raises(DataError):
             tau_update_fixed_variance(-1.0, 3)
 
-    @pytest.mark.parametrize("p", [2.5, True])
-    def test_counts_of_the_diagnostics_are_integers(self, p):
-        """p means and n observations are counts, as every count is."""
-        with pytest.raises(DataError, match=f"^p must be an integer, not {p!r}$"):
-            tau_update_fixed_variance(1.0, p)
-        with pytest.raises(DataError, match=f"^n must be an integer, not {p!r}$"):
-            unimodality_bound(np.array([1.0]), p, 1, 0.1)
-
     @pytest.mark.parametrize("p", [6, 10, 50])
     def test_fixed_point_iteration_reaches_kappa(self, p):
         """Iterating tau -> update((1-kappa)^2 ||y||^2 + (1-kappa) p)
@@ -632,6 +624,40 @@ def test_malformed_real_argument_is_refused(call, name, value):
     a bool, a string and None are each refused with one message naming it,
     never a TypeError or a silent 1.0."""
     with pytest.raises(DataError, match=f"^{name} must be a finite real number, not {re.escape(repr(value))}$"):
+        call(value)
+
+
+# Every count argument of the EM module's functions, as a call taking the
+# value, and the name data.count gives it.
+_COUNT_ARGUMENTS = [
+    ("tau_update_fixed_variance", lambda v: tau_update_fixed_variance(1.0, v), "p"),
+    ("unimodality_bound", lambda v: unimodality_bound(np.ones(3), v, 3, 0.1), "n"),
+    ("unimodality_bound", lambda v: unimodality_bound(np.ones(3), 10, v, 0.1), "p"),
+    ("q_function", lambda v: q_function(1.0, 1.0, 1.0, 1.0, v, 3), "n"),
+    ("q_function", lambda v: q_function(1.0, 1.0, 1.0, 1.0, 5, v), "p"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0, "must be at least 1"),
+        (-4, "must be at least 1"),
+        (2.5, "must be an integer, not 2.5"),
+        ("3", "must be an integer, not '3'"),
+        (True, "must be an integer, not True"),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize(
+    "call, name", [pytest.param(c, arg, id=f"{f}-{arg}") for f, c, arg in _COUNT_ARGUMENTS]
+)
+def test_malformed_count_argument_is_refused(call, name, value, message):
+    """p means and n observations are counts, as every count is
+    (data.count): zero, a negative, a float, a string and a bool are each
+    refused with one message naming them, never a ValueError, a TypeError
+    or a number."""
+    with pytest.raises(DataError, match=f"^{name} {re.escape(message)}$"):
         call(value)
 
 

@@ -383,6 +383,7 @@ class TestBlockedScoring:
             Y = X @ rng.normal(size=(50, 2)) + rng.normal(size=(n, 2))
             for l in (100, 1000):
                 rp = rotate(compact_svd(X), Y)
+                assert rp.U.shape == (n, rp.rank)  # formed on first read, outside the traced fit
                 tracemalloc.start()
                 try:
                     loocv_fits(rp, Y, [fixed_grid(l)] * 2)
@@ -392,6 +393,24 @@ class TestBlockedScoring:
                 assert peaks[n, l] < 3 * loocv._BLOCK_BYTES + 3 * 8 * rp.rank * 2 * l, (n, l, peaks[n, l])
         for l in (100, 1000):
             assert peaks[8000, l] < 1.05 * peaks[2000, l], (l, peaks)
+
+    def test_tall_fit_forms_u_once(self):
+        """On a fresh tall problem the fit forms U on its first read, in
+        place: the traced peak stays below U plus the bound above, where a
+        second n x r' array (40000 x 50, 16 MB) would not."""
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(40000, 50))
+        Y = X @ rng.normal(size=(50, 2)) + rng.normal(size=(40000, 2))
+        rp = rotate(compact_svd(X), Y)
+        assert "U" not in vars(rp)
+        tracemalloc.start()
+        try:
+            loocv_fits(rp, Y, [fixed_grid(100)] * 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "U" in vars(rp)
+        assert peak < rp.U.nbytes + 3 * loocv._BLOCK_BYTES + 3 * 8 * rp.rank * 2 * 100, peak
 
     @pytest.mark.parametrize(
         "block_bytes, block_rows",

@@ -317,23 +317,46 @@ def test_em_at_the_ends_of_the_range_of_y(a, exact):
         assert_allclose(scaled.beta_raw, a * base.beta_raw, rtol=1e-9, atol=0)
 
 
+def _record_decompositions(monkeypatch):
+    """Record each decomposition and rotated problem a fit makes."""
+    made = []
+
+    def recording(layer):
+        def recorded(*args):
+            made.append(layer(*args))
+            return made[-1]
+
+        return recorded
+
+    monkeypatch.setattr(decomposition, "compact_svd", recording(compact_svd))
+    monkeypatch.setattr(decomposition, "rotate", recording(rotate))
+    return made
+
+
 @pytest.mark.parametrize("method", list(Method))
 def test_wide_fit_never_forms_v(monkeypatch, method):
     """With n < p no solver reads V: each coefficient vector is mapped back
     through X."""
-    made = []
-
-    def recorded(X):
-        made.append(compact_svd(X))
-        return made[-1]
-
-    monkeypatch.setattr(decomposition, "compact_svd", recorded)
+    made = _record_decompositions(monkeypatch)
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 120))
     Y = X[:, :5] @ rng.normal(size=(5, 2)) + rng.normal(size=(40, 2))
     result = fit(Dataset(X=X, Y=Y), method)
-    assert len(made) == 1 and made[0].n < made[0].p
-    assert "V" not in vars(made[0])
+    assert len(made) == 2 and made[0].n < made[0].p
+    assert not any("V" in vars(m) for m in made)
+    assert np.all(np.isfinite(result.beta_raw))
+
+
+def test_tall_em_fit_never_forms_u(monkeypatch):
+    """With n >= p EM reads only s^2, c and R0, and maps back through W: U
+    is never formed."""
+    made = _record_decompositions(monkeypatch)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(120, 40))
+    Y = X[:, :5] @ rng.normal(size=(5, 2)) + rng.normal(size=(120, 2))
+    result = fit(Dataset(X=X, Y=Y), Method.EM)
+    assert len(made) == 2 and made[0].n >= made[0].p
+    assert not any("U" in vars(m) for m in made)
     assert np.all(np.isfinite(result.beta_raw))
 
 
