@@ -149,11 +149,14 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
     itself (one n x q temporary), so it does not cancel where y_t lies
     almost inside span(U). Neither U nor V is formed: when n < p, U = W,
     and when n >= p, z = W'(X'Y)/s and U z = X (W z/s). The problem caches
-    its own U, V and s2, as a decomposition does. A Y with no columns, a
-    non-finite target, or one whose y_sq_norms overflows, raises DataError."""
+    its own U, V and s2, as a decomposition does. A Y that is not 1-D or
+    2-D, one with no columns, a non-finite target, or one whose y_sq_norms
+    overflows, raises DataError."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
+    if Y.ndim != 2:
+        raise DataError("Y must be 1-D or 2-D")
     if Y.shape[1] == 0:
         raise DataError("Y has no columns: there is no target to rotate")
     if Y.shape[0] != svd.n:

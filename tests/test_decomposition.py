@@ -313,6 +313,11 @@ class TestRotate:
         with pytest.raises(DataError, match="^Y has no columns: there is no target to rotate$"):
             rotate(compact_svd(_random_matrix(28, *shape)), np.empty((shape[0], 0)))
 
+    @pytest.mark.parametrize("Y", [np.float64(3.0), np.ones((8, 2, 1))], ids=["0-d", "3-d"])
+    def test_refuses_targets_that_are_not_1d_or_2d(self, Y):
+        with pytest.raises(DataError, match="^Y must be 1-D or 2-D$"):
+            rotate(compact_svd(_random_matrix(28, 8, 5)), Y)
+
     @pytest.mark.parametrize("n, p", [(500, 50), (2000, 100)])
     @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e5])
     @pytest.mark.parametrize("noise", [1e-8, 1e-10, 1e-12])
