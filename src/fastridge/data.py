@@ -67,6 +67,18 @@ def real(name: str, value, positive: bool = True) -> None:
         raise DataError(f"{name} must be {'positive' if positive else 'at least 0'}")
 
 
+def floats(name: str, value, *shape: int | None) -> np.ndarray:
+    """``value`` as a float array (np.asarray: no copy of a float array) of
+    exactly ``shape``, where None is any size, or DataError naming the
+    argument: ``X has shape (2, 4, 4), expected (any, 4)``. The one rule for
+    every array argument's shape; a vector is 1-D. Finiteness is all_finite's."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim != len(shape) or any(want not in (None, got) for got, want in zip(a.shape, shape)):
+        expected = ", ".join("any" if want is None else str(want) for want in shape)
+        raise DataError(f"{name} has shape {a.shape}, expected ({expected}{',' * (len(shape) == 1)})")
+    return a
+
+
 class Method(Enum):
     """A penalty selector. Method(value) is the one method rule: it returns
     the member itself or the member with that value ("em"), and raises
@@ -87,10 +99,13 @@ class Dataset:
 
     Both are held as float64 arrays in row order (C-contiguous), which
     copies nothing for a C-ordered float64 caller: everything downstream
-    sums over rows in that order. A non-finite entry raises DataError; the
+    sums over rows in that order. X is 2-D and Y 1-D (one target) or 2-D
+    with X's rows (data.floats). A non-finite entry raises DataError; the
     check reads min() and max(), which are NaN when any entry is, and
-    allocates nothing data-sized. Names, when given, are one per column of
-    X (column_names) or Y (target_names), none of them twice, or DataError.
+    allocates nothing data-sized. Names, when given, follow the model
+    file's name rule (_array): a 1-D list of strings, one per column of X
+    (column_names) or Y (target_names), none of them twice, or DataError,
+    so a bad name is refused before anything is solved.
     """
 
     X: np.ndarray
@@ -99,29 +114,18 @@ class Dataset:
     target_names: list[str] | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float, order="C")
+        X = floats("X", np.asarray(self.X, dtype=float, order="C"), None, None)
         Y = np.asarray(self.Y, dtype=float, order="C")
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        if X.ndim != 2 or Y.ndim != 2:
-            raise DataError("X must be 2-D and Y 1-D or 2-D")
-        if X.shape[0] != Y.shape[0]:
-            raise DataError(
-                f"X has {X.shape[0]} rows but Y has {Y.shape[0]}"
-            )
+        Y = floats("Y", Y[:, None] if Y.ndim == 1 else Y, X.shape[0], None)
         if X.shape[0] < 1 or X.shape[1] < 1 or Y.shape[1] < 1:
             raise DataError("need n >= 1, p >= 1, q >= 1")
         if not all_finite(X) or not all_finite(Y):
             raise DataError("non-finite entries in X or Y")
-        for field, count in (("column_names", X.shape[1]), ("target_names", Y.shape[1])):
-            if (names := getattr(self, field)) is None:
-                continue
-            if len(names) != count:
-                raise DataError(f"{field} has {len(names)} names for {count} columns")
-            if (name := _repeated(names)) is not None:
-                raise DataError(f"{field} lists {name!r} twice")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+        for field, per, count in (("column_names", "feature", self.p), ("target_names", "target", self.q)):
+            if (names := getattr(self, field)) is not None:
+                object.__setattr__(self, field, _array(field, names, str, None, per, count, 1))
 
     @property
     def n(self) -> int:
@@ -222,13 +226,7 @@ class FitResult:
                 continue
             if not self.method.value.startswith(prefix):
                 raise DataError(f"{name} does not apply to method {self.method.value}")
-            value = _entries(name, value, kind, sign)
-            if per and value.shape[:1] != (counts[per],):
-                got = f"has length {len(value)}" if value.ndim else "is a scalar"
-                raise DataError(f"{name} {got}; expected {counts[per]}, one per {per}")
-            if value.ndim != ndim:
-                raise DataError(f"{name} is {value.ndim}-D; expected {ndim}-D")
-            object.__setattr__(self, name, value.tolist() if kind is str else value)
+            object.__setattr__(self, name, _array(name, value, kind, sign, per, counts.get(per), ndim))
         if self.tau2 is not None and np.any(np.abs(self.lambda_ * self.tau2 - 1.0) > 1e-12):
             raise DataError("lambda must equal 1/tau2")
         if self.grid is not None and self.cve_curves is not None:
@@ -240,9 +238,6 @@ class FitResult:
         kept = self.kept_columns
         if kept is not None and not (np.all(np.diff(kept) > 0) and np.all((kept >= 0) & (kept < p))):
             raise DataError(f"kept_columns must be strictly increasing within 0..{p - 1}")
-        for field in ("feature_names", "target_names"):
-            if (names := getattr(self, field)) is not None and (name := _repeated(names)) is not None:
-                raise DataError(f"{field} lists {name!r} twice")
 
     def to_json(self) -> str:
         """The model file: JSON with sorted keys, repr-exact finite floats (no
@@ -323,6 +318,24 @@ def _entries(name: str, value, kind: type, sign: str | None = None) -> np.ndarra
     if sign is not None and not np.all(_SIGNS[sign](a, 0)):
         raise DataError(f"{name} entries must be {sign}")
     return a
+
+
+def _array(name: str, value, kind: type, sign: str | None, per: str | None, count: int | None, ndim: int):
+    """A row of ``_ARRAYS`` checked: ``value``'s entries as _entries takes
+    them, its first axis ``count`` long (one per ``per``, unless per is
+    None) and ``ndim`` dimensions; strings become a list that names nothing
+    twice. The name rule of both Dataset and FitResult."""
+    value = _entries(name, value, kind, sign)
+    if per and value.shape[:1] != (count,):
+        got = f"has length {len(value)}" if value.ndim else "is a scalar"
+        raise DataError(f"{name} {got}; expected {count}, one per {per}")
+    if value.ndim != ndim:
+        raise DataError(f"{name} is {value.ndim}-D; expected {ndim}-D")
+    if kind is str:
+        value = value.tolist()
+        if (repeated := _repeated(value)) is not None:
+            raise DataError(f"{name} lists {repeated!r} twice")
+    return value
 
 
 def _repeated(names) -> str | None:
@@ -611,22 +624,14 @@ def standardize(d: Dataset) -> StandardizedDataset:
 def destandardize(beta_std: np.ndarray, s: StandardizedDataset):
     """Map coefficients fit on X_std back to the raw scale.
 
-    beta_std holds one column per target (a 1-D array is one column), or
-    DataError. Returns ``(beta_raw, intercepts)`` with beta_raw of shape
-    (p, q); dropped columns get coefficient 0 and the intercept absorbs the
-    column means: intercept = y_mean - sum_j beta_raw[j] * col_means[j].
+    beta_std is p_kept x q, one column per target (a 1-D array is one
+    column), or DataError (data.floats). Returns ``(beta_raw, intercepts)``
+    with beta_raw of shape (p, q); dropped columns get coefficient 0 and the
+    intercept absorbs the column means:
+    intercept = y_mean - sum_j beta_raw[j] * col_means[j].
     """
     beta_std = np.asarray(beta_std, dtype=float)
-    if beta_std.ndim == 1:
-        beta_std = beta_std[:, None]
-    if beta_std.shape[0] != s.p_kept:
-        raise DataError(
-            f"beta_std has {beta_std.shape[0]} rows, expected {s.p_kept}"
-        )
-    if beta_std.shape[1] != s.q:
-        raise DataError(
-            f"beta_std has {beta_std.shape[1]} columns, expected {s.q}, one per target"
-        )
+    beta_std = floats("beta_std", beta_std[:, None] if beta_std.ndim == 1 else beta_std, s.p_kept, s.q)
     beta_raw = np.zeros((s.p_original, s.q))
     beta_raw[s.kept_columns] = beta_std / s.col_sds[s.kept_columns, None]
     intercepts = s.y_means - s.col_means @ beta_raw
@@ -634,12 +639,9 @@ def destandardize(beta_std: np.ndarray, s: StandardizedDataset):
 
 
 def predict(f: FitResult, X_new: np.ndarray) -> np.ndarray:
-    """Predict targets for raw-scale rows: X_new @ beta_raw + intercepts."""
+    """Predict targets for raw-scale rows: X_new @ beta_raw + intercepts.
+    X_new holds one row per prediction and one column per feature of the
+    model (a 1-D array is one row), or DataError (data.floats)."""
     X_new = np.asarray(X_new, dtype=float)
-    if X_new.ndim == 1:
-        X_new = X_new[None, :]
-    if X_new.shape[1] != f.beta_raw.shape[0]:
-        raise DataError(
-            f"X_new has {X_new.shape[1]} columns, model expects {f.beta_raw.shape[0]}"
-        )
+    X_new = floats("X_new", X_new[None, :] if X_new.ndim == 1 else X_new, None, f.beta_raw.shape[0])
     return X_new @ f.beta_raw + f.intercepts

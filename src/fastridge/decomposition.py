@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import all_finite, real
+from .data import all_finite, floats, real
 from .exceptions import DataError
 
 
@@ -124,10 +124,10 @@ def compact_svd(X: np.ndarray) -> CompactSvd:
     and max(), and the decomposition itself makes only the min(n,p)-sized
     Gram matrix and W. A W S^-1, when read, is divided by s in place, so its
     one n x r' (or p x r') array is the factor itself.
+
+    X is 2-D (data.floats), with n, p >= 1 and finite entries, or DataError.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DataError("X must be 2-D")
+    X = floats("X", X, None, None)
     n, p = X.shape
     if n < 1 or p < 1:
         raise DataError("need n >= 1 and p >= 1")
@@ -149,18 +149,13 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
     itself (one n x q temporary), so it does not cancel where y_t lies
     almost inside span(U). Neither U nor V is formed: when n < p, U = W,
     and when n >= p, z = W'(X'Y)/s and U z = X (W z/s). The problem caches
-    its own U, V and s2, as a decomposition does. A Y that is not 1-D or
-    2-D, one with no columns, a non-finite target, or one whose y_sq_norms
-    overflows, raises DataError."""
+    its own U, V and s2, as a decomposition does. Y is n x q, or 1-D for
+    one target (data.floats); any other shape, a Y with no columns, a
+    non-finite target, or one whose y_sq_norms overflows, raises DataError."""
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.ndim != 2:
-        raise DataError("Y must be 1-D or 2-D")
+    Y = floats("Y", Y[:, None] if Y.ndim == 1 else Y, svd.n, None)
     if Y.shape[1] == 0:
         raise DataError("Y has no columns: there is no target to rotate")
-    if Y.shape[0] != svd.n:
-        raise DataError(f"Y has {Y.shape[0]} rows, expected {svd.n}")
     if not all_finite(Y):
         raise DataError("non-finite entries in Y")
     z = svd.W.T @ Y if svd.n < svd.p else svd.W.T @ (svd.X.T @ Y) / svd.s[:, None]
@@ -193,10 +188,9 @@ def rotated_ridge_solution(rp: RotatedProblem, lam: float, target: int = 0) -> n
 def recover_beta(rp: RotatedProblem, alpha: np.ndarray) -> np.ndarray:
     """Map a rotated solution back through W: beta = W @ alpha (= V alpha,
     O(p r')) when n >= p, and beta = X' (W (alpha / s)) (O(n p)) when
-    n < p, which leaves V unformed."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[0] != rp.rank:
-        raise DataError(f"alpha has length {alpha.shape[0]}, expected {rp.rank}")
+    n < p, which leaves V unformed. alpha is 1-D of length r'
+    (data.floats), or DataError."""
+    alpha = floats("alpha", alpha, rp.rank)
     if rp.n < rp.p:
-        return rp.X.T @ (rp.W @ (alpha.T / rp.s).T)
+        return rp.X.T @ (rp.W @ (alpha / rp.s))
     return rp.W @ alpha

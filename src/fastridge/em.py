@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import count, real
+from .data import count, floats, real
 from .decomposition import RotatedProblem, recover_beta, target_column
 from .exceptions import DataError, DegenerateProblemError
 
@@ -130,11 +130,11 @@ def expected_squared_norm(
     alpha must be the rotated ridge solution at lambda = 1/tau2. The second
     term is the posterior-covariance trace; coefficient directions with zero
     singular value each contribute sigma2 * tau2 to it. Raises DataError
-    unless tau2 is a positive real number and sigma2 one of at least 0
-    (data.real), as expected_sse does.
+    unless alpha is 1-D of length r' (data.floats), tau2 a positive real
+    number and sigma2 one of at least 0 (data.real), as expected_sse does.
     """
     inv = _checked_inv(rp, tau2, sigma2)
-    return _esn(rp, np.asarray(alpha, dtype=float), inv, tau2, sigma2)
+    return _esn(rp, floats("alpha", alpha, rp.rank), inv, tau2, sigma2)
 
 
 def expected_sse(
@@ -151,12 +151,13 @@ def expected_sse(
 
     RSS is ||y - U diag(s) alpha||^2 for any alpha, split by rotate into the
     energy R0 outside span(U) and a sum of squares over the spectrum, so it
-    is never negative. Raises DataError unless tau2 is a positive real number
-    and sigma2 one of at least 0 (data.real).
+    is never negative. Raises DataError unless alpha is 1-D of length r'
+    (data.floats), tau2 a positive real number and sigma2 one of at least 0
+    (data.real).
     """
     inv = _checked_inv(rp, tau2, sigma2)
     _, z, r0 = _split(rp, target)
-    return _ess(rp, np.asarray(alpha, dtype=float), z, r0, inv, sigma2)
+    return _ess(rp, floats("alpha", alpha, rp.rank), z, r0, inv, sigma2)
 
 
 def m_step(ess: float, esn: float, n: int, p: int) -> tuple[float, float]:

@@ -4,12 +4,12 @@ Every candidate lambda is scored with the PRESS shortcut: the full-data
 residuals and the hat-matrix diagonals give the exact LOOCV error without
 refitting, at O(n * r') per lambda. One scorer serves every entry point
 (loocv_fits for all targets, loocv_fit for one, press for one penalty): it
-scores the targets in passes of at most 1024 (target, penalty) pairs, whole
-targets together, and each pass walks the rows of U in blocks of about
-1 MiB of residuals, with one matrix product for 1 - h (shared by the
-pass's targets when they share a grid) and one for the residuals. Grid
-construction (a fixed log-spaced ladder and a data-driven heuristic) lives
-here too.
+scores the targets in passes of at most _PASS_PAIRS = 1024 (target,
+penalty) pairs, whole targets together, and each pass walks the rows of U
+in blocks of about 1 MiB of residuals, with one matrix product for 1 - h
+(shared by the pass's targets when they share a grid) and one for the
+residuals. Grid construction (a fixed log-spaced ladder and a data-driven
+heuristic) lives here too.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import count, real
+from .data import count, floats, real
 from .decomposition import RotatedProblem, recover_beta, rotated_ridge_solution, target_column
 from .exceptions import DataError, DegenerateProblemError
 
@@ -37,30 +37,33 @@ GRID_LENGTH = 100
 # arrays stay far below U's size.
 _BLOCK_BYTES = 1 << 20
 
-# Fewest rows in a block, which bounds the (target, penalty) pairs of one
-# pass to _BLOCK_BYTES // (8 * _BLOCK_ROWS), 1024: tall enough that each
-# block's products are efficient matrix products, which read the pass's
-# r' x (g * l) coefficients once per block.
+# Fewest rows in a block: tall enough that each block's products are
+# efficient matrix products, which read the pass's r' x (g * l)
+# coefficients once per block.
 _BLOCK_ROWS = 128
+
+# Most (target, penalty) pairs in one pass of the scorer, 1024: a block of
+# _BLOCK_ROWS rows of their residuals takes _BLOCK_BYTES.
+_PASS_PAIRS = _BLOCK_BYTES // (8 * _BLOCK_ROWS)
 
 
 @dataclass(frozen=True)
 class LambdaGrid:
     """Descending, log-spaced candidate penalties.
 
-    values must be strictly positive and strictly descending with a constant
-    consecutive ratio (within 1e-12 relative); a single-value grid is
-    allowed and trivially satisfies both. Which rule made the grid is the
-    fit method's to record, not the grid's.
+    values must be a nonempty 1-D array (data.floats), strictly positive and
+    strictly descending with a constant consecutive ratio (within 1e-12
+    relative); a single-value grid is allowed and trivially satisfies both.
+    Which rule made the grid is the fit method's to record, not the grid's.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = floats("grid values", self.values, None)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 1:
-            raise DataError("grid must be a nonempty 1-D array")
+        if values.size < 1:
+            raise DataError("grid must be nonempty")
         if not np.all(np.isfinite(values)) or np.any(values <= 0):
             raise DataError("grid values must be positive and finite")
         if values.size > 1:
@@ -77,8 +80,7 @@ class LambdaGrid:
 @dataclass(frozen=True)
 class LoocvFit:
     """Scored grid (cve[i] at grid.values[i]) and the coefficient vector at
-    the winning penalty, the property lambda_star: the grid value at the
-    first CVE minimum, so ties go to the largest, as in model files."""
+    the winning penalty, the property lambda_star (_first_minimum)."""
 
     grid: LambdaGrid
     cve: np.ndarray
@@ -86,7 +88,21 @@ class LoocvFit:
 
     @property
     def lambda_star(self) -> float:
-        return float(self.grid.values[np.argmin(self.cve)])
+        return _first_minimum(self.grid, self.cve)
+
+
+def _first_minimum(grid: LambdaGrid, cve: np.ndarray) -> float:
+    """The grid value at the first CVE minimum: of tied penalties, the
+    earliest entry of the descending grid, hence the largest, as in model
+    files."""
+    return float(grid.values[np.argmin(cve)])
+
+
+def _typed(name: str, grid) -> LambdaGrid:
+    """``grid`` when it is a LambdaGrid, or DataError naming it."""
+    if not isinstance(grid, LambdaGrid):
+        raise DataError(f"{name} must be a LambdaGrid, not {type(grid).__name__}")
+    return grid
 
 
 def fixed_grid(l: int = GRID_LENGTH) -> LambdaGrid:
@@ -134,15 +150,13 @@ def glmnet_grid(
     the returned grid equals kappa exactly. The grid does not depend on the
     units of y: it is computed from y / max|y|, where neither x'y nor y'y
     under- or overflows, and is bitwise the same for y and y times a power
-    of two. l is an integer (not a bool) of at least 2, or DataError
-    (data.count).
+    of two. l is an integer (not a bool) of at least 2, X_std is n x p and
+    y_centered 1-D of length n (data.floats), or DataError.
     """
     count("l", l, 2)
-    X_std = np.asarray(X_std, dtype=float)
-    y = np.asarray(y_centered, dtype=float).ravel()
-    if X_std.ndim != 2 or X_std.shape[0] != y.shape[0]:
-        raise DataError("X_std and y_centered have incompatible shapes")
+    X_std = floats("X_std", X_std, None, None)
     n, p = X_std.shape
+    y = floats("y_centered", y_centered, n)
     u = y / (np.max(np.abs(y), initial=0.0) or 1.0)  # a zero y stays zero
     xu = float(np.max(np.abs(X_std.T @ u)))
     if not xu > 0:
@@ -163,7 +177,7 @@ def _cve(rp: RotatedProblem, Y: np.ndarray, targets: list, lams: np.ndarray) -> 
     same ones. Returns q x l.
 
     The (target, penalty) pairs are scored in passes of at most
-    _BLOCK_BYTES // (8 _BLOCK_ROWS) pairs: groups of whole targets, or
+    _PASS_PAIRS (1024) pairs: groups of whole targets, or
     slices of one target's grid when the grid alone is wider. Each pass
     walks the rows in blocks of at least _BLOCK_ROWS (_pass), so its
     arrays stay near _BLOCK_BYTES whatever n, q or l. The first target in
@@ -172,9 +186,8 @@ def _cve(rp: RotatedProblem, Y: np.ndarray, targets: list, lams: np.ndarray) -> 
     pass scores all of its targets and penalties before it raises.
     """
     q, l = len(targets), lams.shape[1]
-    pairs = max(1, _BLOCK_BYTES // (8 * _BLOCK_ROWS))
-    width = min(l, pairs)  # penalties per pass
-    group = max(1, pairs // width)  # targets per pass
+    width = min(l, _PASS_PAIRS)  # penalties per pass
+    group = _PASS_PAIRS // width  # targets per pass
     cve = np.empty((q, l))
     for t0 in range(0, q, group):
         ts = slice(t0, t0 + group)
@@ -255,20 +268,16 @@ def _pass(rp: RotatedProblem, Y: np.ndarray, targets: list, lams: np.ndarray) ->
 
 
 def _one_target(rp: RotatedProblem, y: np.ndarray, target: int) -> np.ndarray:
-    """y as the n x 1 column _cve reads, once y's length and the index of
-    its target are checked."""
-    y = np.asarray(y, dtype=float).reshape(-1, 1)
-    if y.shape[0] != rp.n:
-        raise DataError(f"y has length {y.shape[0]}, expected {rp.n}")
+    """y as the n x 1 column _cve reads, once y is checked 1-D of length n
+    (data.floats) and the index of its target is checked."""
+    y = floats("y", y, rp.n)[:, None]
     target_column(rp, target)
     return y
 
 
 def _refit(rp: RotatedProblem, grid: LambdaGrid, cve: np.ndarray, target: int) -> LoocvFit:
-    """The LoocvFit of a scored grid: beta at the first, hence largest,
-    lambda of the CVE minimum."""
-    lambda_star = float(grid.values[np.argmin(cve)])
-    alpha = rotated_ridge_solution(rp, lambda_star, target)
+    """The LoocvFit of a scored grid: beta at its _first_minimum."""
+    alpha = rotated_ridge_solution(rp, _first_minimum(grid, cve), target)
     return LoocvFit(grid=grid, cve=cve, beta=recover_beta(rp, alpha))
 
 
@@ -278,8 +287,8 @@ def press(rp: RotatedProblem, y: np.ndarray, lam: float, target: int = 0) -> flo
 
     CVE = (1/n) * sum_i (e_i / (1 - h_i))^2 with e = y - U (s * alpha).
     y must be the same centered target column the rotated problem was built
-    from; the residuals need all n entries, which the rotated cache alone
-    does not carry. Cost O(n * r').
+    from, 1-D of length n (data.floats); the residuals need all n entries,
+    which the rotated cache alone does not carry. Cost O(n * r').
 
     At full row rank (r' = n, so U is square-orthonormal), e and 1 - h are
     evaluated in the complement form
@@ -303,30 +312,33 @@ def loocv_fit(
     """Score every grid value as press would and refit at the winner: the
     one-target case of loocv_fits.
 
-    Ties at the minimum go to the largest lambda, i.e. the earliest entry of
-    the descending grid, so the selection is deterministic.
+    y is 1-D of length n (data.floats) and grid a LambdaGrid, or DataError
+    naming it. Ties at the minimum go to the largest lambda, i.e. the
+    earliest entry of the descending grid, so the selection is deterministic.
     """
     y = _one_target(rp, y, target)
+    grid = _typed("grid", grid)
     return _refit(rp, grid, _cve(rp, y, [target], grid.values[None])[0], target)
 
 
 def loocv_fits(rp: RotatedProblem, Y: np.ndarray, grids) -> list:
     """One LoocvFit per target of rp, target t scored on grids[t] as
     loocv_fit would score it, whole targets scored together in each pass
-    over the rows (up to 1024 (target, penalty) pairs a pass).
+    over the rows (up to _PASS_PAIRS, 1024, (target, penalty) pairs a
+    pass).
 
-    Y is the n x q matrix of centered targets rp was built from, and grids
-    holds q grids of one length. When every grid holds the same values
+    Y is the n x q matrix of centered targets rp was built from
+    (data.floats), and grids holds q LambdaGrids of one length, or
+    DataError naming the argument. When every grid holds the same values
     (the fixed grid), 1 - h is formed once per block for the pass's
     targets. A saturated leverage raises as loocv_fit does, at the first
     target in target order that has one, and the DegenerateProblemError
     carries that target's index as its ``target`` attribute.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != (rp.n, rp.q):
-        raise DataError(f"Y has shape {Y.shape}, expected ({rp.n}, {rp.q})")
+    Y = floats("Y", Y, rp.n, rp.q)
     if len(grids) != rp.q:
         raise DataError(f"{len(grids)} grids for q={rp.q} targets")
+    grids = [_typed(f"grids[{t}]", grid) for t, grid in enumerate(grids)]
     if len({len(grid) for grid in grids}) > 1:
         raise DataError("grids must all have the same length")
     lams = np.stack([grid.values for grid in grids])

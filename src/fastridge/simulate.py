@@ -123,9 +123,7 @@ def gen_bernoulli_sparse(cfg: Setting1Config):
         .bernoulli(_BERNOULLI_PROB, cfg.n * cfg.p)
         .reshape(cfg.n, cfg.p)
     )
-    beta0 = RandomStream(cfg.seed, 1, _PURPOSE_BETA).normals(cfg.p)
-    eps = RandomStream(cfg.seed, 1, _PURPOSE_NOISE).normals(cfg.n)
-    return X, X @ beta0 + cfg.sigma * eps, beta0
+    return _response(X, cfg.seed, 1, cfg.sigma)
 
 
 def _bartlett_factor(stream: RandomStream, p: int) -> np.ndarray:
@@ -151,19 +149,24 @@ def gen_gaussian_wishart(cfg: Setting2Config):
     """
     A = _bartlett_factor(RandomStream(cfg.seed, 2, _PURPOSE_COV), cfg.p)
     Z = RandomStream(cfg.seed, 2, _PURPOSE_X).normals(cfg.n * cfg.p).reshape(cfg.n, cfg.p)
-    X = Z @ A.T
-    beta0 = RandomStream(cfg.seed, 2, _PURPOSE_BETA).normals(cfg.p)
-    eps = RandomStream(cfg.seed, 2, _PURPOSE_NOISE).normals(cfg.n)
-    return X, X @ beta0 + math.sqrt(_NOISE_VAR) * eps, beta0
+    return _response(Z @ A.T, cfg.seed, 2, math.sqrt(_NOISE_VAR))
 
 
 def _gen_bench_data(rep_seed: int, n: int, p: int):
     """Dense i.i.d. standard-normal design for timing probes (setting 3):
     X ~ N(0,1) entrywise (row-major block), beta0 ~ N(0, I), y = X beta0 + eps."""
     X = RandomStream(rep_seed, 3, _PURPOSE_X).normals(n * p).reshape(n, p)
-    beta0 = RandomStream(rep_seed, 3, _PURPOSE_BETA).normals(p)
-    eps = RandomStream(rep_seed, 3, _PURPOSE_NOISE).normals(n)
-    return X, X @ beta0 + eps, beta0
+    return _response(X, rep_seed, 3, 1.0)
+
+
+def _response(X: np.ndarray, seed: int, setting: int, sd: float):
+    """(X, y, beta0) with y = X beta0 + sd * eps, the draw every setting
+    shares: beta0 ~ N(0, I_p) and eps ~ N(0, I_n) from the setting's own
+    substreams, so changing n does not perturb beta0. sd = 1.0 leaves eps
+    bitwise as drawn."""
+    beta0 = RandomStream(seed, setting, _PURPOSE_BETA).normals(X.shape[1])
+    eps = RandomStream(seed, setting, _PURPOSE_NOISE).normals(X.shape[0])
+    return X, X @ beta0 + sd * eps, beta0
 
 
 def parameter_mse(beta_hat: np.ndarray, beta0: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Compact SVD via Gram eigendecomposition and the rotated ridge problem."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -313,9 +314,13 @@ class TestRotate:
         with pytest.raises(DataError, match="^Y has no columns: there is no target to rotate$"):
             rotate(compact_svd(_random_matrix(28, *shape)), np.empty((shape[0], 0)))
 
-    @pytest.mark.parametrize("Y", [np.float64(3.0), np.ones((8, 2, 1))], ids=["0-d", "3-d"])
-    def test_refuses_targets_that_are_not_1d_or_2d(self, Y):
-        with pytest.raises(DataError, match="^Y must be 1-D or 2-D$"):
+    @pytest.mark.parametrize(
+        "Y, shape",
+        [(np.float64(3.0), "()"), (np.ones((8, 2, 1)), "(8, 2, 1)")],
+        ids=["0-d", "3-d"],
+    )
+    def test_refuses_targets_that_are_not_1d_or_2d(self, Y, shape):
+        with pytest.raises(DataError, match=rf"^Y has shape {re.escape(shape)}, expected \(8, any\)$"):
             rotate(compact_svd(_random_matrix(28, 8, 5)), Y)
 
     @pytest.mark.parametrize("n, p", [(500, 50), (2000, 100)])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fastridge import loocv
-from fastridge.decomposition import compact_svd, rotate, rotated_ridge_solution
+from fastridge.decomposition import compact_svd, recover_beta, rotate, rotated_ridge_solution
 from fastridge.exceptions import DataError, DegenerateProblemError
 from fastridge.loocv import (
     LambdaGrid,
@@ -267,15 +267,16 @@ class TestLoocvFit:
 
 class TestBlockedScoring:
     """loocv_fit and loocv_fits score passes of at most
-    _BLOCK_BYTES // (8 _BLOCK_ROWS) (target, penalty) pairs, each in blocks
-    of _BLOCK_BYTES // (8 max(g l, r')) rows but at least _BLOCK_ROWS; the
-    small problems here are split into blocks of three rows, with a partial
-    last block, by a smaller budget and floor."""
+    _PASS_PAIRS = _BLOCK_BYTES // (8 _BLOCK_ROWS) (target, penalty) pairs,
+    each in blocks of _BLOCK_BYTES // (8 max(g l, r')) rows but at least
+    _BLOCK_ROWS; the small problems here are split into blocks of three
+    rows, with a partial last block, by a smaller budget and floor."""
 
     @staticmethod
     def _layout(monkeypatch, block_bytes, block_rows):
         monkeypatch.setattr(loocv, "_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(loocv, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(loocv, "_PASS_PAIRS", block_bytes // (8 * block_rows))
 
     @pytest.fixture
     def three_row_blocks(self, monkeypatch):
@@ -446,11 +447,11 @@ class TestBlockedScoring:
 
     @pytest.mark.parametrize("shared", [True, False], ids=["one grid", "a grid per target"])
     def test_peak_does_not_grow_with_targets(self, shared):
-        """A pass scores at most _BLOCK_BYTES // (8 _BLOCK_ROWS) (target,
-        penalty) pairs whatever q, so 200 targets on 1000-point grids peak
-        at the pass's few block arrays plus what must grow with q: the q x l
-        CVE and grids. Scoring every target per block at once would take
-        r' x (q l) coefficients and 1 - h of 8 rows (over 150 MiB here)."""
+        """A pass scores at most _PASS_PAIRS (target, penalty) pairs
+        whatever q, so 200 targets on 1000-point grids peak at the pass's
+        few block arrays plus what must grow with q: the q x l CVE and
+        grids. Scoring every target per block at once would take r' x (q l)
+        coefficients and 1 - h of 8 rows (over 150 MiB here)."""
         rng = np.random.default_rng(19)
         peaks = {}
         for q in (20, 200):
@@ -514,3 +515,59 @@ class TestBlockedScoring:
         finally:
             tracemalloc.stop()
         assert peak < rp.U.nbytes + 8 * 2**20
+
+
+class TestPassesAndGrids:
+    def test_a_pass_holds_at_most_1024_pairs(self):
+        assert loocv._PASS_PAIRS == 1024 == loocv._BLOCK_BYTES // (8 * loocv._BLOCK_ROWS)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one grid", "a grid per target"])
+    def test_passes_are_pass_pairs_wide(self, monkeypatch, shared):
+        """With three pairs a pass, two targets on 7-point grids are scored
+        one target at a time, in slices of 3, 3 and 1 penalties, and give
+        the CVE that one pass gives."""
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(30, 5))
+        Y = X[:, :2] + rng.normal(size=(30, 2))
+        rp = rotate(compact_svd(X), Y)
+        grids = [LambdaGrid(np.logspace(3.0, -3.0, 7) * (1.0 if shared else 2.0**t)) for t in range(2)]
+        whole = loocv_fits(rp, Y, grids)
+        widths, real_pass = [], loocv._pass
+
+        def recorded(rp, Y, targets, lams):
+            widths.append((list(targets), lams.shape[1]))
+            return real_pass(rp, Y, targets, lams)
+
+        monkeypatch.setattr(loocv, "_pass", recorded)
+        monkeypatch.setattr(loocv, "_PASS_PAIRS", 3)
+        sliced = loocv_fits(rp, Y, grids)
+        assert widths == [([0], 3), ([0], 3), ([0], 1), ([1], 3), ([1], 3), ([1], 1)]
+        for a, b in zip(whole, sliced):
+            assert_allclose(a.cve, b.cve, rtol=1e-13)
+
+    def test_penalty_and_coefficients_follow_one_first_minimum_rule(self, monkeypatch):
+        """lambda_star and the refit beta both read loocv._first_minimum: a
+        rule that picked the last grid value moves both together."""
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(20, 4))
+        y = X @ rng.normal(size=4) + rng.normal(size=20)
+        rp = _rotated(X, y)
+        grid = fixed_grid(9)
+        monkeypatch.setattr(loocv, "_first_minimum", lambda grid, cve: float(grid.values[-1]))
+        for fit in (loocv_fit(rp, y, grid), loocv_fits(rp, y[:, None], [grid])[0]):
+            assert fit.lambda_star == grid.values[-1]
+            expected = recover_beta(rp, rotated_ridge_solution(rp, grid.values[-1]))
+            assert fit.beta.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "grid", [np.logspace(2.0, -2.0, 5), [1.0, 0.1], None], ids=["array", "list", "None"]
+    )
+    def test_a_grid_that_is_not_a_lambda_grid_is_refused(self, grid):
+        rng = np.random.default_rng(22)
+        X, Y = rng.normal(size=(12, 4)), rng.normal(size=(12, 2))
+        rp = rotate(compact_svd(X), Y)
+        kind = type(grid).__name__
+        with pytest.raises(DataError, match=f"^grid must be a LambdaGrid, not {kind}$"):
+            loocv_fit(rp, Y[:, 0], grid)
+        with pytest.raises(DataError, match=rf"^grids\[1\] must be a LambdaGrid, not {kind}$"):
+            loocv_fits(rp, Y, [fixed_grid(2), grid])

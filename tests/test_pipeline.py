@@ -158,15 +158,23 @@ def test_model_file_with_a_miscounted_array_is_refused(key, method, q, extra):
     "column_names, target_names, message",
     [
         (["a", "b", "c", "d"], ["y", "y"], "target_names lists 'y' twice"),
-        (["a"], ["y0", "y1"], "column_names has 1 names for 4 columns"),
+        (["a"], ["y0", "y1"], "column_names has length 1; expected 4, one per feature"),
         (["a", "b", "a", "d"], ["y0", "y1"], "column_names lists 'a' twice"),
+        ("abcd", None, "column_names is a scalar; expected 4, one per feature"),
+        ([1, 2, 3, 4], None, "column_names entries must be strings"),
+        ([["a"], ["b"], ["c"], ["d"]], None, "column_names is 2-D; expected 1-D"),
+        (None, "y", "target_names is a scalar; expected 2, one per target"),
     ],
-    ids=["target-twice", "one-name-for-four-columns", "column-twice"],
+    ids=[
+        "target-twice", "one-name-for-four-columns", "column-twice",
+        "string-for-columns", "integer-names", "2-d-names", "string-for-targets",
+    ],
 )
 def test_fit_refuses_a_target_name_given_twice(monkeypatch, column_names, target_names, message):
     """predict could not tell the two prediction columns apart, nor match a
-    feature by a name that is missing or repeated: the Dataset refuses the
-    names before any target is solved."""
+    feature by a name that is missing, repeated or not a string: the
+    Dataset refuses the names by the model file's name rule, with its
+    message, before anything is standardized or solved."""
     solved = []
     real_em_fit = em_module.em_fit
 
@@ -174,11 +182,22 @@ def test_fit_refuses_a_target_name_given_twice(monkeypatch, column_names, target
         solved.append(target)
         return real_em_fit(rp, cfg, target)
 
+    def refused(_):
+        raise AssertionError("standardize was called")
+
     monkeypatch.setattr(em_module, "em_fit", recorded)
+    monkeypatch.setattr(data_module, "standardize", refused)
     d = _dataset(2)
     with pytest.raises(DataError, match=f"^{message}$"):
         fit(Dataset(d.X, d.Y, column_names, target_names), Method.EM)
     assert solved == []
+
+
+def test_dataset_holds_names_as_lists():
+    d = _dataset(2)
+    named = Dataset(d.X, d.Y, ("a", "b", "c", "d"), np.array(["y0", "y1"]))
+    assert named.column_names == ["a", "b", "c", "d"] and named.target_names == ["y0", "y1"]
+    assert fit(named, Method.EM).feature_names == ["a", "b", "c", "d"]
 
 
 @pytest.mark.parametrize("method", list(Method))
