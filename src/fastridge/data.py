@@ -67,12 +67,20 @@ def real(name: str, value, positive: bool = True) -> None:
         raise DataError(f"{name} must be {'positive' if positive else 'at least 0'}")
 
 
-def floats(name: str, value, *shape: int | None) -> np.ndarray:
+def floats(name: str, value, *shape: int | None, vector: str | None = None) -> np.ndarray:
     """``value`` as a float array (np.asarray: no copy of a float array) of
     exactly ``shape``, where None is any size, or DataError naming the
-    argument: ``X has shape (2, 4, 4), expected (any, 4)``. The one rule for
-    every array argument's shape; a vector is 1-D. Finiteness is all_finite's."""
-    a = np.asarray(value, dtype=float)
+    argument: ``X has shape (2, 4, 4), expected (any, 4)``, or ``X must be a
+    rectangular array of numbers`` for a ragged list, a string or anything
+    else numpy cannot read as float. The one rule for every array argument's
+    shape; a vector is 1-D, or, when ``vector`` is "row" or "column", a 1-D
+    value is one row or one column of a 2-D shape. Finiteness is all_finite's."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{name} must be a rectangular array of numbers ({exc})") from None
+    if vector is not None and a.ndim == 1:
+        a = a[None, :] if vector == "row" else a[:, None]
     if a.ndim != len(shape) or any(want not in (None, got) for got, want in zip(a.shape, shape)):
         expected = ", ".join("any" if want is None else str(want) for want in shape)
         raise DataError(f"{name} has shape {a.shape}, expected ({expected}{',' * (len(shape) == 1)})")
@@ -114,9 +122,8 @@ class Dataset:
     target_names: list[str] | None = None
 
     def __post_init__(self):
-        X = floats("X", np.asarray(self.X, dtype=float, order="C"), None, None)
-        Y = np.asarray(self.Y, dtype=float, order="C")
-        Y = floats("Y", Y[:, None] if Y.ndim == 1 else Y, X.shape[0], None)
+        X = np.ascontiguousarray(floats("X", self.X, None, None))
+        Y = np.ascontiguousarray(floats("Y", self.Y, X.shape[0], None, vector="column"))
         if X.shape[0] < 1 or X.shape[1] < 1 or Y.shape[1] < 1:
             raise DataError("need n >= 1, p >= 1, q >= 1")
         if not all_finite(X) or not all_finite(Y):
@@ -630,8 +637,7 @@ def destandardize(beta_std: np.ndarray, s: StandardizedDataset):
     intercept absorbs the column means:
     intercept = y_mean - sum_j beta_raw[j] * col_means[j].
     """
-    beta_std = np.asarray(beta_std, dtype=float)
-    beta_std = floats("beta_std", beta_std[:, None] if beta_std.ndim == 1 else beta_std, s.p_kept, s.q)
+    beta_std = floats("beta_std", beta_std, s.p_kept, s.q, vector="column")
     beta_raw = np.zeros((s.p_original, s.q))
     beta_raw[s.kept_columns] = beta_std / s.col_sds[s.kept_columns, None]
     intercepts = s.y_means - s.col_means @ beta_raw
@@ -641,7 +647,14 @@ def destandardize(beta_std: np.ndarray, s: StandardizedDataset):
 def predict(f: FitResult, X_new: np.ndarray) -> np.ndarray:
     """Predict targets for raw-scale rows: X_new @ beta_raw + intercepts.
     X_new holds one row per prediction and one column per feature of the
-    model (a 1-D array is one row), or DataError (data.floats)."""
-    X_new = np.asarray(X_new, dtype=float)
-    X_new = floats("X_new", X_new[None, :] if X_new.ndim == 1 else X_new, None, f.beta_raw.shape[0])
-    return X_new @ f.beta_raw + f.intercepts
+    model (a 1-D array is one row), or DataError (data.floats). A prediction
+    that is not finite, from a non-finite or huge entry of X_new, raises
+    DataError naming its row; the check reads the n x q predictions, not
+    X_new."""
+    X_new = floats("X_new", X_new, None, f.beta_raw.shape[0], vector="row")
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below, with its row
+        Y_hat = X_new @ f.beta_raw + f.intercepts
+    if Y_hat.size and not all_finite(Y_hat):
+        row = np.flatnonzero(~np.isfinite(Y_hat).all(axis=1))[0]
+        raise DataError(f"prediction for row {row} is not finite")
+    return Y_hat

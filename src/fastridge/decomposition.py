@@ -152,8 +152,7 @@ def rotate(svd: CompactSvd, Y: np.ndarray) -> RotatedProblem:
     its own U, V and s2, as a decomposition does. Y is n x q, or 1-D for
     one target (data.floats); any other shape, a Y with no columns, a
     non-finite target, or one whose y_sq_norms overflows, raises DataError."""
-    Y = np.asarray(Y, dtype=float)
-    Y = floats("Y", Y[:, None] if Y.ndim == 1 else Y, svd.n, None)
+    Y = floats("Y", Y, svd.n, None, vector="column")
     if Y.shape[1] == 0:
         raise DataError("Y has no columns: there is no target to rotate")
     if not all_finite(Y):

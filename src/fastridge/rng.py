@@ -16,6 +16,14 @@ compatibility guarantee:
 * Bernoulli(prob): one uniform per draw, success iff u < prob, emitted as
   0.0/1.0 doubles.
 
+A draw's only data-sized array is its output: the raw words are drawn into
+one buffer, which is then read as doubles and transformed in place, block
+by block (_BLOCK words or Box-Muller pairs at a time), so numpy's
+temporaries are the size of one block. Every block but the last is a whole
+number of SIMD vectors, so each element takes the same vector or scalar
+path as in one call over the whole array, and the blocks change no bit of
+the result.
+
 Stream keys are derived from the user seed and a path of nonnegative
 integers with a splitmix64 sponge: absorb each path component by XOR into
 the state and advance once, then squeeze the two 64-bit Philox key words.
@@ -44,6 +52,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _TWO_PI = 2.0 * math.pi
+# Words (or Box-Muller pairs) transformed per block: a power of two, so a
+# block is a whole number of SIMD vectors.
+_BLOCK = 1 << 14
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -76,6 +87,14 @@ def derive_seed(seed: int, *path: int) -> int:
     return _splitmix64(_absorb(seed, path))[1]
 
 
+def _to_uniforms(block: np.ndarray) -> None:
+    """Overwrite a block of raw words, viewed as doubles, with their
+    uniforms: (word >> 11) * 2**-53."""
+    words = block.view(np.uint64)
+    np.right_shift(words, np.uint64(11), out=words)
+    np.multiply(words, 2.0**-53, out=block)
+
+
 class RandomStream:
     """One named substream: a Philox generator plus fixed transforms.
 
@@ -94,27 +113,48 @@ class RandomStream:
         return self._bitgen.random_raw(m)
 
     def uniforms(self, m: int) -> np.ndarray:
-        """m doubles uniform on [0, 1): top 53 bits of each word."""
-        return (self.raw(m) >> np.uint64(11)) * 2.0**-53
+        """m doubles uniform on [0, 1): top 53 bits of each word, each in
+        place of its word."""
+        u = self.raw(m).view(np.float64)
+        for i in range(0, m, _BLOCK):
+            _to_uniforms(u[i : i + _BLOCK])
+        return u
 
     def normals(self, m: int) -> np.ndarray:
-        """m standard normals via Box-Muller, block layout as documented."""
+        """m standard normals via Box-Muller, block layout as documented:
+        r in place of u1, then r cos(theta) there and r sin(theta) in place
+        of u2."""
         count("m", m, 0)
-        if m == 0:
-            return np.empty(0)
         k = (m + 1) // 2
-        u = self.uniforms(2 * k)
-        r = np.sqrt(-2.0 * np.log1p(-u[:k]))
-        theta = _TWO_PI * u[k:]
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:m]
+        z = self.raw(2 * k).view(np.float64)
+        cos = np.empty(min(k, _BLOCK))
+        for i in range(0, k, _BLOCK):
+            r, theta = z[i : min(i + _BLOCK, k)], z[k + i : k + i + _BLOCK]
+            c = cos[: len(r)]
+            _to_uniforms(r)
+            np.negative(r, out=r)
+            np.log1p(r, out=r)
+            np.multiply(r, -2.0, out=r)
+            np.sqrt(r, out=r)
+            _to_uniforms(theta)
+            np.multiply(theta, _TWO_PI, out=theta)
+            np.cos(theta, out=c)
+            np.sin(theta, out=theta)
+            theta *= r
+            r *= c
+        return z[:m]
 
     def bernoulli(self, prob: float, m: int) -> np.ndarray:
         """m Bernoulli(prob) draws as 0.0/1.0 doubles, for prob strictly
-        between 0 and 1."""
+        between 0 and 1, each in place of its uniform."""
         real("prob", prob)
         if not prob < 1.0:
             raise DataError("prob must lie strictly between 0 and 1")
-        return (self.uniforms(m) < prob).astype(float)
+        u = self.uniforms(m)
+        for i in range(0, m, _BLOCK):
+            block = u[i : i + _BLOCK]
+            block[...] = block < prob
+        return u
 
     def chi_square(self, df: int) -> float:
         """One chi-square draw with df degrees of freedom (a count of at

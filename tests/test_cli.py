@@ -369,6 +369,19 @@ class TestPredict:
         assert rc == 3
         assert "row 3 has 2 cells, expected 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_prediction_exits_3(self, train_csv, tmp_path, capsys, cell):
+        """A cell that makes a prediction NaN or infinite is refused, naming
+        the row (counted from 0, as predict counts), as fit refuses one; no
+        predictions file is written."""
+        model_path = self._fit(train_csv, tmp_path)
+        new, out = tmp_path / "new.csv", tmp_path / "p.csv"
+        new.write_text(f"a,b,c\n0.1,0.2,0.3\n1.0,{cell},0.5\n", encoding="utf-8")
+        rc = main(["predict", "--model", str(model_path), "--input", str(new), "--output", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "fastridge predict: predict: prediction for row 1 is not finite\n"
+        assert not out.exists()
+
     def test_wrong_width_exits_3(self, train_csv, tmp_path):
         model_path = self._fit(train_csv, tmp_path)
         narrow = tmp_path / "narrow.csv"

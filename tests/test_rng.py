@@ -1,12 +1,23 @@
 """Splittable Philox streams: determinism, the documented transforms, and
 seed derivation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fastridge.exceptions import DataError
-from fastridge.rng import RandomStream, derive_seed
+from fastridge.rng import _BLOCK, RandomStream, derive_seed
+
+# Draw sizes on and either side of a block edge, and an odd size several
+# blocks long whose last block is short.
+_EDGE_SIZES = [2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 7 * _BLOCK + 247]
+
+
+def _uniforms(words):
+    """The documented uniforms of raw words, computed out of place."""
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 class TestDeriveSeed:
@@ -111,11 +122,14 @@ class TestRandomStream:
             0xB07352CB2B81C68E,
         ]
 
-    def test_uniforms_are_top_53_bits(self):
-        u = RandomStream(3).uniforms(64)
-        w = RandomStream(3).raw(64)
-        assert np.array_equal(u, (w >> np.uint64(11)) * 2.0**-53)
+    @pytest.mark.parametrize("m", [64, *_EDGE_SIZES])
+    def test_uniforms_are_top_53_bits(self, m):
+        s = RandomStream(3, m)
+        u = s.uniforms(m)
+        w = RandomStream(3, m).raw(m + 4)
+        assert np.array_equal(u, _uniforms(w[:m]))
         assert np.all((u >= 0.0) & (u < 1.0))
+        assert np.array_equal(s.raw(4), w[m:])
 
     def test_uniform_moments(self):
         u = RandomStream(11).uniforms(100000)
@@ -129,12 +143,19 @@ class TestRandomStream:
         b = RandomStream(7, 1, 2).normals(4)
         assert np.array_equal(a, b[:3])
 
-    def test_normals_transform_definition(self):
-        u = RandomStream(9).uniforms(8)
-        r = np.sqrt(-2.0 * np.log1p(-u[:4]))
-        theta = 2.0 * np.pi * u[4:]
-        expected = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        assert np.array_equal(RandomStream(9).normals(8), expected)
+    @pytest.mark.parametrize("m", [8, *_EDGE_SIZES])
+    def test_normals_transform_definition(self, m):
+        """The documented transform of the same words, computed out of
+        place, and the draw consumes 2 ceil(m/2) words."""
+        k = (m + 1) // 2
+        w = RandomStream(9, m).raw(2 * k + 4)
+        u = _uniforms(w[: 2 * k])
+        r = np.sqrt(-2.0 * np.log1p(-u[:k]))
+        theta = 2.0 * np.pi * u[k:]
+        expected = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:m]
+        s = RandomStream(9, m)
+        assert np.array_equal(s.normals(m), expected)
+        assert np.array_equal(s.raw(4), w[2 * k :])
 
     def test_normals_moments(self):
         z = RandomStream(13).normals(200001)
@@ -142,8 +163,13 @@ class TestRandomStream:
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
 
-    def test_normals_empty(self):
-        assert RandomStream(1).normals(0).shape == (0,)
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_tiny_normals_consume_whole_pairs(self, m):
+        """normals(m) consumes 2 ceil(m/2) words, none for m = 0."""
+        s = RandomStream(1)
+        assert s.normals(m).shape == (m,)
+        used = 2 * ((m + 1) // 2)
+        assert np.array_equal(s.raw(2), RandomStream(1).raw(used + 2)[used:])
 
     def test_bernoulli_values_and_rate(self):
         draws = RandomStream(17).bernoulli(0.01, 1000000)
@@ -152,10 +178,10 @@ class TestRandomStream:
         # 3 sigma for a million draws at rate 0.01 is about 0.0003
         assert abs(draws.mean() - 0.01) < 0.0005
 
-    def test_bernoulli_is_threshold_on_uniforms(self):
-        u = RandomStream(19).uniforms(32)
-        expected = (u < 0.3).astype(float)
-        assert np.array_equal(RandomStream(19).bernoulli(0.3, 32), expected)
+    @pytest.mark.parametrize("m", [32, *_EDGE_SIZES])
+    def test_bernoulli_is_threshold_on_uniforms(self, m):
+        expected = (_uniforms(RandomStream(19, m).raw(m)) < 0.3).astype(float)
+        assert np.array_equal(RandomStream(19, m).bernoulli(0.3, m), expected)
 
     def test_bernoulli_rejects_degenerate_prob(self):
         s = RandomStream(1)
@@ -203,3 +229,29 @@ class TestRandomStream:
             RandomStream(1).bernoulli(1.0, 4)
         with pytest.raises(DataError, match="^prob must be positive$"):
             RandomStream(1).bernoulli(0.0, 4)
+
+
+class TestBlocks:
+    """Each draw is transformed in place, block by block (the transforms
+    themselves are checked across block edges above)."""
+
+    def test_block_is_a_power_of_two(self):
+        assert _BLOCK >= 1 and _BLOCK & (_BLOCK - 1) == 0
+
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda s, m: s.normals(m), lambda s, m: s.uniforms(m), lambda s, m: s.bernoulli(0.3, m)],
+        ids=["normals", "uniforms", "bernoulli"],
+    )
+    def test_peak_memory_is_the_output(self, draw):
+        """At m = 10^6 a draw allocates at most its 8 m output bytes and
+        1 MiB of block temporaries."""
+        m = 10**6
+        s = RandomStream(47)
+        tracemalloc.start()
+        try:
+            draw(s, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m + 2**20

@@ -40,6 +40,24 @@ class TestFloats:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             floats("X", value, *shape)
 
+    @pytest.mark.parametrize(
+        "value",
+        [[[1, 2], [3]], [["a", "b"]], [1j, 2j], [{"a": 1}], [10**400]],
+        ids=["ragged", "strings", "complex", "dict", "past-the-doubles"],
+    )
+    def test_what_is_not_an_array_of_numbers_is_refused(self, value):
+        """numpy's own ValueError, TypeError or OverflowError becomes the
+        rule's DataError, naming the argument."""
+        with pytest.raises(DataError, match=r"^X must be a rectangular array of numbers \("):
+            floats("X", value, None, None)
+
+    def test_a_vector_is_one_row_or_one_column(self):
+        assert floats("y", [1, 2, 3], None, None, vector="column").shape == (3, 1)
+        assert floats("x", [1, 2, 3], None, 3, vector="row").shape == (1, 3)
+        assert floats("Y", np.ones((3, 2)), 3, None, vector="column").shape == (3, 2)
+        with pytest.raises(DataError, match=r"^x has shape \(1, 3\), expected \(any, 4\)$"):
+            floats("x", [1, 2, 3], None, 4, vector="row")
+
 
 # One problem for every entry point: n = 8, p = 5, q = 2, rank 5.
 _RNG = np.random.default_rng(40)
@@ -101,6 +119,40 @@ def test_every_entry_point_accepts_its_shape(function, name, call, wrong):
 
 class TestRegressions:
     """Arrays that returned a wrong result or leaked numpy's own error."""
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("X_new", lambda: predict(_MODEL, [[1, 2, 3, 4, 5], [1, 2]])),
+            ("X_new", lambda: predict(_MODEL, [["a", "b", "c", "d", "e"]])),
+            ("X", lambda: Dataset([[1, 2], [3]], [1, 2])),
+            ("Y", lambda: Dataset(_X, [[1]] * 7 + [[1, 2]])),
+            ("Y", lambda: rotate(_SVD, [[1], [2, 3], [4]])),
+            ("beta_std", lambda: destandardize([[1, 2], [3]], _STD)),
+        ],
+        ids=["predict-ragged", "predict-strings", "dataset-x", "dataset-y", "rotate", "destandardize"],
+    )
+    def test_a_ragged_or_text_array_is_refused_by_name(self, name, call):
+        """Entry points that lift a 1-D argument to a row or column read it
+        through the rule too, so numpy's inhomogeneous-shape or conversion
+        ValueError never leaks."""
+        with pytest.raises(DataError, match=rf"^{name} must be a rectangular array of numbers \("):
+            call()
+
+    def test_predict_refuses_predictions_that_are_not_finite(self):
+        """The n x q predictions are checked, and the first row with a NaN
+        or infinite one is named; a finite X_new whose products overflow is
+        refused too."""
+        model = FitResult(np.ones((4, 2)), [0.0, 0.0], [1.0, 1.0], Method.LOOCV_FIXED)
+        for X_new, row in (
+            ([[0, 0, 0, 0], [np.nan, 0, 0, 0], [np.inf, 0, 0, 0]], 1),
+            ([[np.inf, 0, 0, 0], [np.nan, 0, 0, 0]], 0),
+            ([[0, 0, 0, 0], [0, 0, 0, 0], [1e308, 1e308, 0, 0]], 2),
+            ([np.inf, -np.inf, 0, 0], 0),
+        ):
+            with pytest.raises(DataError, match=f"^prediction for row {row} is not finite$"):
+                predict(model, X_new)
+        assert predict(model, np.ones((0, 4))).shape == (0, 2)
 
     def test_predict_refuses_a_3d_x_new(self):
         model = FitResult(np.ones(4), [0.0], [1.0], Method.LOOCV_FIXED)

@@ -24,7 +24,12 @@ order, using the fastridge in the src/ directory next to this file:
                designs and every target: each EmFit field (degenerate and
                lambda_ read as attributes), loocv_fit's grid, CVE curve,
                lambda_star and beta on both grids, and unimodality_bound's
-               gamma_n, epsilon_min and epsilon_exceeds_bound at epsilon 0.1.
+               gamma_n, epsilon_min and epsilon_exceeds_bound at epsilon 0.1;
+* rng/...      fastridge.rng draws of normals, uniforms and bernoulli(0.3) on
+               seeds 0-1, at sizes either side of and on the 2^14-word
+               block edges, an odd size several blocks long, and 2.5M (a
+               wide design), each followed by 4 raw words to pin what the
+               draw consumed.
 
 After the hash lines it prints one "penalties NAME lambda=[...]" line per
 fit/..., ends/... and cli/fit/... model, with the penalty of each target in
@@ -53,7 +58,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
 import numpy as np  # noqa: E402
 
-from fastridge import cli, decomposition, em, loocv, pipeline  # noqa: E402
+from fastridge import cli, decomposition, em, loocv, pipeline, rng  # noqa: E402
 from fastridge.data import Dataset, FitResult, Method, standardize  # noqa: E402
 from fastridge.exceptions import FastridgeError  # noqa: E402
 import workloads  # noqa: E402
@@ -68,6 +73,9 @@ SIMULATE_RUNS = (
     ("bernoulli", ["--n-list", "60,400", "--sigma-list", "0.5,2", "--p", "100"]),
     ("gaussian", ["--n-list", "30,200", "--p-list", "10,50"]),
 )
+# Either side of and on the generator's 2^14-word block edges, then an
+# odd size several blocks long and the size of a 500x5000 design.
+RNG_SIZES = (0, 1, 3, 32767, 32768, 32769, 114935, 2_500_000)
 BENCH_TIMINGS = {"t_preprocess_ns", "t_mainloop_ns", "t_per_unit_ns"}
 # Read by name, so the same listing runs against a tree whose results store
 # a field that another derives.
@@ -200,6 +208,17 @@ def bench_digest(tmp: str):
     yield "bench", _digest(text.encode())
 
 
+def rng_digests():
+    draws = (("normals", lambda s, m: s.normals(m)), ("uniforms", lambda s, m: s.uniforms(m)),
+             ("bernoulli", lambda s, m: s.bernoulli(0.3, m)))
+    for name, draw in draws:
+        for m in RNG_SIZES:
+            for seed in range(2):
+                stream = rng.RandomStream(seed, m)
+                values = draw(stream, m)
+                yield f"rng/{name}/m{m}/seed{seed}", _digest(values.tobytes() + stream.raw(4).tobytes())
+
+
 def main() -> None:
     os.environ.pop("FASTRIDGE_SEED", None)  # it would override every --seed
     penalties = []
@@ -211,6 +230,7 @@ def main() -> None:
             simulate_digests(tmp),
             bench_digest(tmp),
             result_digests(),
+            rng_digests(),
         )
         for part in parts:
             for name, digest in part:
